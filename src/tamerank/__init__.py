@@ -19,7 +19,6 @@ from .characters import (
     compose,
     conjugacy_classes,
     enumerate_characters,
-    evaluate,
     omega,
     trivial_character,
 )

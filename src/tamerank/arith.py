@@ -185,13 +185,14 @@ class UnitGroupStructure:
     immutable and safe for concurrent reads.
     """
 
-    __slots__ = ("modulus", "generators", "orders", "_blocks")
+    __slots__ = ("modulus", "generators", "orders", "_blocks", "minus_one")
 
     def __init__(self, modulus, generators, orders, blocks):
         self.modulus = modulus
         self.generators = tuple(generators)
         self.orders = tuple(orders)
         self._blocks = tuple(blocks)
+        self.minus_one = self.dlog(-1)
 
     @property
     def phi(self) -> int:
@@ -222,6 +223,31 @@ class UnitGroupStructure:
                 out.append(s)
                 out.append(y)
         return tuple(out)
+
+    def conductor(self, exponents) -> int:
+        """Conductor of the character sending each generator g_i to
+        zeta_{n_i}^{e_i}: the smallest d | modulus through whose units it
+        factors, read block by block.  A nontrivial cyclic ell^e block gives
+        ell^(1 + v_ell(order on the block)); on the 2-part pair (-1, 3) the
+        character factors through (Z/4)^x iff it is trivial on 5 = -(3^a), a odd."""
+        d = 1
+        i = 0
+        for kind, q, data in self._blocks:
+            if kind == "cyclic":
+                n = self.orders[i]
+                order = n // math.gcd(exponents[i], n)
+                i += 1
+                if order > 1:
+                    d *= q // math.gcd(q, n) * math.gcd(order, q)
+            else:
+                s = exponents[i] % 2
+                order3 = data // math.gcd(exponents[i + 1], data)
+                i += 2
+                if order3 <= 2 and s == order3 - 1:
+                    d *= 4 if s else 1
+                else:
+                    d *= max(8, 4 * order3)
+        return d
 
     def exp(self, exponents) -> int:
         M = self.modulus

@@ -1,12 +1,14 @@
 """Dirichlet characters of G = Gal(F(mu_p)/Q) with formal root-of-unity values.
 
 A character is stored primitively: its modulus equals its conductor and its
-data is the image of each generator of (Z/cond)^x as an exponent in Q/Z.
-The identification of exponents with p-adic roots of unity is pinned once:
-zeta_{p-1} is the image of the smallest primitive root mod p under the
-Teichmueller character, and p-power roots stay formal.  All predicates used
-downstream (triviality, parity, p-power order, conjugacy) are independent of
-that pinning.
+data is one integer per generator g_i of (Z/cond)^x, the exponent e_i mod
+n_i = ord g_i with chi(g_i) = zeta_{n_i}^{e_i}.  Conductors, values, powers
+and conjugates are integer operations on that vector; only values come out
+as formal roots of unity.  The identification of exponents with p-adic roots
+of unity is pinned once: zeta_{p-1} is the image of the smallest primitive
+root mod p under the Teichmueller character, and p-power roots stay formal.
+All predicates used downstream (triviality, parity, p-power order,
+conjugacy) are independent of that pinning.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .arith import (
     _check_odd_prime,
@@ -97,43 +99,27 @@ class RootOfUnity:
 ONE = RootOfUnity(Fraction(0))
 
 
-def _raw_value(units, images, a):
-    """Value of the not-necessarily-primitive exponent map at the unit a."""
-    if units.modulus == 1:
-        return ONE
-    out = ONE
-    for im, e in zip(images, units.dlog(a)):
-        out = out * (im ** e)
-    return out
-
-
 class DirichletCharacter:
-    """A primitive Dirichlet character attached to an ambient odd prime p."""
+    """A primitive Dirichlet character attached to an ambient odd prime p,
+    held as one integer exponent per generator of unit_group(modulus)."""
 
-    __slots__ = ("p", "modulus", "units", "images", "order", "parity", "d_chi")
+    __slots__ = ("p", "modulus", "units", "exponents", "order", "_weights", "parity", "d_chi")
 
-    def __init__(self, p: int, modulus: int, images: tuple):
+    def __init__(self, p: int, modulus: int, exponents: tuple):
         self.p = p
         self.modulus = modulus
         self.units = unit_group(modulus)
-        self.images = tuple(images)
-        if len(self.images) != len(self.units.generators):
-            raise ValueError("one image per unit-group generator required")
-        for im, n in zip(self.images, self.units.orders):
-            if not (im ** n).is_one:
-                raise ValueError("image order must divide the generator order")
-        self.order = math.lcm(1, *(im.order for im in self.images))
-        self.parity = self.value(-1).sign() if modulus > 1 else 1
-        self.d_chi = self._local_degree()
-
-    def _local_degree(self) -> int:
-        n, p = self.order, self.p
-        pa = 1
-        while n % p == 0:
-            n //= p
-            pa *= p
-        unram = 1 if n == 1 else mul_order(p, n)
-        return euler_phi(pa) * unram
+        orders = self.units.orders
+        if len(exponents) != len(orders):
+            raise ValueError("one exponent per unit-group generator required")
+        self.exponents = tuple(e % n for e, n in zip(exponents, orders))
+        if self.units.conductor(self.exponents) != modulus:
+            raise ValueError(f"the exponents do not define a primitive character mod {modulus}")
+        self.order = math.lcm(1, *(n // math.gcd(e, n) for e, n in zip(self.exponents, orders)))
+        # chi(a) = zeta_order^k with k = sum_i w_i x_i for x = dlog(a)
+        self._weights = tuple(e * self.order // n for e, n in zip(self.exponents, orders))
+        self.parity = -1 if self._exponent_at(self.units.minus_one) else 1
+        self.d_chi = _local_degree(self.order, p)
 
     @property
     def conductor(self) -> int:
@@ -147,41 +133,37 @@ class DirichletCharacter:
     def is_odd(self) -> bool:
         return self.parity == -1
 
+    def _exponent_at(self, logs) -> int:
+        return sum(w * x for w, x in zip(self._weights, logs)) % self.order
+
     def value(self, a: int):
         """chi(a) as a RootOfUnity, or None when gcd(a, conductor) > 1."""
-        m = self.modulus
-        if m == 1:
-            return ONE
-        a %= m
-        if math.gcd(a, m) != 1:
+        if math.gcd(a, self.modulus) != 1:
             return None
-        return _raw_value(self.units, self.images, a)
-
-    __call__ = value
+        return RootOfUnity.from_pair(self._exponent_at(self.units.dlog(a)), self.order)
 
     def power(self, t: int) -> "DirichletCharacter":
-        return character_from_images(self.p, self.modulus, tuple(im ** t for im in self.images))
+        return _primitive(self.p, self.units, tuple(e * t for e in self.exponents))
 
     def inverse(self) -> "DirichletCharacter":
         return self.power(-1)
 
+    def _reduced(self) -> list:
+        """Each generator's image as a reduced (numerator, denominator) in Q/Z."""
+        pairs = zip(self.exponents, self.units.orders)
+        return [(e // math.gcd(e, n), n // math.gcd(e, n)) for e, n in pairs]
+
     def label(self) -> str:
         if self.is_trivial:
             return "eps"
-        if self.modulus % self.p == 0 and self.modulus == self.p:
-            k = self.images[0].exponent_for(self.p - 1)
-            return f"omega^{k}"
-        exps = ".".join(
-            f"{im.exponent.numerator}of{im.exponent.denominator}" for im in self.images
-        )
-        return f"chi{self.modulus}[{exps}]"
+        if self.modulus == self.p:
+            return f"omega^{self.exponents[0]}"
+        return f"chi{self.modulus}[{'.'.join(f'{k}of{n}' for k, n in self._reduced())}]"
 
     def to_dict(self) -> dict:
         return {
             "modulus": self.modulus,
-            "generator_exponents": [
-                [im.exponent.numerator, im.exponent.denominator] for im in self.images
-            ],
+            "generator_exponents": [[k, n] for k, n in self._reduced()],
             "order": self.order,
             "conductor": self.conductor,
             "parity": self.parity,
@@ -189,7 +171,7 @@ class DirichletCharacter:
         }
 
     def _key(self):
-        return (self.p, self.modulus, self.images)
+        return (self.p, self.modulus, self.exponents)
 
     def __eq__(self, other):
         return isinstance(other, DirichletCharacter) and self._key() == other._key()
@@ -201,68 +183,68 @@ class DirichletCharacter:
         return f"<character {self.label()} mod {self.modulus} (p={self.p})>"
 
 
-def _conductor(modulus: int, units, images) -> int:
-    """Smallest d | modulus such that the exponent map factors through (Z/d)^x."""
-    if modulus == 1:
-        return 1
-    divisors = sorted(
-        d for d in range(1, modulus + 1) if modulus % d == 0
-    )
-    for d in divisors:
-        ok = True
-        for u in range(1 + d, modulus, d):
-            if math.gcd(u, modulus) != 1:
-                continue
-            if not _raw_value(units, images, u).is_one:
-                ok = False
-                break
-        if ok:
-            return d
-    raise InvariantViolationError("conductor search fell through")
+@lru_cache(maxsize=None)
+def _local_degree(order: int, p: int) -> int:
+    """d_chi = [Q_p(values of chi) : Q_p] for a character of this order."""
+    n, pa = order, 1
+    while n % p == 0:
+        n //= p
+        pa *= p
+    return euler_phi(pa) * (1 if n == 1 else mul_order(p, n))
 
 
-def character_from_images(p: int, modulus: int, images: tuple) -> DirichletCharacter:
-    """Build the primitive character inducing the given exponent map."""
+@lru_cache(maxsize=None)
+def _lift_logs(modulus: int, conductor: int) -> tuple:
+    """dlog mod `modulus` of a unit lift of each generator of (Z/conductor)^x."""
     units = unit_group(modulus)
-    cond = _conductor(modulus, units, images)
-    if cond == modulus:
-        return DirichletCharacter(p, modulus, images)
-    cunits = unit_group(cond)
-    cimages = []
-    for g in cunits.generators:
-        gp = g
-        while math.gcd(gp, modulus) != 1:
-            gp += cond
-        cimages.append(_raw_value(units, images, gp))
-    return DirichletCharacter(p, cond, tuple(cimages))
+    out = []
+    for g in unit_group(conductor).generators:
+        while math.gcd(g, modulus) != 1:
+            g += conductor
+        out.append(units.dlog(g))
+    return tuple(out)
+
+
+def _primitive(p: int, units, exponents: tuple) -> DirichletCharacter:
+    """The primitive character inducing the character with these exponents on
+    the generators of `units`: each generator of the conductor's own unit
+    group is evaluated once through a lift."""
+    cond = units.conductor(exponents)
+    if cond == units.modulus:
+        return DirichletCharacter(p, cond, exponents)
+    top = math.lcm(1, *units.orders)
+    weights = [e * (top // n) for e, n in zip(exponents, units.orders)]
+    out = []
+    for logs, n in zip(_lift_logs(units.modulus, cond), unit_group(cond).orders):
+        k = sum(w * x for w, x in zip(weights, logs)) * n
+        if k % top:
+            raise InvariantViolationError("value on a conductor generator has the wrong order")
+        out.append(k // top)
+    return DirichletCharacter(p, cond, tuple(out))
 
 
 def trivial_character(p: int) -> DirichletCharacter:
     return DirichletCharacter(p, 1, ())
 
 
+@lru_cache(maxsize=None)
 def omega(p: int) -> DirichletCharacter:
     """The Teichmueller character, pinned by omega(g) = zeta_{p-1} for the
     smallest primitive root g mod p."""
     _check_odd_prime(p)
-    return DirichletCharacter(p, p, (RootOfUnity.from_pair(1, p - 1),))
-
-
-def evaluate(chi: DirichletCharacter, a: int):
-    """Primitive evaluation; None encodes the value 0."""
-    return chi.value(a)
+    return DirichletCharacter(p, p, (1,))
 
 
 def compose(chi: DirichletCharacter, psi: DirichletCharacter, e1: int, e2: int) -> DirichletCharacter:
     """The primitive character inducing chi^e1 * psi^e2."""
     if chi.p != psi.p:
         raise ValueError("characters live over different primes")
-    L = math.lcm(chi.modulus, psi.modulus)
-    units = unit_group(L)
-    images = tuple(
-        (chi.value(g) ** e1) * (psi.value(g) ** e2) for g in units.generators
+    units = unit_group(math.lcm(chi.modulus, psi.modulus))
+    exponents = tuple(
+        ((chi.value(g) ** e1) * (psi.value(g) ** e2)).exponent_for(n)
+        for g, n in zip(units.generators, units.orders)
     )
-    return character_from_images(chi.p, L, images)
+    return _primitive(chi.p, units, exponents)
 
 
 @dataclass(frozen=True)
@@ -338,16 +320,18 @@ def enumerate_characters(field: FieldSpec) -> list:
     """All characters of G = Gal(K/Q), primitive, in lexicographic exponent
     order on the fixed generators of (Z/fp)^x."""
     p, f = field.p, field.f
-    M = f * p
-    units = unit_group(M)
-    lifted_h = [crt(h, f, 1, p) for h in field.subgroup]
-    chars = []
-    for expo in itertools.product(*(range(n) for n in units.orders)):
-        images = tuple(
-            RootOfUnity.from_pair(e, n) for e, n in zip(expo, units.orders)
-        )
-        if all(_raw_value(units, images, h).is_one for h in lifted_h):
-            chars.append(character_from_images(p, M, images))
+    units = unit_group(f * p)
+    top = math.lcm(1, *units.orders)
+    # chi is trivial on h iff sum_i e_i x_i / n_i is an integer, x = dlog(h)
+    h_weights = [
+        tuple(x * (top // n) for x, n in zip(units.dlog(crt(h, f, 1, p)), units.orders))
+        for h in field.subgroup
+    ]
+    chars = [
+        _primitive(p, units, expo)
+        for expo in itertools.product(*(range(n) for n in units.orders))
+        if all(sum(e * w for e, w in zip(expo, hw)) % top == 0 for hw in h_weights)
+    ]
     if len(chars) != field.group_order:
         raise InvariantViolationError(
             f"enumerated {len(chars)} characters, expected {field.group_order}"
@@ -371,18 +355,13 @@ def _conjugacy_orbit(chi: DirichletCharacter) -> list:
         tgens.append(crt(p % n0, n0, 1, pa))
     if pa > 1:
         tgens.append(crt(1, n0, smallest_primitive_root(pa), pa))
-    orbit = [chi]
-    seen = {chi}
-    frontier = [chi]
-    while frontier:
-        c = frontier.pop()
+    # the subgroup of (Z/n)^x generated by tgens, grown from 1
+    ts = [1]
+    for s in ts:
         for t in tgens:
-            c2 = c.power(t)
-            if c2 not in seen:
-                seen.add(c2)
-                orbit.append(c2)
-                frontier.append(c2)
-    return orbit
+            if s * t % n not in ts:
+                ts.append(s * t % n)
+    return [chi] + [chi.power(t) for t in ts[1:]]
 
 
 def conjugacy_classes(chars: list, p: int) -> list:

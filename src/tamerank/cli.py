@@ -1,8 +1,16 @@
 """Batch front-end: validate job configurations, run the rank / oracle /
 lambda / chars pipelines, and emit deterministic JSON reports.
 
-Exit codes: 0 ok, 2 invalid configuration, 3 lambda unavailable for a
-required character, 4 internal oracle inconsistency.
+Exit codes:
+  0  ok
+  2  invalid configuration: the job document, --levels, --lambda-table, a
+     lambda table label that names no character class of the field, or an
+     unwritable --out
+  3  lambda unavailable for a required character
+  4  oracle inconsistency: the brute-force module contradicts the theory,
+     or an oracle row disagrees with the rank formula
+  5  precision exhausted: a p-adic quantity needs more digits than allowed
+  6  internal invariant violated (a bug, never a user error)
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from .errors import (
     InvariantViolationError,
     LambdaUnavailableError,
     OracleInconsistencyError,
+    PrecisionError,
 )
 from .frobenius import inertia_trivial, m_index, sigma0_ok, stabilization_level
 from .rank import LambdaProvider, rank_total
@@ -38,6 +47,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_LAMBDA = 3
 EXIT_INCONSISTENT = 4
+EXIT_PRECISION = 5
+EXIT_INVARIANT = 6
 
 _LAMBDA_MODES = {
     "table": (False, False),
@@ -63,6 +74,28 @@ class JobConfig:
         return FieldSpec(self.p, self.f, self.subgroup)
 
 
+_TABLE_RULE = "lambda table must map labels to nonnegative integers"
+_LEVELS_RULE = "oracle_levels must be a pair [n0, n1] with n1 > n0 >= 0"
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; JSON true and false are not, though Python's bool is."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _valid_table(table) -> bool:
+    return isinstance(table, dict) and all(_is_int(v) and v >= 0 for v in table.values())
+
+
+def _valid_levels(levels) -> bool:
+    return (
+        isinstance(levels, list)
+        and len(levels) == 2
+        and all(_is_int(x) and x >= 0 for x in levels)
+        and levels[1] > levels[0]
+    )
+
+
 def parse_config(text: str) -> JobConfig:
     """Validate a JSON job document, collecting every violated constraint."""
     violations: List[str] = []
@@ -74,19 +107,19 @@ def parse_config(text: str) -> JobConfig:
         raise ConfigError(["top-level document must be an object"])
 
     p = raw.get("p")
-    p_given = p if isinstance(p, int) else None
-    if not isinstance(p, int) or p == 2 or not is_prime(p):
+    p_given = p if _is_int(p) else None
+    if not _is_int(p) or p == 2 or not is_prime(p):
         violations.append("p must be an odd prime")
         p = 3  # placeholder so later checks can continue
     f = raw.get("f", 1)
-    if not isinstance(f, int) or f < 1:
+    if not _is_int(f) or f < 1:
         violations.append("f must be a positive integer")
         f = 1
     if math.gcd(f, p) != 1:
         violations.append("f must be prime to p")
         f = 1
     subgroup = raw.get("H", [])
-    if not isinstance(subgroup, list) or not all(isinstance(h, int) for h in subgroup):
+    if not isinstance(subgroup, list) or not all(_is_int(h) for h in subgroup):
         violations.append("H must be a list of integers")
         subgroup = []
     else:
@@ -94,7 +127,7 @@ def parse_config(text: str) -> JobConfig:
             if math.gcd(h, f) != 1:
                 violations.append(f"H generator {h} is not a unit mod f")
     S = raw.get("S", [])
-    if not isinstance(S, list) or not all(isinstance(q, int) for q in S):
+    if not isinstance(S, list) or not all(_is_int(q) for q in S):
         violations.append("S must be a list of integers")
         S = []
     else:
@@ -112,29 +145,21 @@ def parse_config(text: str) -> JobConfig:
         violations.append("lambda must be an object")
     else:
         mode = lam.get("mode", "table")
-        if mode not in _LAMBDA_MODES:
+        if not isinstance(mode, str) or mode not in _LAMBDA_MODES:
             violations.append(
                 f"lambda mode must be one of {sorted(_LAMBDA_MODES)}"
             )
             mode = "table"
         table = lam.get("table", {})
-        if not isinstance(table, dict) or not all(
-            isinstance(v, int) and v >= 0 for v in table.values()
-        ):
-            violations.append("lambda table must map labels to nonnegative integers")
+        if not _valid_table(table):
+            violations.append(_TABLE_RULE)
             table = {}
     levels = raw.get("oracle_levels")
-    if levels is not None:
-        if (
-            not isinstance(levels, list)
-            or len(levels) != 2
-            or not all(isinstance(x, int) and x >= 0 for x in levels)
-            or not levels[1] > levels[0]
-        ):
-            violations.append("oracle_levels must be a pair [n0, n1] with n1 > n0 >= 0")
-            levels = None
+    if levels is not None and not _valid_levels(levels):
+        violations.append(_LEVELS_RULE)
+        levels = None
     precision = raw.get("precision")
-    if precision is not None and (not isinstance(precision, int) or precision < 1):
+    if precision is not None and (not _is_int(precision) or precision < 1):
         violations.append("precision must be a positive integer")
         precision = None
 
@@ -313,11 +338,44 @@ def run(job: JobConfig, command: str, **kwargs) -> dict:
     raise ValueError(f"unknown command {command}")
 
 
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read {what}: {exc}"]) from exc
+
+
+def _parse_table(text: str) -> dict:
+    """A --lambda-table file, held to the rule of the config's lambda.table."""
+    try:
+        table = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"malformed lambda table: {exc}"]) from exc
+    if not _valid_table(table):
+        raise ConfigError([_TABLE_RULE])
+    return table
+
+
+def _parse_levels(text: str) -> tuple:
+    """--levels n0,n1, held to the rule of the config's oracle_levels."""
+    try:
+        levels = [int(x) for x in text.split(",")]
+    except ValueError:
+        levels = None
+    if not _valid_levels(levels):
+        raise ConfigError([_LEVELS_RULE])
+    return tuple(levels)
+
+
 def _emit(report: dict, out: Optional[str]) -> None:
     text = json.dumps(report, indent=2)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError([f"cannot write report: {exc}"]) from exc
     else:
         print(text)
 
@@ -349,46 +407,34 @@ def main(argv: Optional[list] = None) -> int:
     p_chars.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-
     try:
-        with open(args.config) as fh:
-            job = parse_config(fh.read())
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        job = parse_config(_read(args.config, "config"))
+        kwargs = {}
+        if args.command == "rank":
+            kwargs["assume_greenberg"] = args.assume_greenberg
+            if args.lambda_table:
+                kwargs["extra_table"] = _parse_table(_read(args.lambda_table, "lambda table"))
+        if args.command == "oracle" and args.levels:
+            kwargs["levels"] = _parse_levels(args.levels)
+        report = run(job, args.command, **kwargs)
+        _emit(report, args.out)
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
         return EXIT_CONFIG
-
-    kwargs = {}
-    if args.command == "rank":
-        kwargs["assume_greenberg"] = args.assume_greenberg
-        if args.lambda_table:
-            try:
-                with open(args.lambda_table) as fh:
-                    kwargs["extra_table"] = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"cannot read lambda table: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-    if args.command == "oracle" and args.levels:
-        try:
-            n0, n1 = (int(x) for x in args.levels.split(","))
-        except ValueError:
-            print("levels must be 'n0,n1'", file=sys.stderr)
-            return EXIT_CONFIG
-        kwargs["levels"] = (n0, n1)
-
-    try:
-        report = run(job, args.command, **kwargs)
     except LambdaUnavailableError as exc:
         print(f"lambda unavailable: {exc}", file=sys.stderr)
         return EXIT_LAMBDA
     except OracleInconsistencyError as exc:
         print(f"oracle inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except PrecisionError as exc:
+        print(f"precision exhausted: {exc}", file=sys.stderr)
+        return EXIT_PRECISION
+    except InvariantViolationError as exc:
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
-    _emit(report, args.out)
     if args.command == "oracle" and not report["all_pass"]:
         return EXIT_INCONSISTENT
     return EXIT_OK

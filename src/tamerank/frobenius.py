@@ -23,7 +23,7 @@ from .arith import (
     teichmuller_residue,
     v_p,
 )
-from .characters import DirichletCharacter, FieldSpec, RootOfUnity, compose, evaluate, omega
+from .characters import DirichletCharacter, FieldSpec, RootOfUnity, omega
 from .errors import InvariantViolationError, PrecisionError
 
 
@@ -48,13 +48,14 @@ def sigma0_ok(chi: DirichletCharacter, q: int) -> bool:
     """Whether chi^{-1} omega is trivial on the non-p part of the Frobenius
     class of q, i.e. whether (chi^{-1} omega)(q) has p-power order."""
     p = chi.p
-    psi = compose(chi, omega(p), -1, 1)
-    val = evaluate(psi, q)
+    if q == p:
+        raise ValueError("q must differ from p")
+    val = chi.value(q)
     if val is None:
         raise InvariantViolationError(
             "sigma0_ok called with q dividing the conductor; check inertia first"
         )
-    return val.order_is_p_power(p)
+    return (omega(p).value(q) * val.inverse()).order_is_p_power(p)
 
 
 def sigma_p_value(chi: DirichletCharacter, q: int, precision: Optional[int] = None) -> RootOfUnity:
@@ -68,7 +69,7 @@ def sigma_p_value(chi: DirichletCharacter, q: int, precision: Optional[int] = No
     p = chi.p
     if not inertia_trivial(chi, q):
         raise ValueError("chi is ramified at q")
-    z = evaluate(chi, q).inverse()
+    z = chi.value(q).inverse()
     zp = z.p_power_part(p)
     if zp.is_one:
         return zp

@@ -28,7 +28,7 @@ from .characters import (
     enumerate_characters,
     omega,
 )
-from .errors import LambdaUnavailableError
+from .errors import ConfigError, InvariantViolationError, LambdaUnavailableError
 from .frobenius import inertia_trivial, m_index, sigma0_ok
 
 PROVENANCE_TABLE = "input-table"
@@ -150,7 +150,7 @@ def rank_chi(
     m_map = {q: m_index(q, p) for q in selected}
     polys = [annihilator(chi, q) for q in selected]
     if any(a is None for a in polys):
-        raise RuntimeError("annihilator missing for a selected prime")  # unreachable
+        raise InvariantViolationError("annihilator missing for a selected prime")
     deg_f = lcm_degree(polys)
     if chi == omega(p):
         p_chi = 1
@@ -161,7 +161,7 @@ def rank_chi(
     tame = sum(chi.d_chi * p ** m for m in m_map.values())
     rank = lam.value + tame - p_chi
     if rank < lam.value:
-        raise RuntimeError("tame contribution went negative")  # unreachable
+        raise InvariantViolationError("tame contribution went negative")
     return RankRecord(
         character=chi.label(),
         d_chi=chi.d_chi,
@@ -193,6 +193,13 @@ def rank_total(
     S = _validate_s(S, field.p)
     chars = enumerate_characters(field)
     reps = class_representatives(chars, field.p)
+    unknown = set(provider.table) - {"all"} - {chi.label() for chi in reps}
+    if unknown:
+        raise ConfigError(
+            f"lambda table label {label!r} is neither 'all' nor a class representative"
+            f" of {field}"
+            for label in sorted(unknown)
+        )
     records = [rank_chi(chi, S, provider) for chi in reps]
     total = sum(r.rank for r in records)
     return RankReport(

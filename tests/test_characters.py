@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -181,3 +182,54 @@ def test_serialization_fields():
     assert d["conductor"] == 5 and d["order"] == 4 and d["parity"] == -1
     assert d["d_chi"] == 1 and d["modulus"] == 5
     assert d["generator_exponents"] == [[1, 4]]
+
+
+def brute_conductor(value, modulus):
+    """Smallest d | modulus with the character `value` trivial on every unit
+    u = 1 mod d."""
+    for d in range(1, modulus + 1):
+        if modulus % d == 0 and all(
+            value(u).is_one
+            for u in range(1 + d, modulus, d)
+            if math.gcd(u, modulus) == 1
+        ):
+            return d
+
+
+SUBFIELD_PAIRS = [
+    (FieldSpec(5, 7), FieldSpec(5, 21)),
+    (FieldSpec(3, 8, (7,)), FieldSpec(3, 8)),
+]
+
+
+@pytest.mark.parametrize("small,big", SUBFIELD_PAIRS)
+def test_character_record_is_field_independent(small, big):
+    copies = {c.label(): c for c in enumerate_characters(big)}
+    M = big.f * big.p
+    for chi in enumerate_characters(small):
+        twin = copies[chi.label()]
+        assert twin == chi and hash(twin) == hash(chi)
+        assert twin.to_dict() == chi.to_dict()
+        assert all(twin.value(a) == chi.value(a) for a in range(M))
+
+
+@pytest.mark.parametrize("field", [f for pair in SUBFIELD_PAIRS for f in pair])
+def test_conductor_matches_brute_force(field):
+    M = field.f * field.p
+    for chi in enumerate_characters(field):
+        assert brute_conductor(chi.value, M) == chi.conductor
+
+
+@pytest.mark.parametrize("modulus", [12, 40, 48, 64, 45, 63 * 4])
+def test_unit_group_conductor_matches_brute_force(modulus):
+    # every exponent vector, including those of imprimitive characters and
+    # the 2-part pairs (-1, 3) of 2^3, 2^4 and 2^6
+    units = unit_group(modulus)
+    top = math.lcm(1, *units.orders)
+    for expo in itertools.product(*(range(n) for n in units.orders)):
+        weights = [e * (top // n) for e, n in zip(expo, units.orders)]
+
+        def value(a):
+            return RootOfUnity.from_pair(sum(w * x for w, x in zip(weights, units.dlog(a))), top)
+
+        assert units.conductor(expo) == brute_conductor(value, modulus), expo

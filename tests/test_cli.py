@@ -1,18 +1,32 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tamerank.cli
+import tamerank.rank
 from tamerank.cli import (
     EXIT_CONFIG,
+    EXIT_INCONSISTENT,
+    EXIT_INVARIANT,
     EXIT_LAMBDA,
     EXIT_OK,
+    EXIT_PRECISION,
     main,
     parse_config,
     run,
     run_rank,
     validate_rank_report,
 )
-from tamerank.errors import ConfigError, InvariantViolationError, LambdaUnavailableError
+from tamerank.errors import (
+    ConfigError,
+    InvariantViolationError,
+    LambdaUnavailableError,
+    PrecisionError,
+)
 
 EXAMPLE_6_5 = {
     "p": 5,
@@ -192,3 +206,113 @@ def test_stickelberger_mode_in_config():
     assert provs["omega^3"] == "stickelberger-computed"
     assert provs["eps"] == "unconditional-zero"
     assert provs["omega^1"] == "input-table"
+
+
+LEVELS_RULE = "config error: oracle_levels must be a pair [n0, n1] with n1 > n0 >= 0"
+TABLE_RULE = "config error: lambda table must map labels to nonnegative integers"
+
+
+@pytest.mark.parametrize("levels", ["3,1", "0,0", "-1,2", "1", "a,b"])
+def test_main_oracle_rejects_bad_levels(tmp_path, capsys, levels):
+    cfg = write_config(tmp_path, {"p": 3, "f": 1, "S": [7]})
+    assert main(["oracle", "--config", cfg, f"--levels={levels}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == LEVELS_RULE
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[1, 2], {"all": 0, "omega^1": "x"}, {"all": -5}, {"all": 1.5}, {"all": True}],
+)
+def test_main_lambda_table_file_is_validated(tmp_path, capsys, table):
+    cfg = write_config(tmp_path, EXAMPLE_6_5)
+    tbl = write_config(tmp_path, table, "table.json")
+    assert main(["rank", "--config", cfg, "--lambda-table", tbl]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == TABLE_RULE
+
+
+def test_parse_config_refuses_true_as_integer():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps({"p": 5, "lambda": {"table": {"all": True}}}))
+    assert exc.value.violations == [TABLE_RULE.removeprefix("config error: ")]
+
+
+@pytest.mark.parametrize("table", [{"bogus": 3, "all": 0}, {"bogus": 3}])
+def test_main_rejects_unknown_table_labels(tmp_path, capsys, table):
+    doc = {"p": 5, "S": [7, 11], "lambda": {"mode": "table", "table": table}}
+    assert main(["rank", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert "'bogus'" in capsys.readouterr().err
+
+
+def test_main_unwritable_out_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, EXAMPLE_6_5)
+    out = str(tmp_path / "missing" / "report.json")
+    assert main(["rank", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "cannot write report" in capsys.readouterr().err
+
+
+def test_main_maps_internal_errors(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, EXAMPLE_6_5)
+    monkeypatch.setattr(tamerank.rank, "annihilator", lambda chi, q: None)
+    assert main(["rank", "--config", cfg]) == EXIT_INVARIANT
+    assert "annihilator missing" in capsys.readouterr().err
+
+    def short(chi, precision):
+        raise PrecisionError("unstable")
+
+    monkeypatch.setattr(tamerank.cli, "lambda_minus", short)
+    assert main(["lambda", "--config", cfg]) == EXIT_PRECISION
+    assert "unstable" in capsys.readouterr().err
+
+
+DOCUMENTED_EXITS = {
+    EXIT_OK,
+    EXIT_CONFIG,
+    EXIT_LAMBDA,
+    EXIT_INCONSISTENT,
+    EXIT_PRECISION,
+    EXIT_INVARIANT,
+}
+
+JSON_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def mostly(valid):
+    """Values from `valid`, and one time in six any JSON value in their place."""
+    return st.sampled_from([valid] * 5 + [JSON_ANY]).flatmap(lambda strategy: strategy)
+
+
+# p <= 7, f <= 12, |S| <= 3 and levels <= 2 keep every example near 1 s or below
+TABLES = st.sampled_from(
+    [{"all": 0}, {"all": 1, "eps": 0}, {"omega^1": 0}, {"omega^1": 2, "all": 0}, {}, {"bogus": 3}]
+)
+MODES = st.sampled_from(["table", "greenberg-even", "stickelberger-odd", "auto"])
+LAMBDA = st.fixed_dictionaries(
+    {"table": mostly(TABLES)},
+    optional={"mode": mostly(MODES)},
+)
+JOBS = st.fixed_dictionaries(
+    {"p": mostly(st.sampled_from([3, 5, 7])), "lambda": mostly(LAMBDA)},
+    optional={
+        "f": mostly(st.integers(1, 12)),
+        "H": mostly(st.lists(st.integers(-2, 12), max_size=2)),
+        "S": mostly(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19]), max_size=3)),
+        "oracle_levels": mostly(st.sampled_from([[0, 1], [1, 2], [0, 2]])),
+        "precision": mostly(st.integers(1, 8)),
+    },
+)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(command=st.sampled_from(["rank", "oracle", "lambda", "chars"]), doc=mostly(JOBS))
+def test_main_returns_a_documented_code(command, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "job.json")
+        with open(config, "w") as fh:
+            json.dump(doc, fh)
+        code = main([command, "--config", config, "--out", os.path.join(tmp, "report.json")])
+    assert code in DOCUMENTED_EXITS

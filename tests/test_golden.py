@@ -1,0 +1,54 @@
+"""Byte-exact CLI reports, pinned before characters moved to integer
+exponent vectors; any change to a label, a record or a number shows here."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from tamerank.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    # the paper's Example 6.5: Q(mu_5), S = {7, 11}
+    "example_6_5": (
+        "rank",
+        {"p": 5, "f": 1, "S": [7, 11], "lambda": {"mode": "table", "table": {"all": 0}}},
+    ),
+    # the paper's Example 6.6: Q(sqrt 2, mu_3), Greenberg for the even side
+    "example_6_6": (
+        "rank",
+        {
+            "p": 3,
+            "f": 8,
+            "H": [7],
+            "S": [5, 7, 13],
+            "lambda": {"mode": "auto", "table": {"omega^1": 0}},
+        },
+    ),
+    "rank_13_105": (
+        "rank",
+        {
+            "p": 13,
+            "f": 105,
+            "H": [2],
+            "S": [2, 3, 5, 7, 53, 79],
+            "lambda": {"mode": "table", "table": {"all": 0}},
+        },
+    ),
+    # a 3^2 block and a 2^3 block in the conductor
+    "chars_5_72": ("chars", {"p": 5, "f": 72}),
+    "oracle_5_7": ("oracle", {"p": 5, "f": 7, "S": [2, 11]}),
+    "lambda_5_7": ("lambda", {"p": 5, "f": 7}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, tmp_path):
+    command, doc = CASES[name]
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
