@@ -8,6 +8,7 @@ from .arith import (
     UnitGroupStructure,
     mul_order,
     padic_log,
+    split_prime_part,
     teichmuller_lift,
     unit_group,
     v_p,
@@ -31,7 +32,7 @@ from .errors import (
     TameRankError,
 )
 from .frobenius import (
-    FrobeniusProfile,
+    admissible,
     inertia_trivial,
     m_index,
     rational_prime_count,
@@ -49,7 +50,13 @@ from .rank import (
     rank_total,
     s_chi,
 )
-from .residue import ResidueModule, chi_quotient_order, rank_estimate, residue_module
+from .residue import (
+    ResidueModule,
+    chi_quotient_order,
+    quotient_growth,
+    rank_estimate,
+    residue_module,
+)
 from .stickelberger import (
     BernoulliB1,
     StickelbergerSeries,

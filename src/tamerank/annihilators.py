@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .characters import DirichletCharacter, RootOfUnity
-from .frobenius import inertia_trivial, m_index, sigma0_ok, sigma_p_value
+from .frobenius import admissible, m_index, sigma_p_value
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,7 @@ class AnnihilatorPoly:
 def annihilator(chi: DirichletCharacter, q: int) -> Optional[AnnihilatorPoly]:
     """The annihilator of the chi-quotient of the residue limit module at q,
     or None when that quotient has rank zero."""
-    if not inertia_trivial(chi, q):
-        return None
-    if not sigma0_ok(chi, q):
+    if not admissible(chi, q):
         return None
     p = chi.p
     return AnnihilatorPoly(p, m_index(q, p), sigma_p_value(chi, q))

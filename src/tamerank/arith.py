@@ -86,12 +86,19 @@ def v_p(n: int, p: int) -> int:
     _check_odd_prime(p)
     if n == 0:
         raise ValueError("v_p(0) is undefined")
-    n = abs(n)
+    return split_prime_part(n, p)[0]
+
+
+def split_prime_part(n: int, ell: int) -> tuple:
+    """(v, m) with n = ell^v * m and ell not dividing m, for n != 0 and any
+    ell >= 2 (prime or not)."""
+    if n == 0 or ell < 2:
+        raise ValueError(f"cannot split {n} at {ell}")
     v = 0
-    while n % p == 0:
-        n //= p
+    while n % ell == 0:
+        n //= ell
         v += 1
-    return v
+    return v, n
 
 
 def mul_order(a: int, modulus: int) -> int:
@@ -322,11 +329,7 @@ class PadicNumber:
     def valuation(self) -> int:
         if self.residue == 0:
             return self.precision
-        n, v = self.residue, 0
-        while n % self.p == 0:
-            n //= self.p
-            v += 1
-        return v
+        return split_prime_part(self.residue, self.p)[0]
 
     @property
     def is_unit(self) -> bool:
@@ -422,10 +425,7 @@ def padic_log(u: PadicNumber, precision: Optional[int] = None) -> PadicNumber:
     xk = 1
     for k in range(1, W + slack + 2):
         xk = xk * x % big
-        kk, vk = k, 0
-        while kk % p == 0:
-            kk //= p
-            vk += 1
+        vk, kk = split_prime_part(k, p)
         term = (xk // p ** vk) * pow(kk, -1, modW) % modW
         acc = (acc - term if k % 2 == 0 else acc + term) % modW
     return PadicNumber(p, N, acc)

@@ -25,6 +25,7 @@ from .arith import (
     euler_phi,
     mul_order,
     smallest_primitive_root,
+    split_prime_part,
     unit_group,
 )
 from .errors import InvariantViolationError
@@ -68,24 +69,17 @@ class RootOfUnity:
         return int(val)
 
     def p_power_part(self, p: int) -> "RootOfUnity":
-        n = self.order
-        pa = 1
-        while n % p == 0:
-            n //= p
-            pa *= p
-        if pa == 1:
+        a, n = split_prime_part(self.order, p)
+        if a == 0:
             return ONE
         # CRT split of the exponent: kill the prime-to-p component
-        return self ** (n * pow(n, -1, pa))
+        return self ** (n * pow(n, -1, p ** a))
 
     def prime_to_p_part(self, p: int) -> "RootOfUnity":
         return self * self.p_power_part(p).inverse()
 
     def order_is_p_power(self, p: int) -> bool:
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
+        return split_prime_part(self.order, p)[1] == 1
 
     def sign(self) -> int:
         if self.order > 2:
@@ -142,6 +136,12 @@ class DirichletCharacter:
             return None
         return RootOfUnity.from_pair(self._exponent_at(self.units.dlog(a)), self.order)
 
+    def value_exponents(self) -> list:
+        """For each a mod the conductor, the k with chi(a) = zeta_order^k, or
+        None when a is not a unit."""
+        M, dlog = self.modulus, self.units.dlog
+        return [self._exponent_at(dlog(a)) if math.gcd(a, M) == 1 else None for a in range(M)]
+
     def power(self, t: int) -> "DirichletCharacter":
         return _primitive(self.p, self.units, tuple(e * t for e in self.exponents))
 
@@ -186,11 +186,8 @@ class DirichletCharacter:
 @lru_cache(maxsize=None)
 def _local_degree(order: int, p: int) -> int:
     """d_chi = [Q_p(values of chi) : Q_p] for a character of this order."""
-    n, pa = order, 1
-    while n % p == 0:
-        n //= p
-        pa *= p
-    return euler_phi(pa) * (1 if n == 1 else mul_order(p, n))
+    a, n = split_prime_part(order, p)
+    return euler_phi(p ** a) * (1 if n == 1 else mul_order(p, n))
 
 
 @lru_cache(maxsize=None)
@@ -295,14 +292,9 @@ class FieldSpec:
             raise InvariantViolationError("H size does not divide phi(f)")
         return phi_f // hsize * (self.p - 1)
 
-    def level_modulus(self, n: int) -> int:
-        return self.f * self.p ** (n + 1)
-
     def tame_quotient(self, q: int) -> "FieldSpec":
         """The field with the q-part of the tame conductor (inertia) removed."""
-        fq = self.f
-        while fq % q == 0:
-            fq //= q
+        fq = split_prime_part(self.f, q)[1]
         return FieldSpec(self.p, fq, tuple(h % fq for h in self.subgroup))
 
     def tame_degree(self) -> int:
@@ -345,11 +337,8 @@ def _conjugacy_orbit(chi: DirichletCharacter) -> list:
     n, p = chi.order, chi.p
     if n == 1:
         return [chi]
-    pa = 1
-    n0 = n
-    while n0 % p == 0:
-        n0 //= p
-        pa *= p
+    a, n0 = split_prime_part(n, p)
+    pa = p ** a
     tgens = []
     if n0 > 1:
         tgens.append(crt(p % n0, n0, 1, pa))

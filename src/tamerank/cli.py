@@ -4,7 +4,8 @@ lambda / chars pipelines, and emit deterministic JSON reports.
 Exit codes:
   0  ok
   2  invalid configuration: the job document, --levels, --lambda-table, a
-     lambda table label that names no character class of the field, or an
+     lambda table label that names no character class of the field, an
+     oracle level n0 below the stabilization level of a prime in S, or an
      unwritable --out
   3  lambda unavailable for a required character
   4  oracle inconsistency: the brute-force module contradicts the theory,
@@ -28,6 +29,7 @@ from .characters import (
     class_representatives,
     conjugacy_classes,
     enumerate_characters,
+    omega,
 )
 from .errors import (
     ConfigError,
@@ -36,10 +38,10 @@ from .errors import (
     OracleInconsistencyError,
     PrecisionError,
 )
-from .frobenius import inertia_trivial, m_index, sigma0_ok, stabilization_level
+from .frobenius import admissible, m_index, stabilization_level
 from .rank import LambdaProvider, rank_total
-from .residue import chi_quotient_order, residue_module
-from .stickelberger import lambda_minus
+from .residue import quotient_growth, residue_module
+from .stickelberger import DEFAULT_PRECISION, lambda_minus
 
 SCHEMA_VERSION = "1"
 
@@ -186,7 +188,7 @@ def _provider(job: JobConfig, assume_greenberg: bool = False, extra_table: Optio
         table=table,
         allow_greenberg=greenberg or assume_greenberg,
         allow_stickelberger=stickelberger,
-        stickelberger_precision=job.precision or 8,
+        stickelberger_precision=job.precision or DEFAULT_PRECISION,
     )
 
 
@@ -234,30 +236,24 @@ def run_oracle(job: JobConfig, levels: Optional[tuple] = None) -> dict:
     field = job.field
     chars = enumerate_characters(field)
     reps = class_representatives(chars, field.p)
+    given = levels or job.oracle_levels
+    # below its stabilization level a prime still splits between levels, and
+    # chi-quotient growth there does not measure the rank
+    stable = {q: stabilization_level(field, q) for q in sorted(job.S)}
+    if given is not None:
+        low = [f"oracle level n0 = {given[0]} is below the stabilization level {s} of q = {q}"
+               for q, s in stable.items() if given[0] < s]
+        if low:
+            raise ConfigError(low)
     rows = []
     all_pass = True
-    for q in sorted(job.S):
-        if levels is not None:
-            n0, n1 = levels
-        elif job.oracle_levels is not None:
-            n0, n1 = job.oracle_levels
-        else:
-            n0 = stabilization_level(field, q)
-            n1 = n0 + 1
+    for q, s in stable.items():
+        n0, n1 = given or (s, s + 1)
         lo, hi = residue_module(field, q, n0), residue_module(field, q, n1)
-        de = hi.e_exp - lo.e_exp
-        if de <= 0:
-            raise OracleInconsistencyError("residue exponent did not grow")
         for chi in reps:
-            admissible = inertia_trivial(chi, q) and sigma0_ok(chi, q)
-            expected = chi.d_chi * field.p ** m_index(q, field.p) if admissible else 0
-            x0 = chi_quotient_order(lo, chi)
-            x1 = chi_quotient_order(hi, chi)
-            if (x1 - x0) % de or x1 < x0:
-                raise OracleInconsistencyError(
-                    f"non-integral growth for chi={chi.label()}, q={q}"
-                )
-            estimated = (x1 - x0) // de
+            in_s_chi = admissible(chi, q)
+            expected = chi.d_chi * field.p ** m_index(q, field.p) if in_s_chi else 0
+            x0, x1, estimated = quotient_growth(lo, hi, chi)
             ok = estimated == expected
             all_pass = all_pass and ok
             rows.append(
@@ -265,7 +261,7 @@ def run_oracle(job: JobConfig, levels: Optional[tuple] = None) -> dict:
                     "q": q,
                     "levels": [n0, n1],
                     "character": chi.label(),
-                    "admissible": admissible,
+                    "admissible": in_s_chi,
                     "exponents": [x0, x1],
                     "expected": expected,
                     "estimated": estimated,
@@ -286,13 +282,11 @@ def run_lambda(job: JobConfig) -> dict:
     chars = enumerate_characters(field)
     reps = class_representatives(chars, field.p)
     rows = []
-    from .characters import omega
-
     om = omega(field.p)
     for chi in reps:
         if not chi.is_odd or chi == om:
             continue
-        res = lambda_minus(chi, precision=job.precision or 8)
+        res = lambda_minus(chi, precision=job.precision or DEFAULT_PRECISION)
         rows.append(
             {
                 "character": chi.label(),

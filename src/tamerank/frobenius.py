@@ -11,7 +11,6 @@ can be read off character values at q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple, Optional
 
 from .arith import (
@@ -20,6 +19,7 @@ from .arith import (
     is_prime,
     mul_order,
     padic_log,
+    split_prime_part,
     teichmuller_residue,
     v_p,
 )
@@ -58,6 +58,12 @@ def sigma0_ok(chi: DirichletCharacter, q: int) -> bool:
     return (omega(p).value(q) * val.inverse()).order_is_p_power(p)
 
 
+def admissible(chi: DirichletCharacter, q: int) -> bool:
+    """Whether q belongs to S_chi: chi is unramified at q and
+    (omega chi^{-1})(q) has p-power order."""
+    return inertia_trivial(chi, q) and sigma0_ok(chi, q)
+
+
 def sigma_p_value(chi: DirichletCharacter, q: int, precision: Optional[int] = None) -> RootOfUnity:
     """chi^{-1}(sigma_p) for the p-Sylow component sigma_p of the generator
     gamma^{p^m} sigma_p of the p-part of the decomposition group.
@@ -73,11 +79,7 @@ def sigma_p_value(chi: DirichletCharacter, q: int, precision: Optional[int] = No
     zp = z.p_power_part(p)
     if zp.is_one:
         return zp
-    a = 0
-    n = zp.order
-    while n % p == 0:
-        n //= p
-        a += 1
+    a = split_prime_part(zp.order, p)[0]
     m = m_index(q, p)
     needed = m + a + 2
     if precision is not None and precision < needed:
@@ -145,16 +147,8 @@ def splitting_count(field: FieldSpec, q: int, n: int) -> SplittingData:
     r_n = group_order // f_n
     # v_p(q^{f_n} - 1) via lifting the exponent: the prime-to-p part of f_n
     # contributes v_p(q^{d} - 1) = m_q + 1, the p-part adds v_p(f_n).
-    e_n = m_index(q, p) + 1 + _vp_plain(f_n, p)
+    e_n = m_index(q, p) + 1 + split_prime_part(f_n, p)[0]
     return SplittingData(f_n, r_n, e_n)
-
-
-def _vp_plain(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def stabilization_level(field: FieldSpec, q: int) -> int:
@@ -178,43 +172,3 @@ def rational_prime_count(p: int, q: int, n: int) -> int:
     tw = teichmuller_residue(q, p, n + 1)
     principal = q * pow(tw, -1, pn1) % pn1
     return p ** n // mul_order(principal, pn1)
-
-
-@dataclass
-class FrobeniusProfile:
-    """Per-(field, q) decomposition data, cached for a list of characters."""
-
-    field: FieldSpec
-    q: int
-    m_q: int
-    ramified: bool
-    per_chi: dict = dataclass_field(default_factory=dict)
-
-    @classmethod
-    def build(cls, field: FieldSpec, q: int, chars: list) -> "FrobeniusProfile":
-        prof = cls(field, q, m_index(q, field.p), field.is_ramified(q))
-        for chi in chars:
-            it = inertia_trivial(chi, q)
-            ok = it and sigma0_ok(chi, q)
-            entry = {"inertia_trivial": it, "sigma0_ok": ok}
-            if ok:
-                val = sigma_p_value(chi, q)
-                entry["sigma_p_value"] = val
-            prof.per_chi[chi] = entry
-        return prof
-
-    def to_dict(self) -> dict:
-        out = {"q": self.q, "m_q": self.m_q, "ramified": self.ramified, "per_chi": {}}
-        for chi, entry in self.per_chi.items():
-            rec = {
-                "inertia_trivial": entry["inertia_trivial"],
-                "sigma0_ok": entry["sigma0_ok"],
-            }
-            if "sigma_p_value" in entry:
-                val = entry["sigma_p_value"]
-                rec["sigma_p_exponent"] = [
-                    val.exponent.numerator,
-                    val.exponent.denominator,
-                ]
-            out["per_chi"][chi.label()] = rec
-        return out

@@ -21,6 +21,7 @@ from .arith import (
     factorize,
     mul_order,
     smallest_primitive_root,
+    split_prime_part,
     teichmuller_residue,
 )
 from .characters import RootOfUnity
@@ -413,10 +414,7 @@ class LocalCoefficientRing:
     def __init__(self, m: int, p: int, K: int):
         self.m, self.p, self.K = m, p, K
         self.mod = p ** K
-        alpha, n0 = 0, m
-        while n0 % p == 0:
-            n0 //= p
-            alpha += 1
+        alpha, n0 = split_prime_part(m, p)
         self.n0 = n0
         self.pa = p ** alpha
         self.d0 = 1 if n0 == 1 else mul_order(p, n0)

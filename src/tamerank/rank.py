@@ -16,7 +16,6 @@ Greenberg's conjecture as an explicitly flagged conditional zero for even chi.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Iterable, List, Optional
 
@@ -29,7 +28,8 @@ from .characters import (
     omega,
 )
 from .errors import ConfigError, InvariantViolationError, LambdaUnavailableError
-from .frobenius import inertia_trivial, m_index, sigma0_ok
+from .frobenius import admissible, m_index
+from .stickelberger import DEFAULT_PRECISION, lambda_minus
 
 PROVENANCE_TABLE = "input-table"
 PROVENANCE_GREENBERG = "conjectural-greenberg"
@@ -63,7 +63,7 @@ class LambdaProvider:
     table: Dict[str, int] = dataclass_field(default_factory=dict)
     allow_greenberg: bool = False
     allow_stickelberger: bool = False
-    stickelberger_precision: int = 8
+    stickelberger_precision: int = DEFAULT_PRECISION
 
     def resolve(self, chi: DirichletCharacter) -> LambdaValue:
         if chi.is_trivial:
@@ -74,8 +74,6 @@ class LambdaProvider:
         if "all" in self.table:
             return LambdaValue(int(self.table["all"]), PROVENANCE_TABLE, False)
         if self.allow_stickelberger and chi.is_odd and chi != omega(chi.p):
-            from .stickelberger import lambda_minus
-
             res = lambda_minus(chi, precision=self.stickelberger_precision)
             return LambdaValue(chi.d_chi * res.lambda_, PROVENANCE_STICKELBERGER, False)
         if self.allow_greenberg and not chi.is_odd:
@@ -92,11 +90,7 @@ def _validate_s(S: Iterable[int], p: int) -> list:
 
 def s_chi(chi: DirichletCharacter, S: Iterable[int]) -> list:
     """The subset of S with trivial inertia and trivial sigma_0-value for chi."""
-    out = []
-    for q in _validate_s(S, chi.p):
-        if inertia_trivial(chi, q) and sigma0_ok(chi, q):
-            out.append(q)
-    return out
+    return [q for q in _validate_s(S, chi.p) if admissible(chi, q)]
 
 
 @dataclass
@@ -220,16 +214,3 @@ def rank_rational(S: Iterable[int], p: int) -> int:
         return 0
     powers = [p ** m_index(q, p) for q in selected]
     return sum(powers) - max(powers)
-
-
-def random_prime_sets(p: int, count: int, seed: int, pool_bound: int = 200) -> list:
-    """Deterministic random subsets of primes != p, for consistency tests."""
-    from .arith import is_prime
-
-    pool = [q for q in range(2, pool_bound) if is_prime(q) and q != p]
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        size = rng.randint(1, 6)
-        out.append(sorted(rng.sample(pool, size)))
-    return out

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .arith import crt, smallest_primitive_root, teichmuller_residue, unit_group
+from .arith import crt, smallest_primitive_root, split_prime_part, teichmuller_residue, unit_group
 from .characters import DirichletCharacter, FieldSpec
 from .errors import InvariantViolationError, OracleInconsistencyError
 from .frobenius import splitting_count
@@ -145,13 +145,7 @@ def _snf_exponent(rows: List[list], ncols: int, p: int, K: int) -> int:
     mod = p ** K
 
     def val(x: int) -> int:
-        if x == 0:
-            return K
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
+        return K if x == 0 else split_prime_part(x, p)[0]
 
     mat = [row[:] for row in rows if any(row)]
     live = list(range(ncols))
@@ -254,6 +248,23 @@ def chi_quotient_order(
     return total
 
 
+def quotient_growth(lo: ResidueModule, hi: ResidueModule, chi: DirichletCharacter) -> tuple:
+    """(x0, x1, rank): the chi-quotient exponents of two modules for the same
+    q at stabilized levels, and the Z_p-rank of the limit read off as the
+    growth x1 - x0 per unit of growth of the residue exponent."""
+    de = hi.e_exp - lo.e_exp
+    if de <= 0:
+        raise OracleInconsistencyError("residue exponent did not grow between levels")
+    x0 = chi_quotient_order(lo, chi)
+    x1 = chi_quotient_order(hi, chi)
+    growth = x1 - x0
+    if growth < 0 or growth % de:
+        raise OracleInconsistencyError(
+            f"non-integral growth {growth}/{de} for chi={chi.label()}, q={lo.q}"
+        )
+    return x0, x1, growth // de
+
+
 def rank_estimate(
     field: FieldSpec, q: int, chi: DirichletCharacter, n0: int, n1: int
 ) -> int:
@@ -261,36 +272,4 @@ def rank_estimate(
     the growth of chi-quotient orders between two stabilized levels."""
     if not n1 > n0 >= 0:
         raise ValueError("need levels n1 > n0 >= 0")
-    lo = splitting_count(field, q, n0)
-    hi = splitting_count(field, q, n1)
-    x0 = chi_quotient_order(residue_module(field, q, n0), chi)
-    x1 = chi_quotient_order(residue_module(field, q, n1), chi)
-    de = hi.p_exponent - lo.p_exponent
-    if de <= 0:
-        raise OracleInconsistencyError("residue exponent did not grow between levels")
-    growth = x1 - x0
-    if growth < 0 or growth % de:
-        raise OracleInconsistencyError(
-            f"non-integral growth {growth}/{de} for chi={chi.label()}, q={q}"
-        )
-    return growth // de
-
-
-def norm_reduction_surjective(field: FieldSpec, q: int, n: int) -> bool:
-    """Whether every level-n coset receives a level-(n+1) coset under the
-    reduction map; with surjective finite-field norms this forces the
-    induced map on coinvariant quotients to have trivial cokernel."""
-    lo = residue_module(field, q, n)
-    hi = residue_module(field, q, n + 1)
-    glo = _LevelGroup(field, q, n)
-    lo_loc = {}
-    qbar = glo.element(q, q)
-    for idx, c in enumerate(lo.cosets):
-        x = c
-        for _ in range(lo.residue_degree):
-            lo_loc[x] = idx
-            x = glo.mul(x, qbar)
-    hit = set()
-    for c in hi.cosets:
-        hit.add(lo_loc[glo.element(c[0], c[1])])
-    return len(hit) == lo.num_cosets
+    return quotient_growth(residue_module(field, q, n0), residue_module(field, q, n1), chi)[2]

@@ -23,58 +23,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Tuple
 
-from .arith import teichmuller_residue
-from .characters import DirichletCharacter
+from .arith import split_prime_part, teichmuller_residue
+from .characters import DirichletCharacter, omega
 from .errors import InvariantViolationError, PrecisionError
 from .localring import _pdivmod_exact, cyclotomic_poly, local_ring
 
 DEFAULT_PRECISION = 8
 
 
-def _split_conductor(chi: DirichletCharacter) -> int:
-    """Prime-to-p part of the conductor of chi."""
-    f = chi.conductor
-    while f % chi.p == 0:
-        f //= chi.p
-    return f
-
-
 def _require_odd_not_omega(chi: DirichletCharacter) -> None:
     if not chi.is_odd:
         raise ValueError("the series is defined for odd characters only")
-    if chi.conductor == chi.p and chi.order == chi.p - 1:
-        from .characters import omega
-
-        if chi == omega(chi.p):
-            raise ValueError("omega is excluded; its lambda needs a table entry")
-
-
-def _inverse_value_table(chi: DirichletCharacter) -> list:
-    """Exponent of chi^{-1}(a) on zeta_{ord chi}, indexed by a mod cond;
-    None marks non-units."""
-    inv = chi.inverse()
-    m = chi.order
-    cond = chi.conductor
-    table = []
-    for a in range(cond):
-        v = inv.value(a) if cond > 1 else None
-        if cond == 1:
-            table.append(0)
-        elif v is None:
-            table.append(None)
-        else:
-            table.append(v.exponent_for(m))
-    return table
+    if chi == omega(chi.p):
+        raise ValueError("omega is excluded; its lambda needs a table entry")
 
 
 def _bucket_vectors(chi: DirichletCharacter, n: int, N: int) -> Tuple[list, object]:
     """Coefficients on the (1+T)^j basis, j in Z/p^n, as ring vectors mod p^N."""
     p = chi.p
     m = chi.order
-    fprime = _split_conductor(chi)
+    fprime = split_prime_part(chi.conductor, p)[1]
     cond = chi.conductor
     pn = p ** n
     pn1 = p ** (n + 1)
@@ -93,7 +63,7 @@ def _bucket_vectors(chi: DirichletCharacter, n: int, N: int) -> Tuple[list, obje
         teich[r] = t
         iteich[r] = pow(t, -1, pn1)
 
-    chi_inv_exp = _inverse_value_table(chi)
+    chi_exp = chi.value_exponents()
 
     counts = [[0] * m for _ in range(pn)]
     for a in range(1, M):
@@ -101,7 +71,7 @@ def _bucket_vectors(chi: DirichletCharacter, n: int, N: int) -> Tuple[list, obje
             continue
         if fprime > 1 and math.gcd(a, fprime) != 1:
             continue
-        k = chi_inv_exp[a % cond] if cond > 1 else 0
+        k = -chi_exp[a % cond] % m  # the exponent of chi^{-1}(a)
         j = dlog[a * iteich[a % p] % pn1]
         counts[j][k] += a
 
@@ -164,11 +134,6 @@ class StickelbergerSeries:
             for c in range(dim):
                 out[c] = (out[c] + b * row[c]) % modN
         return out
-
-    @cached_property
-    def coefficients(self) -> list:
-        """The full coefficient list c_0 .. c_{p^n - 1} on the T-power basis."""
-        return [self.t_coefficient(i) for i in range(self.length)]
 
     def is_unit_coefficient(self, i: int) -> bool:
         return self._ring.is_unit(self.t_coefficient(i))
@@ -279,11 +244,7 @@ class BernoulliB1:
         den = 1
         for c in self.coordinates:
             den = den * c.denominator // math.gcd(den, c.denominator)
-        vden = 0
-        d = den
-        while d % p == 0:
-            d //= p
-            vden += 1
+        vden, d = split_prime_part(den, p)
         K = 12 + vden
         ring = local_ring(self.chi.order, p, K)
         modK = ring.mod
@@ -298,20 +259,10 @@ class BernoulliB1:
             else:
                 for t in range(ring.dim):
                     img[t] = (img[t] + scaled * zv[t]) % modK
-        vnum = min(_vp_or(k, p, K) for k in img)
+        vnum = min(K if k == 0 else split_prime_part(k, p)[0] for k in img)
         if vnum >= K:
             raise PrecisionError("B1 vanished to working precision")
         return vnum - vden
-
-
-def _vp_or(x: int, p: int, cap: int) -> int:
-    if x == 0:
-        return cap
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 def bernoulli_b1(chi: DirichletCharacter) -> BernoulliB1:
@@ -321,11 +272,9 @@ def bernoulli_b1(chi: DirichletCharacter) -> BernoulliB1:
     f = chi.conductor
     m = chi.order
     buckets = [0] * m
-    for a in range(1, f):
-        v = chi.value(a)
-        if v is None:
-            continue
-        buckets[v.exponent_for(m)] += a
+    for a, k in enumerate(chi.value_exponents()):
+        if k is not None:
+            buckets[k] += a
     phi_m = list(cyclotomic_poly(m))
     _, rem = _pdivmod_exact(buckets, phi_m)
     width = len(phi_m) - 1

@@ -10,6 +10,7 @@ import json
 import random
 import time
 
+from helpers import random_prime_sets
 from tamerank.annihilators import AnnihilatorPoly, contains, lcm_degree, lcm_degree_oracle
 from tamerank.arith import unit_group
 from tamerank.characters import (
@@ -28,7 +29,7 @@ from tamerank.frobenius import (
     sigma0_ok,
     stabilization_level,
 )
-from tamerank.rank import LambdaProvider, random_prime_sets, rank_chi, rank_rational
+from tamerank.rank import LambdaProvider, rank_chi, rank_rational
 from tamerank.residue import chi_quotient_order, rank_estimate, residue_module
 from tamerank.stickelberger import bernoulli_b1, lambda_minus
 

@@ -10,10 +10,12 @@ from tamerank.arith import (
     mul_order,
     padic_log,
     smallest_primitive_root,
+    split_prime_part,
     teichmuller_lift,
     unit_group,
     v_p,
 )
+from tamerank.characters import FieldSpec
 from tamerank.errors import PrecisionError
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 37]
@@ -28,6 +30,26 @@ def test_v_p_examples():
 def test_v_p_rejects_zero():
     with pytest.raises(ValueError):
         v_p(0, 3)
+
+
+@given(
+    st.integers(-(10 ** 9), 10 ** 9).filter(bool),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(0, 40),
+)
+def test_split_prime_part(n, ell, k):
+    n *= ell ** k
+    v, m = split_prime_part(n, ell)
+    assert n == ell ** v * m and m % ell != 0 and v >= k
+
+
+def test_split_prime_part_at_two():
+    # FieldSpec.tame_quotient strips q from f, and q may be 2
+    assert split_prime_part(40, 2) == (3, 5)
+    assert split_prime_part(-12, 2) == (2, -3)
+    assert FieldSpec(3, 40, (11,)).tame_quotient(2) == FieldSpec(3, 5, (1,))
+    with pytest.raises(ValueError):
+        split_prime_part(0, 2)
 
 
 def test_v_p_rejects_even_prime():

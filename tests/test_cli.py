@@ -219,6 +219,29 @@ def test_main_oracle_rejects_bad_levels(tmp_path, capsys, levels):
     assert capsys.readouterr().err.strip() == LEVELS_RULE
 
 
+# both q stabilize at level 1, so n0 = 0 is a configuration error whether it
+# comes from the job's oracle_levels or from --levels
+@pytest.mark.parametrize(
+    "doc, flags, q",
+    [
+        ({"p": 5, "S": [7], "oracle_levels": [0, 1]}, [], 7),
+        ({"p": 3, "S": [19]}, ["--levels=0,2"], 19),
+    ],
+)
+def test_main_oracle_rejects_levels_below_stabilization(tmp_path, capsys, doc, flags, q):
+    cfg = write_config(tmp_path, doc)
+    assert main(["oracle", "--config", cfg] + flags) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == (
+        f"config error: oracle level n0 = 0 is below the stabilization level 1 of q = {q}"
+    )
+
+
+def test_run_oracle_levels_spanning_two_levels_pass():
+    job = parse_config(json.dumps({"p": 3, "S": [19], "oracle_levels": [1, 3]}))
+    report = run(job, "oracle")
+    assert report["all_pass"] and {tuple(r["levels"]) for r in report["rows"]} == {(1, 3)}
+
+
 @pytest.mark.parametrize(
     "table",
     [[1, 2], {"all": 0, "omega^1": "x"}, {"all": -5}, {"all": 1.5}, {"all": True}],

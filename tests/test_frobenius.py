@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import FrobeniusProfile
 from tamerank.characters import (
     FieldSpec,
     enumerate_characters,
@@ -9,7 +10,6 @@ from tamerank.characters import (
 )
 from tamerank.errors import PrecisionError
 from tamerank.frobenius import (
-    FrobeniusProfile,
     inertia_trivial,
     m_index,
     rational_prime_count,

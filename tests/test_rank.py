@@ -1,10 +1,10 @@
 import pytest
 
+from helpers import random_prime_sets
 from tamerank.characters import FieldSpec, enumerate_characters, omega, trivial_character
 from tamerank.errors import LambdaUnavailableError
 from tamerank.rank import (
     LambdaProvider,
-    random_prime_sets,
     rank_chi,
     rank_rational,
     rank_total,

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import norm_reduction_surjective
 from tamerank.characters import (
     FieldSpec,
     class_representatives,
@@ -17,7 +18,6 @@ from tamerank.frobenius import (
 from tamerank.localring import local_ring, unramified_factor, cyclotomic_poly
 from tamerank.residue import (
     chi_quotient_order,
-    norm_reduction_surjective,
     rank_estimate,
     residue_module,
 )
