@@ -47,8 +47,12 @@ def annihilator(chi: DirichletCharacter, q: int) -> Optional[AnnihilatorPoly]:
     or None when that quotient has rank zero."""
     if not admissible(chi, q):
         return None
-    p = chi.p
-    return AnnihilatorPoly(p, m_index(q, p), sigma_p_value(chi, q))
+    return admissible_annihilator(chi, q, m_index(q, chi.p))
+
+
+def admissible_annihilator(chi: DirichletCharacter, q: int, m: int) -> AnnihilatorPoly:
+    """The annihilator at a q already known to lie in S_chi, with m = m_q."""
+    return AnnihilatorPoly(chi.p, m, sigma_p_value(chi, q))
 
 
 def contains(a: AnnihilatorPoly, b: AnnihilatorPoly) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Iterable, List, Optional
 
-from .annihilators import annihilator, lcm_degree
+from .annihilators import admissible_annihilator, lcm_degree
 from .characters import (
     DirichletCharacter,
     FieldSpec,
@@ -142,10 +142,7 @@ def rank_chi(
             conjectural=lam.conjectural,
         )
     m_map = {q: m_index(q, p) for q in selected}
-    polys = [annihilator(chi, q) for q in selected]
-    if any(a is None for a in polys):
-        raise InvariantViolationError("annihilator missing for a selected prime")
-    deg_f = lcm_degree(polys)
+    deg_f = lcm_degree([admissible_annihilator(chi, q, m) for q, m in m_map.items()])
     if chi == omega(p):
         p_chi = 1
     elif chi.is_odd:

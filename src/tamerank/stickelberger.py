@@ -10,20 +10,35 @@ unit a * omega(a)^{-1} mod p^{n+1}.  Coefficients live in O_chi, handled as
 coordinate vectors mod p^N; their integrality (the division by p^{n+1} must
 be exact) is asserted, never assumed.
 
+The residue side does not depend on chi: the Stickelberger elements form a
+distribution (Washington, Cyclotomic Fields, ch. 7).  So every unit a mod
+M_n is filed once per (f', p, n) in a residue table, by j = c_n(a) and by
+r = a mod f'p; by CRT each cell holds exactly one a.  Since c_n(M_n - a) =
+c_n(a) and chi(-1) = -1, the pair a, M_n - a contributes (2a - M_n)
+chi^{-1}(a) to its bucket, so the table keeps only the r below f'p/2.  A
+character is then a projection of the table: bucket j, coordinate i, comes
+from the dot product of row j with the column r -> coordinate i of
+chi^{-1}(r).  Tables are shared by every character of one prime and dropped
+when a character of another prime asks.
+
 Two facts are used downstream and are both asserted at runtime: mu = 0 (some
 coefficient is a unit) and level-to-level stability of the coefficients.
-The lambda read-off, the index of the first unit coefficient in the T-power
-basis, is exactly the quantity the rank formula consumes; it is invariant
-under the usual variable reflection, and the whole normalization is pinned
-by calibration against regular and irregular primes in the test suite.
+Both levels are projected from their own tables, so the stability check
+compares two independent sums.  The lambda read-off, the index of the first
+unit coefficient in the T-power basis, is exactly the quantity the rank
+formula consumes; it is invariant under the usual variable reflection, and
+the whole normalization is pinned by calibration against regular and
+irregular primes in the test suite.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from operator import mul
+from typing import NamedTuple, Optional, Tuple
 
 from .arith import split_prime_part, teichmuller_residue
 from .characters import DirichletCharacter, omega
@@ -40,68 +55,84 @@ def _require_odd_not_omega(chi: DirichletCharacter) -> None:
         raise ValueError("omega is excluded; its lambda needs a table entry")
 
 
-def _bucket_vectors(chi: DirichletCharacter, n: int, N: int) -> Tuple[list, object]:
-    """Coefficients on the (1+T)^j basis, j in Z/p^n, as ring vectors mod p^N."""
-    p = chi.p
-    m = chi.order
-    fprime = split_prime_part(chi.conductor, p)[1]
-    cond = chi.conductor
-    pn = p ** n
+class ResidueTable(NamedTuple):
+    """Half the units a mod M = f' p^{n+1}: rows[j][s] is the a with
+    c_n(a) = j and a = units[s] mod f'p, for the units below f'p/2.  The
+    other half of row j is M - a, at -units[s] mod f'p."""
+
+    units: tuple
+    rows: list  # one array('q') per j in Z/p^n
+
+
+def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
+    """One walk over the table's units mod M = f' p^{n+1}, built cell by
+    cell by CRT: a = r mod f' and a = omega(r) (1+p)^j mod p^{n+1}."""
     pn1 = p ** (n + 1)
     M = fprime * pn1
+    half = (fprime * p + 1) // 2
+    units = tuple(r for r in range(1, half) if math.gcd(r, fprime * p) == 1)
+    e_f = pn1 * pow(pn1, -1, fprime) % M  # 1 mod f', 0 mod p^{n+1}
+    e_p = fprime * pow(fprime, -1, pn1) % M  # 0 mod f', 1 mod p^{n+1}
+    teich = [0] + [teichmuller_residue(t, p, n + 1) * e_p % M for t in range(1, p)]
+    tame = [r % fprime * e_f % M for r in units]
+    lifts = [teich[r % p] for r in units]
+    rows = []
+    u = 1  # (1+p)^j mod p^{n+1}
+    for _ in range(p ** n):
+        rows.append(array("q", [(b + t * u) % M for b, t in zip(tame, lifts)]))
+        u = u * (1 + p) % pn1
+    return ResidueTable(units, rows)
 
-    # discrete log table for the principal units, base 1+p
-    dlog = {}
-    x = 1
-    for j in range(pn):
-        dlog[x] = j
-        x = x * (1 + p) % pn1
-    teich = [None] * p
-    iteich = [None] * p
-    for r in range(1, p):
-        t = teichmuller_residue(r, p, n + 1)
-        teich[r] = t
-        iteich[r] = pow(t, -1, pn1)
 
-    chi_exp = chi.value_exponents()
+class _TableCache:
+    """Residue tables of one prime, each built on first use.  Every
+    character of a field shares its p, so a request for another prime starts
+    a new working set and drops the old tables."""
 
-    counts = [[0] * m for _ in range(pn)]
-    for a in range(1, M):
-        if a % p == 0:
-            continue
-        if fprime > 1 and math.gcd(a, fprime) != 1:
-            continue
-        k = -chi_exp[a % cond] % m  # the exponent of chi^{-1}(a)
-        j = dlog[a * iteich[a % p] % pn1]
-        counts[j][k] += a
+    def __init__(self):
+        self.p = None
+        self.tables = {}
 
-    # combine the exponent buckets into ring vectors and divide by -M
-    work = N + n + 3
-    ring = local_ring(m, p, work)
+    def get(self, fprime: int, p: int, n: int) -> ResidueTable:
+        if p != self.p:
+            self.p, self.tables = p, {}
+        key = (fprime, n)
+        if key not in self.tables:
+            self.tables[key] = _residue_table(fprime, p, n)
+        return self.tables[key]
+
+
+_TABLES = _TableCache()
+
+
+def _bucket_vectors(chi: DirichletCharacter, n: int, N: int) -> Tuple[list, object]:
+    """Coefficients on the (1+T)^j basis, j in Z/p^n, as ring vectors mod p^N."""
+    p, m, cond = chi.p, chi.order, chi.conductor
+    fprime = split_prime_part(cond, p)[1]
+    table = _TABLES.get(fprime, p, n)
+    pn1 = p ** (n + 1)
+    modN = p ** N
+
+    # column i holds coordinate i of chi^{-1}(r) over the table's units r;
+    # sum_a a chi^{-1}(a) over row j is sum_r (2a - M) chi^{-1}(r), and it is
+    # divided by -M, exactly at p
+    ring = local_ring(m, p, N + n + 3)
     modw = ring.mod
     inv_f = pow(fprime, -1, modw)
-    pdivisor = pn1
+    chi_exp = chi.value_exponents()
+    columns = list(zip(*(ring.zeta_vector(-chi_exp[r % cond]) for r in table.units)))
+    offsets = [fprime * pn1 * sum(column) for column in columns]
     vectors = []
-    zvecs = [ring.zeta_vector(k) for k in range(m)]
-    for j in range(pn):
-        acc = [0] * ring.dim
-        row = counts[j]
-        for k in range(m):
-            c = row[k]
-            if c == 0:
-                continue
-            zv = zvecs[k]
-            for i in range(ring.dim):
-                acc[i] = (acc[i] + c * zv[i]) % modw
+    for row in table.rows:
         out = []
-        for v in acc:
-            w = (-v) * inv_f % modw
-            if w % pdivisor:
+        for column, offset in zip(columns, offsets):
+            w = (offset - 2 * sum(map(mul, row, column))) * inv_f % modw
+            if w % pn1:
                 raise InvariantViolationError(
                     "Stickelberger coefficient is not p-integral; "
                     "this construction only applies to odd characters != omega"
                 )
-            out.append((w // pdivisor) % p ** N)
+            out.append(w // pn1 % modN)
         vectors.append(out)
     return vectors, local_ring(m, p, N)
 

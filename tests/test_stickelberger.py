@@ -2,8 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import direct_bucket_vectors
+from tamerank import stickelberger
+from tamerank.arith import split_prime_part
 from tamerank.characters import FieldSpec, enumerate_characters, omega
+from tamerank.cli import parse_config, run
 from tamerank.stickelberger import (
+    DEFAULT_PRECISION,
     bernoulli_b1,
     lambda_minus,
     stickelberger_series,
@@ -149,3 +154,55 @@ def test_lambda_with_nontrivial_tame_part():
     assert odd_sextics
     res = lambda_minus(odd_sextics[0])
     assert res.mu_zero and res.lambda_ >= 0
+
+
+def test_lambda_wider_irregular_pairs():
+    # the irregular pairs (101, 68) and (103, 24) (Buhler-Harvey, "Irregular
+    # primes to 163 million", Math. Comp. 80 (2011)): lambda = 1 on
+    # omega^{p-k}, 0 on the next odd power, and p | B_{1, omega^{-i}} for
+    # exactly the odd i = p - k, cross-checked here by the exact B_1
+    for p, k in ((101, 68), (103, 24)):
+        w = omega(p)
+        assert lambda_minus(w.power(p - k)).lambda_ == 1
+        assert lambda_minus(w.power(p - k + 2)).lambda_ == 0
+        divisible = {
+            i for i in range(3, p - 1, 2)
+            if bernoulli_b1(w.power(i).inverse()).p_valuation() >= 1
+        }
+        assert divisible == {p - k}
+
+
+SHARED_TABLE_FIELDS = [(5, 1), (7, 13), (11, 7), (13, 5), (3, 8), (5, 21)]
+
+
+def test_shared_table_matches_direct_build():
+    # every odd chi != omega at levels 0, 1 and 2: the projection of the
+    # shared residue table equals the direct per-character build
+    seen = set()
+    for p, f in SHARED_TABLE_FIELDS:
+        w = omega(p)
+        for chi in enumerate_characters(FieldSpec(p, f)):
+            if not chi.is_odd or chi == w:
+                continue
+            for n in (0, 1, 2):
+                direct, ring = direct_bucket_vectors(chi, n, DEFAULT_PRECISION)
+                assert stickelberger_series(chi, n).bucket_coefficients == direct, (chi.label(), n)
+            seen.add(("f' > 1", split_prime_part(chi.conductor, p)[1] > 1))
+            seen.add(("p | conductor", chi.conductor % p == 0))
+            seen.add(("dim", ring.dim))
+    assert {("f' > 1", True), ("p | conductor", True), ("p | conductor", False), ("dim", 2)} <= seen
+
+
+def test_lambda_job_builds_each_table_once(monkeypatch):
+    built = []
+
+    def counted(fprime, p, n):
+        built.append((fprime, p, n))
+        return build(fprime, p, n)
+
+    build = stickelberger._residue_table
+    monkeypatch.setattr(stickelberger, "_residue_table", counted)
+    monkeypatch.setattr(stickelberger, "_TABLES", stickelberger._TableCache())
+    job = parse_config('{"p": 7, "f": 13}')
+    run(job, "lambda")
+    assert sorted(built) == [(1, 7, 1), (1, 7, 2), (13, 7, 1), (13, 7, 2)]
