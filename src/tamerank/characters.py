@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .arith import (
@@ -33,40 +32,35 @@ from .errors import InvariantViolationError
 
 @dataclass(frozen=True)
 class RootOfUnity:
-    """A root of unity as an exponent in Q/Z; the denominator is its order."""
+    """zeta_order^k, held in lowest terms with 0 <= k < order."""
 
-    exponent: Fraction
+    k: int
+    order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "exponent", self.exponent % 1)
-
-    @classmethod
-    def from_pair(cls, k: int, order: int) -> "RootOfUnity":
-        return cls(Fraction(k, order))
-
-    @property
-    def order(self) -> int:
-        return self.exponent.denominator
+        g = math.gcd(self.k, self.order)
+        object.__setattr__(self, "k", self.k % self.order // g)
+        object.__setattr__(self, "order", self.order // g)
 
     @property
     def is_one(self) -> bool:
-        return self.exponent == 0
+        return self.k == 0
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.exponent + other.exponent)
+        n = math.lcm(self.order, other.order)
+        return RootOfUnity(self.k * (n // self.order) + other.k * (n // other.order), n)
 
-    def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.exponent * k)
+    def __pow__(self, e: int) -> "RootOfUnity":
+        return RootOfUnity(self.k * e, self.order)
 
     def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self.exponent)
+        return RootOfUnity(-self.k, self.order)
 
     def exponent_for(self, order: int) -> int:
         """Integer k with self = zeta_order^k; order must be a multiple."""
-        val = self.exponent * order
-        if val.denominator != 1:
+        if order % self.order:
             raise ValueError(f"order {self.order} does not divide {order}")
-        return int(val)
+        return self.k * (order // self.order)
 
     def p_power_part(self, p: int) -> "RootOfUnity":
         a, n = split_prime_part(self.order, p)
@@ -87,10 +81,10 @@ class RootOfUnity:
         return 1 if self.is_one else -1
 
     def __repr__(self):
-        return f"zeta({self.exponent.numerator}/{self.exponent.denominator})"
+        return f"zeta({self.k}/{self.order})"
 
 
-ONE = RootOfUnity(Fraction(0))
+ONE = RootOfUnity(0, 1)
 
 
 class DirichletCharacter:
@@ -134,7 +128,7 @@ class DirichletCharacter:
         """chi(a) as a RootOfUnity, or None when gcd(a, conductor) > 1."""
         if math.gcd(a, self.modulus) != 1:
             return None
-        return RootOfUnity.from_pair(self._exponent_at(self.units.dlog(a)), self.order)
+        return RootOfUnity(self._exponent_at(self.units.dlog(a)), self.order)
 
     def value_exponents(self) -> list:
         """For each a mod the conductor, the k with chi(a) = zeta_order^k, or

@@ -257,7 +257,7 @@ class BernoulliB1:
     """Exact generalized Bernoulli number B_{1,chi} in Q(zeta_ord(chi)).
 
     Stored as Fractions on the power basis of the full cyclotomic polynomial;
-    p-adic valuation is read through the same pinned local factor the series
+    p-adic valuation is read in the same pinned local ring the series
     machinery uses (integer floor in the ramified case).
     """
 

@@ -56,10 +56,7 @@ class FrobeniusProfile:
             }
             if "sigma_p_value" in entry:
                 val = entry["sigma_p_value"]
-                rec["sigma_p_exponent"] = [
-                    val.exponent.numerator,
-                    val.exponent.denominator,
-                ]
+                rec["sigma_p_exponent"] = [val.k, val.order]
             out["per_chi"][chi.label()] = rec
         return out
 

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -28,20 +27,20 @@ FIELDS = [
 
 
 def test_root_of_unity_normalization():
-    z = RootOfUnity(Fraction(5, 3))
-    assert z.exponent == Fraction(2, 3) and z.order == 3
-    assert RootOfUnity.from_pair(4, 8) == RootOfUnity.from_pair(1, 2)
-    assert RootOfUnity.from_pair(0, 7).is_one
+    z = RootOfUnity(5, 3)
+    assert (z.k, z.order) == (2, 3)
+    assert RootOfUnity(4, 8) == RootOfUnity(1, 2)
+    assert RootOfUnity(0, 7).is_one
 
 
 def test_root_of_unity_p_parts():
-    z = RootOfUnity.from_pair(1, 12)
+    z = RootOfUnity(1, 12)
     zp = z.p_power_part(3)
     z0 = z.prime_to_p_part(3)
     assert zp.order == 3 and z0.order == 4
     assert zp * z0 == z
-    assert RootOfUnity.from_pair(1, 9).order_is_p_power(3)
-    assert not RootOfUnity.from_pair(1, 6).order_is_p_power(3)
+    assert RootOfUnity(1, 9).order_is_p_power(3)
+    assert not RootOfUnity(1, 6).order_is_p_power(3)
 
 
 def test_enumerate_q_mu5():
@@ -74,7 +73,7 @@ def test_characters_trivial_on_h():
 def test_evaluate_examples():
     chars = enumerate_characters(FieldSpec(3, 8, (7,)))
     chi8 = [c for c in chars if c.conductor == 8][0]
-    assert chi8.value(5) == RootOfUnity.from_pair(1, 2)
+    assert chi8.value(5) == RootOfUnity(1, 2)
     assert chi8.value(2) is None
     w5 = omega(5)
     assert w5.value(2).order == 4
@@ -230,6 +229,6 @@ def test_unit_group_conductor_matches_brute_force(modulus):
         weights = [e * (top // n) for e, n in zip(expo, units.orders)]
 
         def value(a):
-            return RootOfUnity.from_pair(sum(w * x for w, x in zip(weights, units.dlog(a))), top)
+            return RootOfUnity(sum(w * x for w, x in zip(weights, units.dlog(a))), top)
 
         assert units.conductor(expo) == brute_conductor(value, modulus), expo

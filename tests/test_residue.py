@@ -15,7 +15,9 @@ from tamerank.frobenius import (
     splitting_count,
     stabilization_level,
 )
-from tamerank.localring import local_ring, unramified_factor, cyclotomic_poly
+import tamerank.localring as localring
+from tamerank.arith import smallest_primitive_root, teichmuller_residue
+from tamerank.localring import cyclotomic_poly, local_ring
 from tamerank.residue import (
     chi_quotient_order,
     rank_estimate,
@@ -146,16 +148,38 @@ def test_norm_reduction_surjective():
             assert norm_reduction_surjective(field, q, n)
 
 
-def test_unramified_factor_divides_cyclotomic():
-    # the pinned local factor must divide Phi_{n0} mod p^K
-    from tamerank.localring import _pdivmod_monic
+def test_zeta_is_a_root_of_cyclotomic():
+    # zeta_{n0} must be a root of Phi_{n0} mod p^K; (7, 11) splits with d0 = 3
+    for n0, p in [(12, 5), (8, 3), (5, 7), (16, 7), (7, 11)]:
+        ring = local_ring(n0, p, 6)
+        acc = [[0] * ring.dim for _ in range(ring.dim)]
+        for i, c in enumerate(cyclotomic_poly(n0)):
+            z = ring.zeta_matrix(i)
+            acc = [[(a + c * b) % ring.mod for a, b in zip(r, zr)] for r, zr in zip(acc, z)]
+        assert acc == [[0] * ring.dim for _ in range(ring.dim)]
 
-    for n0, p in [(12, 5), (8, 3), (5, 7), (16, 7)]:
-        K = 6
-        h = unramified_factor(n0, p, K)
-        phi = [c % p ** K for c in cyclotomic_poly(n0)]
-        _, rem = _pdivmod_monic(phi, h, p ** K)
-        assert not rem
+
+def test_irreducible_cyclotomic_skips_the_search(monkeypatch):
+    # Phi_58 is irreducible mod 3 (d0 = 28): zeta_58 = x, and searching
+    # F_{3^28} for a root would take minutes.  The ring is built directly so
+    # that no cached ring hides the construction.
+    def refuse(p, d):
+        raise AssertionError(f"searched for an irreducible of degree {d} over F_{p}")
+
+    monkeypatch.setattr(localring, "_find_irreducible", refuse)
+    ring = localring.LocalCoefficientRing(58, 3, 8)
+    assert ring.d0 == 28 and ring.dim == 28
+    minus_one = (-1) % ring.mod
+    assert ring.zeta_matrix(29) == [[minus_one if i == j else 0 for j in range(28)] for i in range(28)]
+
+
+def test_ring_powers_do_not_recurse():
+    # zeta_1012^1011 in a rank-1 ring: powers are built by a loop, not by
+    # one recursive call per power
+    g = smallest_primitive_root(1013)
+    assert local_ring(1012, 1013, 8).zeta_vector(1011) == [
+        pow(teichmuller_residue(g, 1013, 8), 1011, 1013 ** 8)
+    ]
 
 
 def test_local_ring_matrix_orders():
