@@ -2,7 +2,7 @@
 cyclotomic Z_p-tower of an abelian field, with a brute-force residue-module
 oracle and a Stickelberger lambda provider for the minus side."""
 
-from .annihilators import AnnihilatorPoly, annihilator, contains, lcm_degree, lcm_degree_oracle
+from .annihilators import AnnihilatorPoly, annihilator, contains, lcm_degree
 from .arith import (
     PadicNumber,
     UnitGroupStructure,

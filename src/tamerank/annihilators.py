@@ -3,12 +3,11 @@
 Only the degree of their lcm is ever needed, and the root sets form a
 laminar family (any two are nested or disjoint), so the lcm degree is the
 sum of p^m over the maximal members.  No p-adic coefficients are ever
-materialized; a complex-embedding oracle provides an independent check.
+materialized.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -76,27 +75,3 @@ def lcm_degree(polys: List[AnnihilatorPoly]) -> int:
         if not any(b is not a and contains(a, b) for b in distinct)
     ]
     return sum(a.degree for a in maximal)
-
-
-_K0 = 1.337  # any fixed real > 1; stands in for kappa0 = 1 + p
-
-
-def lcm_degree_oracle(polys: List[AnnihilatorPoly], tol: float = 1e-9) -> int:
-    """Count the union of root sets after embedding them into C.
-
-    The roots of (m, zeta=e(k/p^a)) are K0 * e((k + j p^a)/p^{a+m}); two
-    roots coincide exactly when the corresponding p-power roots of unity
-    are equal, so a tolerance merge counts the union faithfully.
-    """
-    if not polys:
-        raise ValueError("need at least one polynomial")
-    points: list = []
-    for a in polys:
-        den = a.zeta.order
-        k = a.zeta.exponent_for(den)
-        for j in range(a.degree):
-            angle = 2.0 * cmath.pi * (k / den + j) / a.degree
-            z = _K0 * cmath.exp(1j * angle)
-            if all(abs(z - w) > tol for w in points):
-                points.append(z)
-    return len(points)

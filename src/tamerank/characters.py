@@ -75,11 +75,6 @@ class RootOfUnity:
     def order_is_p_power(self, p: int) -> bool:
         return split_prime_part(self.order, p)[1] == 1
 
-    def sign(self) -> int:
-        if self.order > 2:
-            raise ValueError("not a sign")
-        return 1 if self.is_one else -1
-
     def __repr__(self):
         return f"zeta({self.k}/{self.order})"
 

@@ -4,8 +4,11 @@ For m = n0 * p^alpha with gcd(n0, p) = 1 the ring has Z_p-rank
 d = d0 * phi(p^alpha) with d0 = ord(p mod n0).  It is realized mod p^K as
 (Z/p^K)[x, y] / (g(x), Phi_{p^alpha}(y)) with g monic of degree d0 and
 irreducible mod p, so (Z/p^K)[x]/(g) is the unramified ring of rank d0.
-Elements are coordinate vectors on the x^i y^j basis; zeta_m acts through
-the Kronecker product of the matrices of multiplication by zeta_{n0} and by y.
+Elements are coordinate vectors on the x^i y^j basis.  zeta_m^k is the
+product of zeta_{n0}^k in the first factor and y^k in the second, so its
+vector is the outer product of the two factor powers; matrices are built
+only for `root_matrix`, as the Kronecker product of the two factors'
+multiplication matrices.
 
 zeta_{n0} is the n0-th root of unity above a pinned root b of order n0 in
 F_{p^d0} = F_p[x]/(g), i.e. the Teichmueller lift of b, found by Newton's
@@ -243,22 +246,6 @@ def _root_of_unity(n0: int, p: int, K: int) -> tuple:
 # matrices
 
 
-def _mat_mul(A, B, mod):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        row = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a == 0:
-                continue
-            Bt = B[t]
-            for j in range(m):
-                row[j] = (row[j] + a * Bt[j]) % mod
-    return out
-
-
 def _multiplication_matrix(zeta, g, mod):
     """Multiplication by zeta on the power basis of (Z/mod)[x]/(g): column j
     is zeta * x^j."""
@@ -266,10 +253,6 @@ def _multiplication_matrix(zeta, g, mod):
     for _ in range(1, len(zeta)):
         cols.append(_times_x(cols[-1], g, mod))
     return [list(row) for row in zip(*cols)]
-
-
-def _identity(d):
-    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
 
 
 def _kron(A, B, mod):
@@ -287,7 +270,7 @@ def _kron(A, B, mod):
 
 
 class LocalCoefficientRing:
-    """Z_p[zeta_m] mod p^K with explicit root-of-unity action matrices.
+    """Z_p[zeta_m] mod p^K.
 
     Basis: x^i y^j with 0 <= i < d0, 0 <= j < phi(p^alpha); index i*w + j.
     """
@@ -298,29 +281,33 @@ class LocalCoefficientRing:
         alpha, n0 = split_prime_part(m, p)
         self.n0 = n0
         self.pa = p ** alpha
-        g, zeta = _root_of_unity(n0, p, K)
+        self._g, zeta = _root_of_unity(n0, p, K)
+        self._zeta = tuple(zeta)
         self.d0 = len(zeta)
+        self._phi = cyclotomic_poly(self.pa)
         self.w = euler_phi(self.pa)
         self.dim = self.d0 * self.w
-        self._X = _multiplication_matrix(zeta, g, self.mod)
-        phi_pa = cyclotomic_poly(self.pa)
-        self._Y = _multiplication_matrix(_x_in(phi_pa, self.mod), phi_pa, self.mod)
-        self._xpow = [_identity(self.d0)]
-        self._ypow = [_identity(self.w)]
+        self._xpow = [(1,) + (0,) * (self.d0 - 1)]
+        self._ypow = [[1] + [0] * (self.w - 1)]
         self._cache = {}
 
-    def _power(self, powers, base, k):
-        """base^k, appending to the contiguous memo powers[0..] as needed."""
-        while len(powers) <= k:
-            powers.append(_mat_mul(powers[-1], base, self.mod))
-        return powers[k]
+    def _factor_powers(self, k: int) -> tuple:
+        """(zeta_{n0}^k, y^k) as vectors, appending to the contiguous memos."""
+        i, j = k % self.n0, k % self.pa
+        xs, ys = self._xpow, self._ypow
+        while len(xs) <= i:
+            xs.append(_qmul(xs[-1], self._zeta, self._g, self.mod))
+        while len(ys) <= j:
+            ys.append(_times_x(ys[-1], self._phi, self.mod))
+        return xs[i], ys[j]
 
     def zeta_matrix(self, k: int) -> list:
         """Multiplication by zeta_m^k on the basis."""
         k %= self.m
         if k not in self._cache:
-            self._cache[k] = _kron(self._power(self._xpow, self._X, k % self.n0),
-                                   self._power(self._ypow, self._Y, k % self.pa), self.mod)
+            xv, yv = self._factor_powers(k)
+            self._cache[k] = _kron(_multiplication_matrix(xv, self._g, self.mod),
+                                   _multiplication_matrix(yv, self._phi, self.mod), self.mod)
         return self._cache[k]
 
     def root_matrix(self, root: RootOfUnity) -> list:
@@ -329,9 +316,9 @@ class LocalCoefficientRing:
         return self.zeta_matrix(root.exponent_for(self.m))
 
     def zeta_vector(self, k: int) -> list:
-        """zeta_m^k as a coordinate vector (first column of its matrix)."""
-        mat = self.zeta_matrix(k)
-        return [mat[i][0] for i in range(self.dim)]
+        """zeta_m^k as a coordinate vector: zeta_{n0}^k (x) y^k."""
+        xv, yv = self._factor_powers(k)
+        return [a * b % self.mod for a in xv for b in yv]
 
     def is_unit(self, vec) -> bool:
         """Unit test in the local ring: nonzero image in the residue field

@@ -141,48 +141,46 @@ def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
 def _snf_exponent(rows: List[list], ncols: int, p: int, K: int) -> int:
     """Sum of p-valuations of the invariant factors of the lattice quotient
     Z^ncols / (row span), computed mod p^K.  The cokernel must be finite
-    p-torsion, which the caller guarantees with explicit p^e rows."""
+    p-torsion, which the caller guarantees with explicit p^e rows.
+
+    Each step pivots on an entry p^v * unit of least valuation v, normalised
+    to p^v; the pivot row leaves the matrix and every other row subtracts
+    (entry / p^v) times it, which cancels its entry in the pivot column
+    exactly.  So a pivoted column is zero in every row that remains, and
+    ncols pivots consume all columns; a row with no nonzero entry left drops
+    out.  Entries are kept mod p^K, so a nonzero one has valuation < K."""
     mod = p ** K
-
-    def val(x: int) -> int:
-        return K if x == 0 else split_prime_part(x, p)[0]
-
-    mat = [row[:] for row in rows if any(row)]
-    live = list(range(ncols))
+    mat = [r for r in ([x % mod for x in row] for row in rows) if any(r)]
     total = 0
-    while live:
+    for _ in range(ncols):
         best = None
         for i, row in enumerate(mat):
-            for cpos, c in enumerate(live):
-                v = val(row[c])
-                if best is None or v < best[0]:
-                    best = (v, i, cpos)
-                    if v == 0:
-                        break
+            for c, x in enumerate(row):
+                if x:
+                    v = split_prime_part(x, p)[0]
+                    if best is None or v < best[0]:
+                        best = (v, i, c)
+                        if v == 0:
+                            break
             if best and best[0] == 0:
                 break
-        if best is None or best[0] >= K:
+        if best is None:
             raise InvariantViolationError(
                 "relation matrix left a free direction; presentation is wrong"
             )
-        v, i, cpos = best
-        col = live[cpos]
-        pivot_row = mat[i]
-        unit = pivot_row[col] // p ** v
-        inv = pow(unit, -1, mod)
+        v, i, col = best
+        pivot_row = mat.pop(i)
+        pv = p ** v
+        inv = pow(pivot_row[col] // pv, -1, mod)
         pivot_row = [x * inv % mod for x in pivot_row]
         new_mat = []
-        for k, row in enumerate(mat):
-            if k == i:
-                continue
-            e = row[col]
-            if e:
-                factor = e // p ** v
+        for row in mat:
+            factor = row[col] // pv
+            if factor:
                 row = [(x - factor * y) % mod for x, y in zip(row, pivot_row)]
-            if any(row[c] for c in live if c != col):
+            if any(row):
                 new_mat.append(row)
         mat = new_mat
-        live.pop(cpos)
         total += v
     return total
 
@@ -202,13 +200,6 @@ def chi_quotient_order(
     ncols = r * d
     q = module.q
 
-    qpow = {}
-
-    def twist(t: int) -> int:
-        if t not in qpow:
-            qpow[t] = pow(q, t, mod)
-        return qpow[t]
-
     rows = []
     for point, table in module.gen_actions:
         value = chi.value(point)
@@ -217,7 +208,7 @@ def chi_quotient_order(
         Z = ring.root_matrix(value)
         for i in range(r):
             j, t = table[i]
-            qt = twist(t)
+            qt = pow(q, t, mod)
             for b in range(d):
                 row = [0] * ncols
                 row[j * d + b] = (row[j * d + b] + qt) % mod
@@ -231,7 +222,7 @@ def chi_quotient_order(
         # kill the image of (1 -+ J): relations m_i -+ q^t m_{jJ}
         for i in range(r):
             j, t = module.j_action[i]
-            qt = twist(t)
+            qt = pow(q, t, mod)
             for b in range(d):
                 row = [0] * ncols
                 row[i * d + b] = (row[i * d + b] + 1) % mod

@@ -284,12 +284,9 @@ class BernoulliB1:
         for i, c in enumerate(self.coordinates):
             num = c.numerator * (den // c.denominator)
             scaled = num * inv_prime_part % modK
-            zv = ring.zeta_vector(i) if i else None
-            if i == 0:
-                img[0] = (img[0] + scaled) % modK
-            else:
-                for t in range(ring.dim):
-                    img[t] = (img[t] + scaled * zv[t]) % modK
+            zv = ring.zeta_vector(i)
+            for t in range(ring.dim):
+                img[t] = (img[t] + scaled * zv[t]) % modK
         vnum = min(K if k == 0 else split_prime_part(k, p)[0] for k in img)
         if vnum >= K:
             raise PrecisionError("B1 vanished to working precision")

@@ -1,11 +1,16 @@
 """Helpers that only the tests use: random prime sets, a per-(field, q)
 Frobenius profile, the level-to-level norm-reduction check of the residue
-modules, and the direct per-character Stickelberger buckets.  Test modules
-import them as `from helpers import ...`."""
+modules, the direct per-character Stickelberger buckets, and the
+complex-embedding oracle for lcm degrees, and a read-only loader for the
+benchmark's modules.  Test modules import them as `from helpers import ...`."""
 
+import cmath
+import importlib.util
 import math
 import random
+import sys
 from dataclasses import dataclass, field as dataclass_field
+from pathlib import Path
 
 from tamerank.arith import is_prime, split_prime_part, teichmuller_residue
 from tamerank.characters import FieldSpec
@@ -13,6 +18,18 @@ from tamerank.frobenius import admissible, inertia_trivial, m_index, sigma_p_val
 from tamerank.errors import InvariantViolationError
 from tamerank.localring import local_ring
 from tamerank.residue import _LevelGroup, residue_module
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def load_benchmark_module(name: str, monkeypatch):
+    """Import benchmarks/<name>.py without writing bytecode under benchmarks/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_prime_sets(p: int, count: int, seed: int, pool_bound: int = 200) -> list:
@@ -142,3 +159,28 @@ def direct_bucket_vectors(chi, n: int, N: int) -> tuple:
             out.append((w // pdivisor) % p ** N)
         vectors.append(out)
     return vectors, local_ring(m, p, N)
+
+
+_K0 = 1.337  # any fixed real > 1; stands in for kappa0 = 1 + p
+
+
+def lcm_degree_oracle(polys: list, tol: float = 1e-9) -> int:
+    """Oracle for `tamerank.annihilators.lcm_degree`: count the union of root
+    sets after embedding them into C.
+
+    The roots of (m, zeta=e(k/p^a)) are K0 * e((k + j p^a)/p^{a+m}); two
+    roots coincide exactly when the corresponding p-power roots of unity
+    are equal, so a tolerance merge counts the union faithfully.
+    """
+    if not polys:
+        raise ValueError("need at least one polynomial")
+    points: list = []
+    for a in polys:
+        den = a.zeta.order
+        k = a.zeta.exponent_for(den)
+        for j in range(a.degree):
+            angle = 2.0 * cmath.pi * (k / den + j) / a.degree
+            z = _K0 * cmath.exp(1j * angle)
+            if all(abs(z - w) > tol for w in points):
+                points.append(z)
+    return len(points)

@@ -10,8 +10,8 @@ import json
 import random
 import time
 
-from helpers import random_prime_sets
-from tamerank.annihilators import AnnihilatorPoly, contains, lcm_degree, lcm_degree_oracle
+from helpers import lcm_degree_oracle, random_prime_sets
+from tamerank.annihilators import AnnihilatorPoly, contains, lcm_degree
 from tamerank.arith import unit_group
 from tamerank.characters import (
     FieldSpec,

@@ -3,13 +3,8 @@ import random
 
 import pytest
 
-from tamerank.annihilators import (
-    AnnihilatorPoly,
-    annihilator,
-    contains,
-    lcm_degree,
-    lcm_degree_oracle,
-)
+from helpers import lcm_degree_oracle
+from tamerank.annihilators import AnnihilatorPoly, annihilator, contains, lcm_degree
 from tamerank.characters import FieldSpec, RootOfUnity, enumerate_characters, omega, trivial_character
 
 ONE = RootOfUnity(0, 1)

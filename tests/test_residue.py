@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import norm_reduction_surjective
 from tamerank.characters import (
@@ -16,9 +18,12 @@ from tamerank.frobenius import (
     stabilization_level,
 )
 import tamerank.localring as localring
-from tamerank.arith import smallest_primitive_root, teichmuller_residue
+from tamerank.arith import smallest_primitive_root, split_prime_part, teichmuller_residue
+from tamerank.errors import InvariantViolationError
 from tamerank.localring import cyclotomic_poly, local_ring
 from tamerank.residue import (
+    SNF_GUARD_DIGITS,
+    _snf_exponent,
     chi_quotient_order,
     rank_estimate,
     residue_module,
@@ -42,9 +47,50 @@ def test_total_exponent():
 
 
 def test_snf_of_zero_module():
-    from tamerank.residue import _snf_exponent
-
     assert _snf_exponent([], 0, 3, 4) == 0
+
+
+def _span_size(gens: list, n: int, mod: int) -> int:
+    """|S| for the subgroup S of (Z/mod)^n generated by gens, closed by
+    adding generators until nothing new appears."""
+    span = {(0,) * n}
+    frontier = list(span)
+    while frontier:
+        new = []
+        for s in frontier:
+            for g in gens:
+                t = tuple((a + b) % mod for a, b in zip(s, g))
+                if t not in span:
+                    span.add(t)
+                    new.append(t)
+        frontier = new
+    return len(span)
+
+
+@st.composite
+def _presentations(draw):
+    p = draw(st.sampled_from([3, 5]))
+    e = draw(st.integers(min_value=1, max_value=2))
+    n = draw(st.integers(min_value=1, max_value=3 if p == 3 else 2))
+    row = st.lists(st.integers(min_value=-30, max_value=30), min_size=n, max_size=n)
+    return p, e, n, draw(st.lists(row, max_size=4))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_presentations())
+def test_snf_exponent_counts_the_quotient(presentation):
+    # Z^n / (rows + p^e Z^n) = (Z/p^e)^n / S, so its exponent is n e - log_p |S|
+    p, e, n, rows = presentation
+    size = _span_size(rows, n, p ** e)
+    log_size, rest = split_prime_part(size, p)
+    assert rest == 1
+    pe_rows = [[p ** e if i == c else 0 for i in range(n)] for c in range(n)]
+    assert _snf_exponent(rows + pe_rows, n, p, e + SNF_GUARD_DIGITS) == n * e - log_size
+
+
+def test_snf_exponent_refuses_a_free_direction():
+    with pytest.raises(InvariantViolationError):
+        _snf_exponent([[1, 0]], 2, 3, 1 + SNF_GUARD_DIGITS)
 
 
 def test_chi_quotient_examples():
@@ -212,3 +258,28 @@ def test_local_ring_pinning_with_larger_torsion():
     assert ring.zeta_matrix(4) == [[t6, 0], [0, t6]]
     minus_one = (-1) % ring.mod
     assert ring.zeta_matrix(12) == [[minus_one, 0], [0, minus_one]]
+
+
+@pytest.mark.parametrize(
+    "m, p, sample",
+    [
+        (12, 13, None),  # n0 | p - 1
+        (12, 5, None),  # searched and pinned, d0 = 2
+        (24, 7, None),  # searched, pins mu_6
+        (7, 11, None),  # split, d0 = 3
+        (20, 5, None),  # w = 4
+        (18, 3, None),  # w = 6
+        (60, 5, None),  # d0 = 2 and w = 4
+        (58, 3, (0, 1, 2, 13, 29, 30, 57)),  # Phi_58 irreducible mod 3, d0 = 28
+    ],
+)
+def test_ring_vectors_agree_with_matrices(m, p, sample):
+    ring = local_ring(m, p, 6)
+    ks = range(m) if sample is None else sample
+    for k in ks:
+        assert ring.zeta_vector(k) == [row[0] for row in ring.zeta_matrix(k)]
+    for a in ks:
+        z = ring.zeta_matrix(a)
+        for b in ks:
+            prod = [sum(x * y for x, y in zip(row, ring.zeta_vector(b))) % ring.mod for row in z]
+            assert prod == ring.zeta_vector(a + b), (a, b)
