@@ -35,7 +35,6 @@ from .frobenius import (
     admissible,
     inertia_trivial,
     m_index,
-    rational_prime_count,
     sigma0_ok,
     sigma_p_value,
     splitting_count,
@@ -46,7 +45,6 @@ from .rank import (
     LambdaValue,
     RankRecord,
     rank_chi,
-    rank_rational,
     rank_total,
     s_chi,
 )
@@ -54,7 +52,6 @@ from .residue import (
     ResidueModule,
     chi_quotient_order,
     quotient_growth,
-    rank_estimate,
     residue_module,
 )
 from .stickelberger import (

@@ -161,14 +161,3 @@ def stabilization_level(field: FieldSpec, q: int) -> int:
             return n
         prev = nxt
     raise InvariantViolationError("no stabilization level below 16")
-
-
-def rational_prime_count(p: int, q: int, n: int) -> int:
-    """Number of primes above q at level n of the rational tower (the degree
-    p^n layer of the cyclotomic Z_p-extension of Q)."""
-    if q == p:
-        raise ValueError("q must differ from p")
-    pn1 = p ** (n + 1)
-    tw = teichmuller_residue(q, p, n + 1)
-    principal = q * pow(tw, -1, pn1) % pn1
-    return p ** n // mul_order(principal, pn1)

@@ -200,14 +200,3 @@ def rank_total(
         total=total,
         conjectural=any(r.conjectural for r in records),
     )
-
-
-def rank_rational(S: Iterable[int], p: int) -> int:
-    """Rank over the rational tower: sum p^{m_q} - max p^{m_q} over the
-    q = 1 mod p members of S, and 0 when there are none."""
-    S = _validate_s(S, p)
-    selected = [q for q in S if q % p == 1]
-    if not selected:
-        return 0
-    powers = [p ** m_index(q, p) for q in selected]
-    return sum(powers) - max(powers)

@@ -9,6 +9,16 @@ are computed by Smith reduction of an integer presentation over the
 coefficient lattice of O_chi, which makes this an implementation-independent
 check on every rank-formula ingredient.
 
+The presentation has d = dim O_chi generators per coset and d relation rows
+per coset and generator of G, r d columns in all.  It is never written out:
+every relation ties two cosets by an invertible map, so a spanning tree of
+each orbit of cosets expresses every coset's generators through the root's.
+A coset's map to the root is a scalar unit c_j times a power Z(k_j)^T of the
+matrix of zeta_m, so the tree keeps only the pair (c_j, k_j).  The edges
+left out of the tree become relations on the root, and the p^e relations of
+all cosets collapse to p^e on the root because every tree map is invertible:
+one Smith block on d columns per orbit.
+
 The chi-quotient is taken over the group ring of G = Gal(K/Q), embedded in
 the level group as (tame part) x (Teichmueller torsion); the cyclotomic
 Z_p-direction is deliberately left free, so module sizes grow with the level
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .arith import crt, smallest_primitive_root, split_prime_part, teichmuller_residue, unit_group
-from .characters import DirichletCharacter, FieldSpec
+from .characters import DirichletCharacter, FieldSpec, RootOfUnity
 from .errors import InvariantViolationError, OracleInconsistencyError
 from .frobenius import splitting_count
 from .localring import local_ring
@@ -189,51 +199,71 @@ def chi_quotient_order(
     module: ResidueModule, chi: DirichletCharacter, part: Optional[str] = None
 ) -> int:
     """Exponent of p in the order of the chi-quotient of the module (or of
-    its plus/minus part when `part` is "plus" or "minus")."""
+    its plus/minus part when `part` is "plus" or "minus").
+
+    The presentation has d = dim O_chi generators x_i per coset i and, per
+    generator g of G with coset table (j, t) = table[i], the relation
+    q^t x_j = Z(a)^T x_i, where Z(a) is multiplication by chi(g) = zeta_m^a;
+    `part` adds complex conjugation as one more edge, with the table
+    `j_action`: q^t x_j = x_i for "plus" and q^t x_j = -x_i for "minus".
+    Every edge is invertible, so a breadth-first walk along the edges from a
+    root coset spans its orbit with a tree and writes x_j = c_j Z(k_j)^T x_root.  The Z's are powers of one zeta_m and
+    commute, so this matrix is the scalar c_j in (Z/p^K)^x times Z(k_j)^T,
+    kept as the pair (c_j, k_j).  A non-tree edge then reads
+    x_root = u Z(b)^T x_root, d rows (I - u Z(b)^T) on the root, one per
+    distinct (u, b) != (1, 0).  The relations p^e x_i = 0 on every coset
+    become p^e c_j Z(k_j)^T x_root = 0, whose span is p^e I on the root
+    because c_j Z(k_j)^T is invertible.  So each orbit is one Smith block on
+    d columns, and the exponent is the sum over the orbits."""
     p = module.field.p
     e = module.e_exp
     K = e + SNF_GUARD_DIGITS
     mod = p ** K
     ring = local_ring(chi.order, p, K)
-    d = ring.dim
+    d, m = ring.dim, ring.m
     r = module.num_cosets
-    ncols = r * d
-    q = module.q
+    qinv = pow(module.q, -1, mod)
 
-    rows = []
+    # (s, a, table): q^t x_j = s Z(a)^T x_i for (j, t) = table[i]
+    edges = []
     for point, table in module.gen_actions:
         value = chi.value(point)
         if value is None:
             raise InvariantViolationError("character evaluation hit a non-unit")
-        Z = ring.root_matrix(value)
-        for i in range(r):
-            j, t = table[i]
-            qt = pow(q, t, mod)
-            for b in range(d):
-                row = [0] * ncols
-                row[j * d + b] = (row[j * d + b] + qt) % mod
-                for c in range(d):
-                    row[i * d + c] = (row[i * d + c] - Z[c][b]) % mod
-                rows.append(row)
+        edges.append((1, value.exponent_for(m), table))
     if part is not None:
         sign = -1 if part == "plus" else 1 if part == "minus" else None
         if sign is None:
             raise ValueError("part must be 'plus', 'minus', or None")
-        # kill the image of (1 -+ J): relations m_i -+ q^t m_{jJ}
-        for i in range(r):
-            j, t = module.j_action[i]
-            qt = pow(q, t, mod)
-            for b in range(d):
-                row = [0] * ncols
-                row[i * d + b] = (row[i * d + b] + 1) % mod
-                row[j * d + b] = (row[j * d + b] + sign * qt) % mod
-                rows.append(row)
-    pe = pow(p, e)
-    for c in range(ncols):
-        row = [0] * ncols
-        row[c] = pe
-        rows.append(row)
-    total = _snf_exponent(rows, ncols, p, K)
+        # kill the image of (1 -+ J): relations x_i -+ q^t x_{jJ}
+        edges.append((-sign % mod, 0, module.j_action))
+
+    pe = p ** e
+    tree = [None] * r  # coset j -> (c_j, k_j)
+    total = 0
+    for root in range(r):
+        if tree[root] is not None:
+            continue
+        tree[root] = (1, 0)
+        orbit = [root]
+        relations = set()
+        for i in orbit:  # breadth first: the orbit grows while it is walked
+            c, k = tree[i]
+            for s, a, table in edges:
+                j, t = table[i]
+                cj, kj = c * s * pow(qinv, t, mod) % mod, (k + a) % m
+                if tree[j] is None:
+                    tree[j] = (cj, kj)
+                    orbit.append(j)
+                else:
+                    c0, k0 = tree[j]
+                    relations.add((cj * pow(c0, -1, mod) % mod, (kj - k0) % m))
+        relations.discard((1, 0))
+        rows = [[pe if a == c else 0 for c in range(d)] for a in range(d)]
+        for u, b in relations:
+            Z = ring.root_matrix(RootOfUnity(b, m))
+            rows.extend([int(a == c) - u * Z[c][a] for c in range(d)] for a in range(d))
+        total += _snf_exponent(rows, d, p, K)
     if total > e * r * d:
         raise InvariantViolationError("chi-quotient larger than the module")
     return total
@@ -254,13 +284,3 @@ def quotient_growth(lo: ResidueModule, hi: ResidueModule, chi: DirichletCharacte
             f"non-integral growth {growth}/{de} for chi={chi.label()}, q={lo.q}"
         )
     return x0, x1, growth // de
-
-
-def rank_estimate(
-    field: FieldSpec, q: int, chi: DirichletCharacter, n0: int, n1: int
-) -> int:
-    """Z_p-rank of the chi-quotient of the residue limit module, read off as
-    the growth of chi-quotient orders between two stabilized levels."""
-    if not n1 > n0 >= 0:
-        raise ValueError("need levels n1 > n0 >= 0")
-    return quotient_growth(residue_module(field, q, n0), residue_module(field, q, n1), chi)[2]

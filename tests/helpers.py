@@ -1,8 +1,10 @@
 """Helpers that only the tests use: random prime sets, a per-(field, q)
 Frobenius profile, the level-to-level norm-reduction check of the residue
-modules, the direct per-character Stickelberger buckets, and the
-complex-embedding oracle for lcm degrees, and a read-only loader for the
-benchmark's modules.  Test modules import them as `from helpers import ...`."""
+modules, the dense chi-quotient presentation, the direct per-character
+Stickelberger buckets, the complex-embedding oracle for lcm degrees, the
+rational-tower prime count and rank, the two-level rank estimate, and a
+read-only loader for the benchmark's modules.  Test modules import them as
+`from helpers import ...`."""
 
 import cmath
 import importlib.util
@@ -12,12 +14,19 @@ import sys
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
-from tamerank.arith import is_prime, split_prime_part, teichmuller_residue
+from tamerank.arith import is_prime, mul_order, split_prime_part, teichmuller_residue
 from tamerank.characters import FieldSpec
 from tamerank.frobenius import admissible, inertia_trivial, m_index, sigma_p_value
 from tamerank.errors import InvariantViolationError
 from tamerank.localring import local_ring
-from tamerank.residue import _LevelGroup, residue_module
+from tamerank.rank import _validate_s
+from tamerank.residue import (
+    SNF_GUARD_DIGITS,
+    _LevelGroup,
+    _snf_exponent,
+    quotient_growth,
+    residue_module,
+)
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -96,6 +105,90 @@ def norm_reduction_surjective(field: FieldSpec, q: int, n: int) -> bool:
     for c in hi.cosets:
         hit.add(lo_loc[glo.element(c[0], c[1])])
     return len(hit) == lo.num_cosets
+
+
+def dense_chi_quotient_order(module, chi, part=None) -> int:
+    """Oracle for `tamerank.residue.chi_quotient_order`: the same presentation
+    written out densely, r * d columns (coordinate b of coset i is column
+    i * d + b), one r * d block of rows per generator action, one for the
+    +-part if asked, and p^e on every column, reduced as one Smith block."""
+    p = module.field.p
+    e = module.e_exp
+    K = e + SNF_GUARD_DIGITS
+    mod = p ** K
+    ring = local_ring(chi.order, p, K)
+    d = ring.dim
+    r = module.num_cosets
+    ncols = r * d
+    q = module.q
+
+    rows = []
+    for point, table in module.gen_actions:
+        value = chi.value(point)
+        if value is None:
+            raise InvariantViolationError("character evaluation hit a non-unit")
+        Z = ring.root_matrix(value)
+        for i in range(r):
+            j, t = table[i]
+            qt = pow(q, t, mod)
+            for b in range(d):
+                row = [0] * ncols
+                row[j * d + b] = (row[j * d + b] + qt) % mod
+                for c in range(d):
+                    row[i * d + c] = (row[i * d + c] - Z[c][b]) % mod
+                rows.append(row)
+    if part is not None:
+        sign = -1 if part == "plus" else 1 if part == "minus" else None
+        if sign is None:
+            raise ValueError("part must be 'plus', 'minus', or None")
+        # kill the image of (1 -+ J): relations m_i -+ q^t m_{jJ}
+        for i in range(r):
+            j, t = module.j_action[i]
+            qt = pow(q, t, mod)
+            for b in range(d):
+                row = [0] * ncols
+                row[i * d + b] = (row[i * d + b] + 1) % mod
+                row[j * d + b] = (row[j * d + b] + sign * qt) % mod
+                rows.append(row)
+    pe = pow(p, e)
+    for c in range(ncols):
+        row = [0] * ncols
+        row[c] = pe
+        rows.append(row)
+    total = _snf_exponent(rows, ncols, p, K)
+    if total > e * r * d:
+        raise InvariantViolationError("chi-quotient larger than the module")
+    return total
+
+
+def rank_estimate(field: FieldSpec, q: int, chi, n0: int, n1: int) -> int:
+    """Z_p-rank of the chi-quotient of the residue limit module, read off as
+    the growth of chi-quotient orders between two stabilized levels."""
+    if not n1 > n0 >= 0:
+        raise ValueError("need levels n1 > n0 >= 0")
+    return quotient_growth(residue_module(field, q, n0), residue_module(field, q, n1), chi)[2]
+
+
+def rational_prime_count(p: int, q: int, n: int) -> int:
+    """Number of primes above q at level n of the rational tower (the degree
+    p^n layer of the cyclotomic Z_p-extension of Q)."""
+    if q == p:
+        raise ValueError("q must differ from p")
+    pn1 = p ** (n + 1)
+    tw = teichmuller_residue(q, p, n + 1)
+    principal = q * pow(tw, -1, pn1) % pn1
+    return p ** n // mul_order(principal, pn1)
+
+
+def rank_rational(S, p: int) -> int:
+    """Rank over the rational tower: sum p^{m_q} - max p^{m_q} over the
+    q = 1 mod p members of S, and 0 when there are none."""
+    S = _validate_s(S, p)
+    selected = [q for q in S if q % p == 1]
+    if not selected:
+        return 0
+    powers = [p ** m_index(q, p) for q in selected]
+    return sum(powers) - max(powers)
 
 
 def direct_bucket_vectors(chi, n: int, N: int) -> tuple:

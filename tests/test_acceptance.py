@@ -10,7 +10,13 @@ import json
 import random
 import time
 
-from helpers import lcm_degree_oracle, random_prime_sets
+from helpers import (
+    lcm_degree_oracle,
+    random_prime_sets,
+    rank_estimate,
+    rank_rational,
+    rational_prime_count,
+)
 from tamerank.annihilators import AnnihilatorPoly, contains, lcm_degree
 from tamerank.arith import unit_group
 from tamerank.characters import (
@@ -25,12 +31,11 @@ from tamerank.cli import parse_config, run
 from tamerank.frobenius import (
     inertia_trivial,
     m_index,
-    rational_prime_count,
     sigma0_ok,
     stabilization_level,
 )
-from tamerank.rank import LambdaProvider, rank_chi, rank_rational
-from tamerank.residue import chi_quotient_order, rank_estimate, residue_module
+from tamerank.rank import LambdaProvider, rank_chi
+from tamerank.residue import chi_quotient_order, residue_module
 from tamerank.stickelberger import bernoulli_b1, lambda_minus
 
 

@@ -172,6 +172,17 @@ def test_main_exit_codes(tmp_path, capsys):
     assert report["total"] == 6 and report["conjectural"]
 
 
+@pytest.mark.parametrize(
+    "p, f, S",
+    # q = 1 mod f p^2: every character is admissible at q, and the dense
+    # r * d presentation of these modules is out of reach
+    [(7, 13, [2549, 2]), (5, 21, [1051, 2]), (3, 35, [631, 2])],
+)
+def test_run_oracle_larger_fields(p, f, S):
+    report = run(parse_config(json.dumps({"p": p, "f": f, "S": S})), "oracle")
+    assert report["all_pass"]
+
+
 def test_main_oracle_and_out_file(tmp_path, capsys):
     cfg = write_config(tmp_path, {"p": 3, "f": 1, "S": [7]})
     out = tmp_path / "report.json"

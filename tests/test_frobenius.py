@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import FrobeniusProfile
+from helpers import FrobeniusProfile, rational_prime_count
 from tamerank.characters import (
     FieldSpec,
     enumerate_characters,
@@ -12,7 +12,6 @@ from tamerank.errors import PrecisionError
 from tamerank.frobenius import (
     inertia_trivial,
     m_index,
-    rational_prime_count,
     sigma0_ok,
     sigma_p_value,
     splitting_count,

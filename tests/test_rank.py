@@ -1,12 +1,11 @@
 import pytest
 
-from helpers import random_prime_sets
+from helpers import random_prime_sets, rank_rational
 from tamerank.characters import FieldSpec, enumerate_characters, omega, trivial_character
 from tamerank.errors import LambdaUnavailableError
 from tamerank.rank import (
     LambdaProvider,
     rank_chi,
-    rank_rational,
     rank_total,
     s_chi,
 )

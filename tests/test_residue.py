@@ -1,8 +1,16 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import norm_reduction_surjective
+from helpers import (
+    dense_chi_quotient_order,
+    load_benchmark_module,
+    norm_reduction_surjective,
+    rank_estimate,
+)
+from tamerank.arith import is_prime
 from tamerank.characters import (
     FieldSpec,
     class_representatives,
@@ -19,13 +27,13 @@ from tamerank.frobenius import (
 )
 import tamerank.localring as localring
 from tamerank.arith import smallest_primitive_root, split_prime_part, teichmuller_residue
+from tamerank.cli import parse_config
 from tamerank.errors import InvariantViolationError
 from tamerank.localring import cyclotomic_poly, local_ring
 from tamerank.residue import (
     SNF_GUARD_DIGITS,
     _snf_exponent,
     chi_quotient_order,
-    rank_estimate,
     residue_module,
 )
 
@@ -185,6 +193,52 @@ def test_parity_decomposition_larger_field():
             assert plus == 0
         else:
             assert minus == 0
+
+
+# oracle-grid fields whose dense presentations all have at most this many
+# columns also check both parities; the larger ones would take seconds
+PARITY_COLUMNS = 36
+
+
+def test_tree_elimination_matches_dense_on_oracle_grid(monkeypatch):
+    # every chi_quotient_order call of the oracle-grid jobs at seed 0, at the
+    # levels run_oracle uses
+    workloads = load_benchmark_module("workloads", monkeypatch)
+    for _, doc in workloads.generate("oracle-grid", 0):
+        job = parse_config(doc)
+        field = job.field
+        reps = class_representatives(enumerate_characters(field), field.p)
+        cases = []
+        for q in sorted(job.S):
+            s = stabilization_level(field, q)
+            cases += [(residue_module(field, q, n), chi)
+                      for n in job.oracle_levels or (s, s + 1) for chi in reps]
+        parts = [None]
+        if max(m.num_cosets * chi.d_chi for m, chi in cases) <= PARITY_COLUMNS:
+            parts += ["plus", "minus"]
+        for m, chi in cases:
+            for part in parts:
+                assert chi_quotient_order(m, chi, part) == dense_chi_quotient_order(m, chi, part), (
+                    doc, m.q, m.level, chi.label(), part)
+
+
+@st.composite
+def _small_modules(draw):
+    p = draw(st.sampled_from([3, 5]))
+    f = draw(st.integers(min_value=1, max_value=12).filter(lambda f: math.gcd(f, p) == 1))
+    q = draw(st.sampled_from([q for q in range(2, 100) if is_prime(q) and q != p]))
+    n = draw(st.integers(min_value=0, max_value=2))
+    field = FieldSpec(p, f)
+    chi = draw(st.sampled_from(class_representatives(enumerate_characters(field), p)))
+    return residue_module(field, q, n), chi, draw(st.sampled_from([None, "plus", "minus"]))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_small_modules())
+def test_tree_elimination_matches_dense(case):
+    m, chi, part = case
+    assume(m.num_cosets * chi.d_chi <= 40)
+    assert chi_quotient_order(m, chi, part) == dense_chi_quotient_order(m, chi, part)
 
 
 def test_norm_reduction_surjective():
