@@ -4,12 +4,10 @@ oracle and a Stickelberger lambda provider for the minus side."""
 
 from .annihilators import AnnihilatorPoly, annihilator, contains, lcm_degree
 from .arith import (
-    PadicNumber,
     UnitGroupStructure,
     mul_order,
     padic_log,
     split_prime_part,
-    teichmuller_lift,
     unit_group,
     v_p,
 )

@@ -33,13 +33,6 @@ class AnnihilatorPoly:
     def degree(self) -> int:
         return self.p ** self.m
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "zeta_order": self.zeta.order,
-            "zeta_exponent": self.zeta.exponent_for(self.zeta.order),
-        }
-
 
 def annihilator(chi: DirichletCharacter, q: int) -> Optional[AnnihilatorPoly]:
     """The annihilator of the chi-quotient of the residue limit module at q,

@@ -1,19 +1,17 @@
-"""Exact modular and fixed-precision p-adic arithmetic.
+"""Exact modular and p-adic arithmetic on plain integers.
 
-Everything works with plain integers; a p-adic number is a residue mod p^N
-together with its precision N.  Precision loss (division by p) is tracked
-explicitly and surfaces as PrecisionError instead of silently rounding.
-p denotes an odd prime throughout.
+A p-adic number is an integer residue mod p^N, and the caller holds N: it
+picks N for the digits it needs, and divides by p only where the division
+is exact, checking that itself.  p denotes an odd prime throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import InvariantViolationError, PrecisionError
+from .errors import InvariantViolationError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -256,15 +254,6 @@ class UnitGroupStructure:
                     d *= max(8, 4 * order3)
         return d
 
-    def exp(self, exponents) -> int:
-        M = self.modulus
-        if M == 1:
-            return 0
-        x = 1
-        for g, e in zip(self.generators, exponents):
-            x = x * pow(g, int(e), M) % M
-        return x
-
     def __repr__(self):
         return f"UnitGroupStructure({self.modulus}, orders={self.orders})"
 
@@ -304,86 +293,6 @@ def unit_group(M: int) -> UnitGroupStructure:
     return ug
 
 
-@dataclass(frozen=True)
-class PadicNumber:
-    """Residue mod p^precision with explicit precision tracking.
-
-    residue == 0 means "zero at this precision"; the valuation is then
-    reported as the precision itself.
-    """
-
-    p: int
-    precision: int
-    residue: int
-
-    def __post_init__(self):
-        if self.precision < 1:
-            raise ValueError("precision must be positive")
-        object.__setattr__(self, "residue", self.residue % self.p ** self.precision)
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.precision
-
-    @property
-    def valuation(self) -> int:
-        if self.residue == 0:
-            return self.precision
-        return split_prime_part(self.residue, self.p)[0]
-
-    @property
-    def is_unit(self) -> bool:
-        return self.residue % self.p != 0
-
-    def unit_part(self) -> "PadicNumber":
-        """Divide out p^valuation; the result has that much less precision."""
-        v = self.valuation
-        if v >= self.precision:
-            raise PrecisionError("no unit part visible at this precision")
-        return PadicNumber(self.p, self.precision - v, self.residue // self.p ** v)
-
-    def _align(self, other: "PadicNumber") -> int:
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-        return min(self.precision, other.precision)
-
-    def __add__(self, other):
-        N = self._align(other)
-        return PadicNumber(self.p, N, self.residue + other.residue)
-
-    def __sub__(self, other):
-        N = self._align(other)
-        return PadicNumber(self.p, N, self.residue - other.residue)
-
-    def __mul__(self, other):
-        N = self._align(other)
-        return PadicNumber(self.p, N, self.residue * other.residue)
-
-    def invert(self) -> "PadicNumber":
-        if not self.is_unit:
-            raise ValueError("cannot invert a non-unit")
-        return PadicNumber(self.p, self.precision, pow(self.residue, -1, self.modulus))
-
-    def divide(self, other: "PadicNumber") -> "PadicNumber":
-        """Exact division; requires v(self) >= v(other) < precision."""
-        N = self._align(other)
-        w = other.valuation
-        if w >= other.precision:
-            raise PrecisionError("division by zero at this precision")
-        if w >= N:
-            raise PrecisionError("divisor valuation consumes the shared precision")
-        if self.valuation < w:
-            raise ValueError("quotient is not p-integral")
-        Nq = N - w
-        pw = self.p ** w
-        num = (self.residue % self.p ** N) // pw
-        den = (other.residue % self.p ** N) // pw
-        return PadicNumber(self.p, Nq, num * pow(den, -1, self.p ** Nq))
-
-    def __repr__(self):
-        return f"{self.residue} + O({self.p}^{self.precision})"
-
-
 def teichmuller_residue(a: int, p: int, N: int) -> int:
     """Integer representative of the Teichmueller lift of a mod p^N."""
     _check_odd_prime(p)
@@ -399,28 +308,20 @@ def teichmuller_residue(a: int, p: int, N: int) -> int:
     raise InvariantViolationError("Teichmuller iteration failed to converge")
 
 
-def teichmuller_lift(a: int, p: int, N: int) -> PadicNumber:
-    """The unique x mod p^N with x = a mod p and x^(p-1) = 1 mod p^N."""
-    return PadicNumber(p, N, teichmuller_residue(a, p, N))
+def padic_log(u: int, p: int, N: int) -> int:
+    """Logarithm of the principal unit u (u = 1 mod p), as a residue mod p^N.
 
-
-def padic_log(u: PadicNumber, precision: Optional[int] = None) -> PadicNumber:
-    """Logarithm of a principal unit u, correct mod p^precision.
-
-    The alternating series for log(1+x) is summed at a working precision
-    with enough guard digits to absorb every division by k.
+    Only u mod p^N matters.  The alternating series for log(1+x) is summed
+    at a working precision with enough guard digits to absorb every
+    division by k.
     """
-    p = u.p
-    N = u.precision if precision is None else precision
-    if N > u.precision:
-        raise PrecisionError("argument carries fewer digits than requested")
-    if u.residue % p != 1:
+    if u % p != 1:
         raise ValueError("padic_log needs u = 1 mod p")
     W = N + _ilog(max(N, 1), p) + 2
     slack = _ilog(2 * W + 2, p) + 1
     big = p ** (W + slack)
     modW = p ** W
-    x = (u.residue - 1) % u.modulus
+    x = (u - 1) % p ** N
     acc = 0
     xk = 1
     for k in range(1, W + slack + 2):
@@ -428,4 +329,4 @@ def padic_log(u: PadicNumber, precision: Optional[int] = None) -> PadicNumber:
         vk, kk = split_prime_part(k, p)
         term = (xk // p ** vk) * pow(kk, -1, modW) % modW
         acc = (acc - term if k % 2 == 0 else acc + term) % modW
-    return PadicNumber(p, N, acc)
+    return acc % p ** N

@@ -69,9 +69,6 @@ class RootOfUnity:
         # CRT split of the exponent: kill the prime-to-p component
         return self ** (n * pow(n, -1, p ** a))
 
-    def prime_to_p_part(self, p: int) -> "RootOfUnity":
-        return self * self.p_power_part(p).inverse()
-
     def order_is_p_power(self, p: int) -> bool:
         return split_prime_part(self.order, p)[1] == 1
 
@@ -288,13 +285,6 @@ class FieldSpec:
 
     def tame_degree(self) -> int:
         return euler_phi(self.f) // len(self.subgroup_elements)
-
-    def is_ramified(self, q: int) -> bool:
-        """Whether q ramifies in K, i.e. survives the H-quotient of the
-        q-part of the conductor."""
-        if q == self.p:
-            return True
-        return self.tame_quotient(q).tame_degree() < self.tame_degree()
 
 
 def enumerate_characters(field: FieldSpec) -> list:

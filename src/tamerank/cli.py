@@ -109,15 +109,14 @@ def parse_config(text: str) -> JobConfig:
         raise ConfigError(["top-level document must be an object"])
 
     p = raw.get("p")
-    p_given = p if _is_int(p) else None
-    if not _is_int(p) or p == 2 or not is_prime(p):
+    p_ok = _is_int(p) and p != 2 and is_prime(p)
+    if not p_ok:
         violations.append("p must be an odd prime")
-        p = 3  # placeholder so later checks can continue
     f = raw.get("f", 1)
     if not _is_int(f) or f < 1:
         violations.append("f must be a positive integer")
         f = 1
-    if math.gcd(f, p) != 1:
+    if p_ok and math.gcd(f, p) != 1:
         violations.append("f must be prime to p")
         f = 1
     subgroup = raw.get("H", [])
@@ -138,7 +137,7 @@ def parse_config(text: str) -> JobConfig:
         for q in S:
             if not is_prime(q):
                 violations.append(f"S entry {q} is not prime")
-        if (p_given if p_given is not None else p) in S:
+        if p_ok and p in S:
             violations.append("S must not contain p")
     lam = raw.get("lambda", {"mode": "table", "table": {}})
     mode = "table"

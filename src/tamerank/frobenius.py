@@ -11,20 +11,11 @@ can be read off character values at q.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .arith import (
-    PadicNumber,
-    euler_phi,
-    is_prime,
-    mul_order,
-    padic_log,
-    split_prime_part,
-    teichmuller_residue,
-    v_p,
-)
+from .arith import euler_phi, is_prime, mul_order, padic_log, split_prime_part, v_p
 from .characters import DirichletCharacter, FieldSpec, RootOfUnity, omega
-from .errors import InvariantViolationError, PrecisionError
+from .errors import InvariantViolationError
 
 
 def m_index(q: int, p: int) -> int:
@@ -64,44 +55,38 @@ def admissible(chi: DirichletCharacter, q: int) -> bool:
     return inertia_trivial(chi, q) and sigma0_ok(chi, q)
 
 
-def sigma_p_value(chi: DirichletCharacter, q: int, precision: Optional[int] = None) -> RootOfUnity:
+def sigma_p_value(chi: DirichletCharacter, q: int) -> RootOfUnity:
     """chi^{-1}(sigma_p) for the p-Sylow component sigma_p of the generator
     gamma^{p^m} sigma_p of the p-part of the decomposition group.
 
     The p-power-order part z_p of chi^{-1}(q) equals chi^{-1} of the p-part
     of the Frobenius class; sigma_p is that p-part raised to u^{-1}, where
-    u is the unit x_q / p^{m_q}.
+    u is the unit x_q / p^{m_q}.  As log omega(q) = 0, x_q equals
+    log(q^{p-1}) / ((p-1) log(1+p)); with z_p of order p^a, u mod p^a needs
+    x_q mod p^{m_q+a+1}, so both logs are taken mod p^{m_q+a+2}.
     """
     p = chi.p
     if not inertia_trivial(chi, q):
         raise ValueError("chi is ramified at q")
-    z = chi.value(q).inverse()
-    zp = z.p_power_part(p)
+    zp = chi.value(q).inverse().p_power_part(p)
     if zp.is_one:
         return zp
     a = split_prime_part(zp.order, p)[0]
     m = m_index(q, p)
-    needed = m + a + 2
-    if precision is not None and precision < needed:
-        raise PrecisionError(
-            f"sigma_p_value needs precision >= {needed}, got {precision}"
-        )
-    W = max(precision or 0, m + a + 8)
-    modW = p ** W
-    tw = teichmuller_residue(q, p, W)
-    principal = q * pow(tw, -1, modW) % modW
-    log_q = padic_log(PadicNumber(p, W, principal))
-    log_k0 = padic_log(PadicNumber(p, W, 1 + p))
-    x_q = log_q.divide(log_k0)
-    if x_q.valuation != m:
-        raise InvariantViolationError(
-            f"Gamma-component valuation {x_q.valuation} != m_q = {m}"
-        )
-    u = x_q.unit_part()
-    if u.precision < a:
-        raise PrecisionError("not enough digits to determine the unit u mod p^a")
-    u_inv = pow(u.residue % p ** a, -1, p ** a)
-    return zp ** u_inv
+    W = m + a + 2
+    log_q = padic_log(pow(q, p - 1, p ** W), p, W)
+    log_k0 = padic_log(1 + p, p, W)
+    if log_q % p or log_k0 % p:
+        raise InvariantViolationError("log of a principal unit is not divisible by p")
+    den = (p - 1) * (log_k0 // p)
+    if den % p == 0:
+        raise InvariantViolationError("(p-1) log(1+p) / p is not a unit")
+    mod = p ** (W - 1)
+    x_q = log_q // p * pow(den, -1, mod) % mod
+    pm = p ** m
+    if x_q % pm or x_q // pm % p == 0:
+        raise InvariantViolationError(f"Gamma-component valuation != m_q = {m}")
+    return zp ** pow(x_q // pm, -1, p ** a)
 
 
 class SplittingData(NamedTuple):

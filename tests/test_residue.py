@@ -47,11 +47,16 @@ def test_module_shapes():
     assert m3.num_cosets == 2 and m3.e_exp == 1
 
 
+def total_exponent(module) -> int:
+    """log_p of the order of the module (Z/p^{e_n})^{r_n}."""
+    return module.e_exp * module.num_cosets
+
+
 def test_total_exponent():
     for field, q, n in [(FieldSpec(3, 1), 7, 1), (FieldSpec(5, 7), 13, 1)]:
         m = residue_module(field, q, n)
         data = splitting_count(field, q, n)
-        assert m.total_exponent == data.p_exponent * data.prime_count
+        assert total_exponent(m) == data.p_exponent * data.prime_count
 
 
 def test_snf_of_zero_module():
@@ -108,7 +113,7 @@ def test_chi_quotient_examples():
     assert chi_quotient_order(m, eps) == 2
     assert chi_quotient_order(m, w) == 2
     # p does not divide |G| here, so the class pieces exhaust the module
-    assert chi_quotient_order(m, eps) + chi_quotient_order(m, w) == m.total_exponent
+    assert chi_quotient_order(m, eps) + chi_quotient_order(m, w) == total_exponent(m)
 
 
 def test_rank_estimate_examples():
