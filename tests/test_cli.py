@@ -358,3 +358,40 @@ def test_main_returns_a_documented_code(command, doc):
             json.dump(doc, fh)
         code = main([command, "--config", config, "--out", os.path.join(tmp, "report.json")])
     assert code in DOCUMENTED_EXITS
+
+
+# --assume-greenberg adds the Greenberg half to a job's lambda mode
+WITH_GREENBERG = {
+    "table": "greenberg-even",
+    "greenberg-even": "greenberg-even",
+    "stickelberger-odd": "auto",
+    "auto": "auto",
+}
+
+
+def rank_outcome(tmp_path, doc, flags, name):
+    out = tmp_path / f"{name}.report.json"
+    code = main(["rank", "--config", write_config(tmp_path, doc, f"{name}.json"), "--out", str(out)] + flags)
+    return code, out.read_bytes() if out.exists() else None
+
+
+# the first table leaves the odd omega^3 to Stickelberger, the second covers
+# every odd character, so the flag is all that stands between it and a report
+@pytest.mark.parametrize("table", [{"omega^1": 0}, {"omega^1": 0, "omega^3": 0}])
+@pytest.mark.parametrize("mode", sorted(WITH_GREENBERG))
+def test_assume_greenberg_equals_the_greenberg_mode(tmp_path, capsys, mode, table):
+    doc = {**EXAMPLE_6_5, "lambda": {"mode": mode, "table": table}}
+    flagged = rank_outcome(tmp_path, doc, ["--assume-greenberg"], "flagged")
+    doc["lambda"] = {"mode": WITH_GREENBERG[mode], "table": table}
+    assert flagged == rank_outcome(tmp_path, doc, [], "moded")
+    capsys.readouterr()
+
+
+def test_lambda_table_file_overrides_the_config_entry(tmp_path):
+    doc = {**EXAMPLE_6_5, "lambda": {"mode": "table", "table": {"all": 0, "omega^3": 0}}}
+    tbl = write_config(tmp_path, {"omega^3": 2}, "table.json")
+    code, text = rank_outcome(tmp_path, doc, ["--lambda-table", tbl], "override")
+    records = {r["character"]: r for r in json.loads(text)["records"]}
+    assert code == EXIT_OK
+    assert records["omega^3"]["lambda"] == {"value": 2, "provenance": "input-table", "conjectural": False}
+    assert records["omega^1"]["lambda"]["value"] == 0

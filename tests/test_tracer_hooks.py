@@ -1,0 +1,49 @@
+"""The benchmark tracer's hooks run against the package: they read a series'
+`precision` and its positional (chi, n), a module's `num_cosets` and its
+`gen_actions`.  `install` rebinds attributes for the whole process, so the
+traced jobs run in a child interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from helpers import BENCHMARKS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# loads tracer.py without writing bytecode beside it (-B), installs it, runs
+# the jobs given as JSON and prints the per-layer metrics
+TRACED_RUN = """
+import importlib.util, json, sys
+from tamerank import cli
+spec = importlib.util.spec_from_file_location("benchmark_tracer", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+for command, doc in json.loads(sys.argv[2]):
+    cli.run(cli.parse_config(json.dumps(doc)), command)
+print(json.dumps({name: value for name, (value, unit) in tracer.metrics({}, {}, 0).items()}))
+"""
+
+JOBS = [
+    ("rank", {"p": 5, "S": [7, 11], "lambda": {"mode": "auto", "table": {"omega^1": 0}}}),
+    ("lambda", {"p": 7}),
+    ("oracle", {"p": 3, "S": [7]}),
+]
+
+
+def test_tracer_hooks_count_a_small_batch():
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", TRACED_RUN, str(BENCHMARKS / "tracer.py"), json.dumps(JOBS)],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout)
+    assert metrics["stickelberger.series.calls"] > 0
+    assert metrics["stickelberger.residues_scanned"] > 0
+    assert metrics["stickelberger.precision_retries"] == 0
+    assert metrics["residue.cosets"] > 0
+    assert metrics["residue.smith_cells"] > 0
