@@ -272,11 +272,7 @@ class FieldSpec:
 
     @cached_property
     def group_order(self) -> int:
-        phi_f = euler_phi(self.f)
-        hsize = len(self.subgroup_elements)
-        if phi_f % hsize:
-            raise InvariantViolationError("H size does not divide phi(f)")
-        return phi_f // hsize * (self.p - 1)
+        return self.tame_degree() * (self.p - 1)
 
     def tame_quotient(self, q: int) -> "FieldSpec":
         """The field with the q-part of the tame conductor (inertia) removed."""
@@ -284,7 +280,11 @@ class FieldSpec:
         return FieldSpec(self.p, fq, tuple(h % fq for h in self.subgroup))
 
     def tame_degree(self) -> int:
-        return euler_phi(self.f) // len(self.subgroup_elements)
+        phi_f = euler_phi(self.f)
+        hsize = len(self.subgroup_elements)
+        if phi_f % hsize:
+            raise InvariantViolationError("H size does not divide phi(f)")
+        return phi_f // hsize
 
 
 def enumerate_characters(field: FieldSpec) -> list:

@@ -5,12 +5,14 @@ Exit codes:
   0  ok
   2  invalid configuration: the job document, --levels, --lambda-table, a
      lambda table label that names no character class of the field, an
-     oracle level n0 below the stabilization level of a prime in S, or an
+     oracle level n0 below the stabilization level of a prime in S, an
+     oracle prime q in S with no stabilization level below 16, or an
      unwritable --out
   3  lambda unavailable for a required character
   4  oracle inconsistency: the brute-force module contradicts the theory,
      or an oracle row disagrees with the rank formula
-  5  precision exhausted: a p-adic quantity needs more digits than allowed
+  5  level bound reached: a Stickelberger lambda is not stable at two
+     consecutive levels up to MAX_LEVEL
   6  internal invariant violated (a bug, never a user error)
 """
 
@@ -41,7 +43,7 @@ from .errors import (
 from .frobenius import admissible, m_index, stabilization_level
 from .rank import LambdaProvider, rank_total
 from .residue import quotient_growth, residue_module
-from .stickelberger import DEFAULT_PRECISION, lambda_minus
+from .stickelberger import lambda_minus
 
 SCHEMA_VERSION = "1"
 
@@ -62,14 +64,16 @@ _LAMBDA_MODES = {
 
 @dataclass
 class JobConfig:
+    """A validated job; main() applies the command-line flags to it."""
+
     p: int
     f: int = 1
     subgroup: tuple = ()
     S: tuple = ()
-    lambda_mode: str = "table"
     lambda_table: dict = dataclass_field(default_factory=dict)
+    allow_greenberg: bool = False
+    allow_stickelberger: bool = False
     oracle_levels: Optional[tuple] = None
-    precision: Optional[int] = None
 
     @property
     def field(self) -> FieldSpec:
@@ -159,35 +163,19 @@ def parse_config(text: str) -> JobConfig:
     if levels is not None and not _valid_levels(levels):
         violations.append(_LEVELS_RULE)
         levels = None
-    precision = raw.get("precision")
-    if precision is not None and (not _is_int(precision) or precision < 1):
-        violations.append("precision must be a positive integer")
-        precision = None
 
     if violations:
         raise ConfigError(violations)
+    greenberg, stickelberger = _LAMBDA_MODES[mode]
     return JobConfig(
         p=p,
         f=f,
         subgroup=tuple(subgroup),
         S=tuple(S),
-        lambda_mode=mode,
         lambda_table=dict(table),
-        oracle_levels=tuple(levels) if levels else None,
-        precision=precision,
-    )
-
-
-def _provider(job: JobConfig, assume_greenberg: bool = False, extra_table: Optional[dict] = None) -> LambdaProvider:
-    greenberg, stickelberger = _LAMBDA_MODES[job.lambda_mode]
-    table = dict(job.lambda_table)
-    if extra_table:
-        table.update(extra_table)
-    return LambdaProvider(
-        table=table,
-        allow_greenberg=greenberg or assume_greenberg,
+        allow_greenberg=greenberg,
         allow_stickelberger=stickelberger,
-        stickelberger_precision=job.precision or DEFAULT_PRECISION,
+        oracle_levels=tuple(levels) if levels else None,
     )
 
 
@@ -215,8 +203,8 @@ def validate_rank_report(report: dict) -> None:
         raise InvariantViolationError("report total differs from the record sum")
 
 
-def run_rank(job: JobConfig, assume_greenberg: bool = False, extra_table: Optional[dict] = None) -> dict:
-    provider = _provider(job, assume_greenberg, extra_table)
+def run_rank(job: JobConfig) -> dict:
+    provider = LambdaProvider(job.lambda_table, job.allow_greenberg, job.allow_stickelberger)
     result = rank_total(job.field, list(job.S), provider)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -231,11 +219,11 @@ def run_rank(job: JobConfig, assume_greenberg: bool = False, extra_table: Option
     return report
 
 
-def run_oracle(job: JobConfig, levels: Optional[tuple] = None) -> dict:
+def run_oracle(job: JobConfig) -> dict:
     field = job.field
     chars = enumerate_characters(field)
     reps = class_representatives(chars, field.p)
-    given = levels or job.oracle_levels
+    given = job.oracle_levels
     # below its stabilization level a prime still splits between levels, and
     # chi-quotient growth there does not measure the rank
     stable = {q: stabilization_level(field, q) for q in sorted(job.S)}
@@ -285,7 +273,7 @@ def run_lambda(job: JobConfig) -> dict:
     for chi in reps:
         if not chi.is_odd or chi == om:
             continue
-        res = lambda_minus(chi, precision=job.precision or DEFAULT_PRECISION)
+        res = lambda_minus(chi)
         rows.append(
             {
                 "character": chi.label(),
@@ -317,13 +305,13 @@ def run_chars(job: JobConfig) -> dict:
     }
 
 
-def run(job: JobConfig, command: str, **kwargs) -> dict:
+def run(job: JobConfig, command: str) -> dict:
     """Dispatch a validated job; raises the typed errors mapped to exit codes
     by main()."""
     if command == "rank":
-        return run_rank(job, **kwargs)
+        return run_rank(job)
     if command == "oracle":
-        return run_oracle(job, **kwargs)
+        return run_oracle(job)
     if command == "lambda":
         return run_lambda(job)
     if command == "chars":
@@ -402,14 +390,13 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         job = parse_config(_read(args.config, "config"))
-        kwargs = {}
         if args.command == "rank":
-            kwargs["assume_greenberg"] = args.assume_greenberg
+            job.allow_greenberg |= args.assume_greenberg
             if args.lambda_table:
-                kwargs["extra_table"] = _parse_table(_read(args.lambda_table, "lambda table"))
+                job.lambda_table.update(_parse_table(_read(args.lambda_table, "lambda table")))
         if args.command == "oracle" and args.levels:
-            kwargs["levels"] = _parse_levels(args.levels)
-        report = run(job, args.command, **kwargs)
+            job.oracle_levels = _parse_levels(args.levels)
+        report = run(job, args.command)
         _emit(report, args.out)
     except ConfigError as exc:
         for v in exc.violations:
@@ -422,7 +409,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"oracle inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except PrecisionError as exc:
-        print(f"precision exhausted: {exc}", file=sys.stderr)
+        print(f"level bound reached: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except InvariantViolationError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

@@ -14,7 +14,9 @@ class ConfigError(TameRankError):
 
 
 class PrecisionError(TameRankError):
-    """A p-adic quantity was requested below the precision it needs."""
+    """A computation reached its fixed bound: no two consecutive levels up to
+    MAX_LEVEL agree on a Stickelberger lambda, or B_{1,chi} vanishes to its
+    working precision."""
 
 
 class LambdaUnavailableError(TameRankError):

@@ -15,7 +15,9 @@ from typing import NamedTuple
 
 from .arith import euler_phi, is_prime, mul_order, padic_log, split_prime_part, v_p
 from .characters import DirichletCharacter, FieldSpec, RootOfUnity, omega
-from .errors import InvariantViolationError
+from .errors import ConfigError, InvariantViolationError
+
+STABILIZATION_BOUND = 16  # stabilization levels are searched below this
 
 
 def m_index(q: int, p: int) -> int:
@@ -138,11 +140,15 @@ def splitting_count(field: FieldSpec, q: int, n: int) -> SplittingData:
 
 def stabilization_level(field: FieldSpec, q: int) -> int:
     """Smallest n at which the residue degree starts growing by a factor of
-    p each level; beyond it primes stay inert level-to-level."""
+    p each level; beyond it primes stay inert level-to-level.  It is at
+    least m_q, and a q with none below STABILIZATION_BOUND is a ConfigError."""
     prev = splitting_count(field, q, 0).residue_degree
-    for n in range(0, 16):
+    for n in range(STABILIZATION_BOUND):
         nxt = splitting_count(field, q, n + 1).residue_degree
         if nxt == field.p * prev:
             return n
         prev = nxt
-    raise InvariantViolationError("no stabilization level below 16")
+    raise ConfigError([
+        f"q = {q} (m_q = {m_index(q, field.p)}) has no stabilization level "
+        f"below {STABILIZATION_BOUND}"
+    ])

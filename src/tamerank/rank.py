@@ -29,7 +29,7 @@ from .characters import (
 )
 from .errors import ConfigError, InvariantViolationError, LambdaUnavailableError
 from .frobenius import admissible, m_index
-from .stickelberger import DEFAULT_PRECISION, lambda_minus
+from .stickelberger import lambda_minus
 
 PROVENANCE_TABLE = "input-table"
 PROVENANCE_GREENBERG = "conjectural-greenberg"
@@ -63,7 +63,6 @@ class LambdaProvider:
     table: Dict[str, int] = dataclass_field(default_factory=dict)
     allow_greenberg: bool = False
     allow_stickelberger: bool = False
-    stickelberger_precision: int = DEFAULT_PRECISION
 
     def resolve(self, chi: DirichletCharacter) -> LambdaValue:
         if chi.is_trivial:
@@ -74,7 +73,7 @@ class LambdaProvider:
         if "all" in self.table:
             return LambdaValue(int(self.table["all"]), PROVENANCE_TABLE, False)
         if self.allow_stickelberger and chi.is_odd and chi != omega(chi.p):
-            res = lambda_minus(chi, precision=self.stickelberger_precision)
+            res = lambda_minus(chi)
             return LambdaValue(chi.d_chi * res.lambda_, PROVENANCE_STICKELBERGER, False)
         if self.allow_greenberg and not chi.is_odd:
             return LambdaValue(0, PROVENANCE_GREENBERG, True)

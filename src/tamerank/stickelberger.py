@@ -7,8 +7,8 @@ The level-n series of an odd character chi (never omega itself) is
 over residues a prime to M_n = f' p^{n+1}, where f' is the prime-to-p part
 of the conductor and c_n(a) is the discrete log, base 1+p, of the principal
 unit a * omega(a)^{-1} mod p^{n+1}.  Coefficients live in O_chi, handled as
-coordinate vectors mod p^N; their integrality (the division by p^{n+1} must
-be exact) is asserted, never assumed.
+coordinate vectors mod p^N with N = DEFAULT_PRECISION; their integrality (the
+division by p^{n+1} must be exact) is asserted, never assumed.
 
 The residue side does not depend on chi: the Stickelberger elements form a
 distribution (Washington, Cyclotomic Fields, ch. 7).  So every unit a mod
@@ -45,14 +45,8 @@ from .characters import DirichletCharacter, omega
 from .errors import InvariantViolationError, PrecisionError
 from .localring import _pdivmod_exact, cyclotomic_poly, local_ring
 
-DEFAULT_PRECISION = 8
-
-
-def _require_odd_not_omega(chi: DirichletCharacter) -> None:
-    if not chi.is_odd:
-        raise ValueError("the series is defined for odd characters only")
-    if chi == omega(chi.p):
-        raise ValueError("omega is excluded; its lambda needs a table entry")
+DEFAULT_PRECISION = 8  # digits of every series coefficient
+MAX_LEVEL = 4  # the highest level lambda_minus builds
 
 
 class ResidueTable(NamedTuple):
@@ -105,18 +99,18 @@ class _TableCache:
 _TABLES = _TableCache()
 
 
-def _bucket_vectors(chi: DirichletCharacter, n: int, N: int) -> Tuple[list, object]:
+def _bucket_vectors(chi: DirichletCharacter, n: int) -> Tuple[list, object]:
     """Coefficients on the (1+T)^j basis, j in Z/p^n, as ring vectors mod p^N."""
     p, m, cond = chi.p, chi.order, chi.conductor
     fprime = split_prime_part(cond, p)[1]
     table = _TABLES.get(fprime, p, n)
     pn1 = p ** (n + 1)
-    modN = p ** N
+    modN = p ** DEFAULT_PRECISION
 
     # column i holds coordinate i of chi^{-1}(r) over the table's units r;
     # sum_a a chi^{-1}(a) over row j is sum_r (2a - M) chi^{-1}(r), and it is
     # divided by -M, exactly at p
-    ring = local_ring(m, p, N + n + 3)
+    ring = local_ring(m, p, DEFAULT_PRECISION + n + 3)
     modw = ring.mod
     inv_f = pow(fprime, -1, modw)
     chi_exp = chi.value_exponents()
@@ -134,7 +128,7 @@ def _bucket_vectors(chi: DirichletCharacter, n: int, N: int) -> Tuple[list, obje
                 )
             out.append(w // pn1 % modN)
         vectors.append(out)
-    return vectors, local_ring(m, p, N)
+    return vectors, local_ring(m, p, DEFAULT_PRECISION)
 
 
 @dataclass
@@ -176,17 +170,16 @@ class StickelbergerSeries:
         return [[sum(col) % modN for col in zip(*rows[r::size])] for r in range(size)]
 
 
-def stickelberger_series(
-    chi: DirichletCharacter, n: int, N: int = DEFAULT_PRECISION
-) -> StickelbergerSeries:
+def stickelberger_series(chi: DirichletCharacter, n: int) -> StickelbergerSeries:
     """Level-n Stickelberger series of the odd character chi != omega."""
-    _require_odd_not_omega(chi)
+    if not chi.is_odd:
+        raise ValueError("the series is defined for odd characters only")
+    if chi == omega(chi.p):
+        raise ValueError("omega is excluded; its lambda needs a table entry")
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if N < 1:
-        raise ValueError("precision must be positive")
-    vectors, ring = _bucket_vectors(chi, n, N)
-    return StickelbergerSeries(chi, n, N, vectors, ring)
+    vectors, ring = _bucket_vectors(chi, n)
+    return StickelbergerSeries(chi, n, DEFAULT_PRECISION, vectors, ring)
 
 
 @dataclass(frozen=True)
@@ -196,46 +189,39 @@ class LambdaResult:
     levels_used: Tuple[int, int]
 
 
-def lambda_minus(
-    chi: DirichletCharacter,
-    precision: int = DEFAULT_PRECISION,
-    start_level: int = 1,
-    max_level: int = 4,
-) -> LambdaResult:
+def lambda_minus(chi: DirichletCharacter) -> LambdaResult:
     """lambda of the minus-side characteristic series for odd chi != omega.
 
-    Verifies mu = 0 and stability across two consecutive levels n, n+1 with
-    p^n > lambda; doubles the precision once before giving up.
+    The index of the first unit coefficient, read at levels n and n+1 for
+    n = 1, 2, ... until both agree and p^n > lambda; units are read mod p.
+    A level n+1 series that does not fold exactly onto level n, or mu > 0,
+    raises InvariantViolationError; no agreement up to MAX_LEVEL raises
+    PrecisionError.
     """
-    _require_odd_not_omega(chi)
-    p = chi.p
-    N = precision
-    for attempt in range(2):
-        n = start_level
-        low = stickelberger_series(chi, n, N)
-        while n < max_level:
-            high = stickelberger_series(chi, n + 1, N)
-            if high.folded_buckets(n) != low.bucket_coefficients:
-                break  # instability: retry with more digits
-            lam_low = low.first_unit_index()
-            if lam_low is None:
-                raise InvariantViolationError(
-                    "mu > 0 detected; this contradicts Ferrero-Washington "
-                    "and signals a bug"
-                )
-            lam_high = None
-            for i in range(lam_low + 1):
-                if high.is_unit_coefficient(i):
-                    lam_high = i
-                    break
-            if lam_high == lam_low and p ** n > lam_low:
-                return LambdaResult(lam_low, True, (n, n + 1))
-            n += 1
-            low = high
-        N *= 2
+    low = stickelberger_series(chi, 1)
+    for n in range(1, MAX_LEVEL):
+        high = stickelberger_series(chi, n + 1)
+        if high.folded_buckets(n) != low.bucket_coefficients:
+            raise InvariantViolationError(
+                f"the level {n + 1} series of {chi.label()} does not fold onto level {n}"
+            )
+        lam_low = low.first_unit_index()
+        if lam_low is None:
+            raise InvariantViolationError(
+                "mu > 0 detected; this contradicts Ferrero-Washington "
+                "and signals a bug"
+            )
+        lam_high = None
+        for i in range(lam_low + 1):
+            if high.is_unit_coefficient(i):
+                lam_high = i
+                break
+        if lam_high == lam_low and chi.p ** n > lam_low:
+            return LambdaResult(lam_low, True, (n, n + 1))
+        low = high
     raise PrecisionError(
-        f"lambda for {chi.label()} unstable up to level {max_level} at "
-        f"precision {N // 2}; retry with a larger precision or level"
+        f"lambda for {chi.label()} is not stable at two consecutive levels "
+        f"up to MAX_LEVEL = {MAX_LEVEL}"
     )
 
 
@@ -281,7 +267,11 @@ class BernoulliB1:
 
 
 def bernoulli_b1(chi: DirichletCharacter) -> BernoulliB1:
-    """B_{1,chi} = (1/f) sum_{a=1}^{f} a chi(a), exactly."""
+    """B_{1,chi} = (1/f) sum_{a=1}^{f} a chi(a), exactly.
+
+    The independent check of lambda_minus: for odd chi != omega, lambda >= 1
+    exactly when p divides B_{1,chi^{-1}}.  It builds no series: it sums
+    over one period of chi."""
     if not chi.is_odd:
         raise ValueError("B_{1,chi} vanishes for even chi; rejected")
     f = chi.conductor

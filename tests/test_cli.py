@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import tamerank.cli
 import tamerank.rank
+import tamerank.stickelberger
 from tamerank.cli import (
     EXIT_CONFIG,
     EXIT_INCONSISTENT,
@@ -27,6 +28,7 @@ from tamerank.errors import (
     LambdaUnavailableError,
     PrecisionError,
 )
+from tamerank.stickelberger import StickelbergerSeries
 
 EXAMPLE_6_5 = {
     "p": 5,
@@ -298,7 +300,7 @@ def test_main_maps_internal_errors(tmp_path, capsys, monkeypatch):
     assert main(["rank", "--config", cfg]) == EXIT_INVARIANT
     assert "tame contribution went negative" in capsys.readouterr().err
 
-    def short(chi, precision):
+    def short(chi):
         raise PrecisionError("unstable")
 
     monkeypatch.setattr(tamerank.cli, "lambda_minus", short)
@@ -369,29 +371,76 @@ WITH_GREENBERG = {
 }
 
 
-def rank_outcome(tmp_path, doc, flags, name):
+def outcome(tmp_path, command, doc, flags, name):
+    """Exit code and report bytes of one main() run, None for no report."""
     out = tmp_path / f"{name}.report.json"
-    code = main(["rank", "--config", write_config(tmp_path, doc, f"{name}.json"), "--out", str(out)] + flags)
+    code = main([command, "--config", write_config(tmp_path, doc, f"{name}.json"), "--out", str(out)] + flags)
     return code, out.read_bytes() if out.exists() else None
 
 
-# the first table leaves the odd omega^3 to Stickelberger, the second covers
-# every odd character, so the flag is all that stands between it and a report
+# with the first table omega^3 needs Stickelberger; the second covers both
+# odd characters, so only the even omega^2 waits on Greenberg
 @pytest.mark.parametrize("table", [{"omega^1": 0}, {"omega^1": 0, "omega^3": 0}])
 @pytest.mark.parametrize("mode", sorted(WITH_GREENBERG))
 def test_assume_greenberg_equals_the_greenberg_mode(tmp_path, capsys, mode, table):
     doc = {**EXAMPLE_6_5, "lambda": {"mode": mode, "table": table}}
-    flagged = rank_outcome(tmp_path, doc, ["--assume-greenberg"], "flagged")
+    flagged = outcome(tmp_path, "rank", doc, ["--assume-greenberg"], "flagged")
     doc["lambda"] = {"mode": WITH_GREENBERG[mode], "table": table}
-    assert flagged == rank_outcome(tmp_path, doc, [], "moded")
+    assert flagged == outcome(tmp_path, "rank", doc, [], "moded")
     capsys.readouterr()
 
 
 def test_lambda_table_file_overrides_the_config_entry(tmp_path):
     doc = {**EXAMPLE_6_5, "lambda": {"mode": "table", "table": {"all": 0, "omega^3": 0}}}
     tbl = write_config(tmp_path, {"omega^3": 2}, "table.json")
-    code, text = rank_outcome(tmp_path, doc, ["--lambda-table", tbl], "override")
-    records = {r["character"]: r for r in json.loads(text)["records"]}
+    code, text = outcome(tmp_path, "rank", doc, ["--lambda-table", tbl], "override")
     assert code == EXIT_OK
+    records = {r["character"]: r for r in json.loads(text)["records"]}
     assert records["omega^3"]["lambda"] == {"value": 2, "provenance": "input-table", "conjectural": False}
     assert records["omega^1"]["lambda"]["value"] == 0
+
+
+def test_main_lambda_fold_mismatch_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
+    fold = StickelbergerSeries.folded_buckets
+
+    def perturbed(series, lower_level):
+        rows = fold(series, lower_level)
+        rows[0] = [rows[0][0] + 1] + rows[0][1:]
+        return rows
+
+    monkeypatch.setattr(StickelbergerSeries, "folded_buckets", perturbed)
+    assert main(["lambda", "--config", write_config(tmp_path, {"p": 5})]) == EXIT_INVARIANT
+    assert "series of omega^3 does not fold onto level 1" in capsys.readouterr().err
+
+
+def test_main_lambda_out_of_levels(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tamerank.stickelberger, "MAX_LEVEL", 1)
+    assert main(["lambda", "--config", write_config(tmp_path, {"p": 5})]) == EXIT_PRECISION
+    err = capsys.readouterr().err
+    assert "MAX_LEVEL = 1" in err and "precision" not in err
+
+
+# a job's "precision" is an undefined key like any other
+@pytest.mark.parametrize("precision", [1, 16, "x"])
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("lambda", {"p": 5, "f": 7}),
+        ("rank", {"p": 5, "f": 7, "S": [29, 11], "lambda": {"mode": "auto", "table": {"omega^1": 0}}}),
+    ],
+)
+def test_precision_key_is_ignored(tmp_path, command, doc, precision):
+    plain = outcome(tmp_path, command, doc, [], "plain")
+    assert plain[0] == EXIT_OK
+    assert outcome(tmp_path, command, {**doc, "precision": precision}, [], "precision") == plain
+
+
+def test_oracle_prime_beyond_the_stabilization_bound(tmp_path, capsys):
+    # m_q = 16 for q = 258280327 at p = 3; the rank formula needs no level
+    cfg = write_config(tmp_path, {"p": 3, "S": [258280327], "lambda": {"table": {"all": 0}}})
+    assert main(["oracle", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == (
+        "config error: q = 258280327 (m_q = 16) has no stabilization level below 16"
+    )
+    assert main(["rank", "--config", cfg]) == EXIT_OK
+    capsys.readouterr()
