@@ -15,11 +15,16 @@ distribution (Washington, Cyclotomic Fields, ch. 7).  So every unit a mod
 M_n is filed once per (f', p, n) in a residue table, by j = c_n(a) and by
 r = a mod f'p; by CRT each cell holds exactly one a.  Since c_n(M_n - a) =
 c_n(a) and chi(-1) = -1, the pair a, M_n - a contributes (2a - M_n)
-chi^{-1}(a) to its bucket, so the table keeps only the r below f'p/2.  A
-character is then a projection of the table: bucket j, coordinate i, comes
-from the dot product of row j with the column r -> coordinate i of
-chi^{-1}(r).  Tables are shared by every character of one prime and dropped
-when a character of another prime asks.
+chi^{-1}(a) to its bucket, so the table keeps only the r below f'p/2.
+
+The table is stored by column: the column of r is one int that holds
+2(M_n - a) for each j in a fixed-width slot of its own (Kronecker
+substitution).  A character is then a projection of the table: coordinate i
+of every bucket at once is the multiply-accumulate, over r, of coordinate i
+of chi^{-1}(r) times the column of r, which Python's big-int arithmetic runs
+in C.  A slot is wide enough for the largest such sum, so no slot carries
+into the next.  Tables are shared by every character of one prime and
+dropped when a character of another prime asks.
 
 Two facts are used downstream and are both asserted at runtime: mu = 0 (some
 coefficient is a unit) and level-to-level stability of the coefficients.
@@ -34,6 +39,7 @@ irregular primes in the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,13 +55,52 @@ DEFAULT_PRECISION = 8  # digits of every series coefficient
 MAX_LEVEL = 4  # the highest level lambda_minus builds
 
 
+def _work_digits(n: int) -> int:
+    """Digits mod p that the level-n sums carry before the exact division by
+    p^{n+1}; the series keeps DEFAULT_PRECISION of them."""
+    return DEFAULT_PRECISION + n + 3
+
+
+def _slot_words(count: int, M: int, p: int, n: int) -> int:
+    """64-bit words per slot that hold any sum of `count` products c v with
+    0 <= c < p^{_work_digits(n)} and 0 <= v < 2M - 1."""
+    bound = count * (2 * M - 1) * (p ** _work_digits(n) - 1)
+    return -(-bound.bit_length() // 64)
+
+
+def _pack(values, words: int) -> int:
+    """The int whose slot j, bits [64 words j, 64 words (j+1)), holds
+    values[j]; a value of 2^64 or more raises OverflowError."""
+    cells = array("Q", bytes(8 * words * len(values)))
+    cells[::words] = array("Q", values)
+    if sys.byteorder == "big":
+        cells.byteswap()
+    return int.from_bytes(cells.tobytes(), "little")
+
+
+def _unpack(x: int, count: int, words: int) -> list:
+    """The first `count` slots of x >= 0, as _pack lays them out.  A slot
+    value of 2^{64 words} or more carries into the next slot; only the last
+    slot raises OverflowError."""
+    cells = array("Q", x.to_bytes(8 * words * count, "little"))
+    if sys.byteorder == "big":
+        cells.byteswap()
+    slots = cells[words - 1::words].tolist()
+    for k in range(words - 2, -1, -1):
+        slots = [high << 64 | low for high, low in zip(slots, cells[k::words])]
+    return slots
+
+
 class ResidueTable(NamedTuple):
-    """Half the units a mod M = f' p^{n+1}: rows[j][s] is the a with
-    c_n(a) = j and a = units[s] mod f'p, for the units below f'p/2.  The
-    other half of row j is M - a, at -units[s] mod f'p."""
+    """Half the units a mod M = f' p^{n+1}, one packed column per unit r =
+    units[s] below f'p/2: slot j of columns[s] holds 2(M - a) for the a with
+    c_n(a) = j and a = r mod f'p.  The other half of row j is M - a, at -r
+    mod f'p.  A slot is `words` 64-bit words wide, enough for any sum over s
+    of c_s columns[s] with 0 <= c_s < p^{_work_digits(n)}."""
 
     units: tuple
-    rows: list  # one array('q') per j in Z/p^n
+    columns: tuple  # one packed int per unit
+    words: int
 
 
 def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
@@ -65,35 +110,45 @@ def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
     M = fprime * pn1
     half = (fprime * p + 1) // 2
     units = tuple(r for r in range(1, half) if math.gcd(r, fprime * p) == 1)
+    words = _slot_words(len(units), M, p, n)
     e_f = pn1 * pow(pn1, -1, fprime) % M  # 1 mod f', 0 mod p^{n+1}
     e_p = fprime * pow(fprime, -1, pn1) % M  # 0 mod f', 1 mod p^{n+1}
-    teich = [0] + [teichmuller_residue(t, p, n + 1) * e_p % M for t in range(1, p)]
-    tame = [r % fprime * e_f % M for r in units]
-    lifts = [teich[r % p] for r in units]
-    rows = []
-    u = 1  # (1+p)^j mod p^{n+1}
-    for _ in range(p ** n):
-        rows.append(array("q", [(b + t * u) % M for b, t in zip(tame, lifts)]))
-        u = u * (1 + p) % pn1
-    return ResidueTable(units, rows)
+    teich = [0] + [teichmuller_residue(t, p, n + 1) * e_p for t in range(1, p)]
+    steps = [1]  # (1+p)^j mod p^{n+1}, j in Z/p^n
+    for _ in range(p ** n - 1):
+        steps.append(steps[-1] * (1 + p) % pn1)
+    columns = []
+    for r in units:
+        # a = (r mod f') e_f + omega(r) e_p u mod M is never 0, so 2(M - a) = -2a mod 2M
+        b, t = -2 * (r % fprime) * e_f, 2 * teich[r % p]
+        columns.append(_pack([(b - t * u) % (2 * M) for u in steps], words))
+    return ResidueTable(units, tuple(columns), words)
 
 
 class _TableCache:
-    """Residue tables of one prime, each built on first use.  Every
-    character of a field shares its p, so a request for another prime starts
-    a new working set and drops the old tables."""
+    """Residue tables and binomial rows of one prime, each built on first
+    use.  Every character of a field shares its p, so a request for another
+    prime starts a new working set and drops the old one."""
 
     def __init__(self):
         self.p = None
-        self.tables = {}
+        self.entries = {}
+
+    def _entry(self, p: int, key: tuple, build):
+        if p != self.p:
+            self.p, self.entries = p, {}
+        if key not in self.entries:
+            self.entries[key] = build()
+        return self.entries[key]
 
     def get(self, fprime: int, p: int, n: int) -> ResidueTable:
-        if p != self.p:
-            self.p, self.tables = p, {}
-        key = (fprime, n)
-        if key not in self.tables:
-            self.tables[key] = _residue_table(fprime, p, n)
-        return self.tables[key]
+        return self._entry(p, ("table", fprime, n), lambda: _residue_table(fprime, p, n))
+
+    def binomials(self, p: int, n: int, i: int) -> list:
+        """binom(j, i) mod p^DEFAULT_PRECISION for j in Z/p^n."""
+        modN = p ** DEFAULT_PRECISION
+        return self._entry(p, ("binomials", n, i),
+                           lambda: [math.comb(j, i) % modN for j in range(p ** n)])
 
 
 _TABLES = _TableCache()
@@ -106,29 +161,29 @@ def _bucket_vectors(chi: DirichletCharacter, n: int) -> Tuple[list, object]:
     table = _TABLES.get(fprime, p, n)
     pn1 = p ** (n + 1)
     modN = p ** DEFAULT_PRECISION
-
-    # column i holds coordinate i of chi^{-1}(r) over the table's units r;
-    # sum_a a chi^{-1}(a) over row j is sum_r (2a - M) chi^{-1}(r), and it is
-    # divided by -M, exactly at p
-    ring = local_ring(m, p, DEFAULT_PRECISION + n + 3)
+    ring = local_ring(m, p, _work_digits(n))
     modw = ring.mod
     inv_f = pow(fprime, -1, modw)
-    chi_exp = chi.value_exponents()
-    columns = list(zip(*(ring.zeta_vector(-chi_exp[r % cond]) for r in table.units)))
-    offsets = [fprime * pn1 * sum(column) for column in columns]
-    vectors = []
-    for row in table.rows:
-        out = []
-        for column, offset in zip(columns, offsets):
-            w = (offset - 2 * sum(map(mul, row, column))) * inv_f % modw
-            if w % pn1:
-                raise InvariantViolationError(
-                    "Stickelberger coefficient is not p-integral; "
-                    "this construction only applies to odd characters != omega"
-                )
-            out.append(w // pn1 % modN)
-        vectors.append(out)
-    return vectors, local_ring(m, p, DEFAULT_PRECISION)
+    dlog = chi.units.dlog
+
+    # column c holds one coordinate of chi^{-1}(r) / f' over the table's
+    # units r.  Slot j of sum_s c_s columns[s] is sum_r 2(M - a) c_r; less
+    # M sum c, it is sum_r (M - 2a) c_r, which is sum_a -a chi^{-1}(a) / f'
+    # over row j, and it is divided by p^{n+1}, exactly at p
+    chi_inv = (ring.zeta_vector(-chi._exponent_at(dlog(r % cond))) for r in table.units)
+    coordinates = []
+    for column in zip(*chi_inv):
+        column = [c * inv_f % modw for c in column]
+        offset = fprime * pn1 * sum(column)
+        packed = sum(map(mul, column, table.columns))
+        sums = [(v - offset) % modw for v in _unpack(packed, p ** n, table.words)]
+        if any(w % pn1 for w in sums):
+            raise InvariantViolationError(
+                "Stickelberger coefficient is not p-integral; "
+                "this construction only applies to odd characters != omega"
+            )
+        coordinates.append([w // pn1 % modN for w in sums])
+    return [list(v) for v in zip(*coordinates)], local_ring(m, p, DEFAULT_PRECISION)
 
 
 @dataclass
@@ -149,7 +204,7 @@ class StickelbergerSeries:
         """Coefficient of T^i: sum_j binom(j, i) * bucket_j, column by column
         (binom(j, i) = 0 for j < i, so i >= length gives the zero vector)."""
         modN = self.chi.p ** self.precision
-        combs = [math.comb(j, i) % modN for j in range(self.length)]
+        combs = _TABLES.binomials(self.chi.p, self.level, i)
         return [sum(map(mul, combs, col)) % modN for col in zip(*self.bucket_coefficients)]
 
     def is_unit_coefficient(self, i: int) -> bool:

@@ -1,14 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from helpers import direct_bucket_vectors
+from helpers import direct_bucket_vectors, load_benchmark_module
 from tamerank import stickelberger
-from tamerank.arith import split_prime_part
+from tamerank.arith import is_prime, split_prime_part
 from tamerank.characters import FieldSpec, enumerate_characters, omega
 from tamerank.cli import parse_config, run
 from tamerank.stickelberger import (
     DEFAULT_PRECISION,
+    MAX_LEVEL,
     bernoulli_b1,
     lambda_minus,
     stickelberger_series,
@@ -200,24 +202,68 @@ def test_t_coefficient_matches_pascal_expansion():
 
 
 SHARED_TABLE_FIELDS = [(5, 1), (7, 13), (11, 7), (13, 5), (3, 8), (5, 21)]
+# f' = 1 fields of the size the lambda-minus workload runs: two-word slots
+WIDE_SLOT_FIELDS = [(23, 1), (29, 1)]
 
 
 def test_shared_table_matches_direct_build():
-    # every odd chi != omega at levels 0, 1 and 2: the projection of the
-    # shared residue table equals the direct per-character build
+    # every odd chi != omega, at levels 0, 1 and 2 on the shared-table fields
+    # and 1 and 2 on the wide-slot ones: the projection of the shared residue
+    # table equals the direct per-character build
+    levels = {field: (0, 1, 2) for field in SHARED_TABLE_FIELDS}
+    levels.update({field: (1, 2) for field in WIDE_SLOT_FIELDS})
     seen = set()
-    for p, f in SHARED_TABLE_FIELDS:
+    for (p, f), ns in levels.items():
         w = omega(p)
         for chi in enumerate_characters(FieldSpec(p, f)):
             if not chi.is_odd or chi == w:
                 continue
-            for n in (0, 1, 2):
+            fprime = split_prime_part(chi.conductor, p)[1]
+            for n in ns:
                 direct, ring = direct_bucket_vectors(chi, n, DEFAULT_PRECISION)
                 assert stickelberger_series(chi, n).bucket_coefficients == direct, (chi.label(), n)
-            seen.add(("f' > 1", split_prime_part(chi.conductor, p)[1] > 1))
+                seen.add(("words", min(stickelberger._TABLES.get(fprime, p, n).words, 2)))
+            seen.add(("f' > 1", fprime > 1))
             seen.add(("p | conductor", chi.conductor % p == 0))
             seen.add(("dim", ring.dim))
-    assert {("f' > 1", True), ("p | conductor", True), ("p | conductor", False), ("dim", 2)} <= seen
+    assert {("f' > 1", True), ("p | conductor", True), ("p | conductor", False), ("dim", 2),
+            ("words", 1), ("words", 2)} <= seen
+
+
+def test_slot_width_bound(monkeypatch):
+    # a slot must hold U (2M - 1) (p^{N+n+3} - 1), above any sum of U products
+    # c * 2(M - a) with c < p^{N+n+3}: checked for every table, up to
+    # MAX_LEVEL, of the lambda-minus fields, the fields above and the f = 1
+    # census p <= 157
+    workloads = load_benchmark_module("workloads", monkeypatch)
+    fields = [field[:2] for field in workloads.LAMBDA_FIELDS + workloads.LAMBDA_RANK_FIELDS]
+    fields += SHARED_TABLE_FIELDS + WIDE_SLOT_FIELDS
+    fields += [(p, 1) for p in range(3, 158) if is_prime(p)]
+    for p, f in fields:
+        for fprime in (d for d in range(1, f + 1) if f % d == 0 and d % p):
+            units = sum(1 for r in range(1, (fprime * p + 1) // 2) if math.gcd(r, fprime * p) == 1)
+            for n in range(MAX_LEVEL + 1):
+                M = fprime * p ** (n + 1)
+                words = stickelberger._slot_words(units, M, p, n)
+                bound = units * (2 * M - 1) * (p ** (DEFAULT_PRECISION + n + 3) - 1)
+                assert bound < 2 ** (64 * words), (fprime, p, n)
+
+
+def test_pack_round_trip():
+    # slot j of the packed int is values[j] on any host byte order, and the
+    # slots read back; (2^64 - 1) * sum_k 2^{64k} fills a slot to its top
+    pack, unpack = stickelberger._pack, stickelberger._unpack
+    values = [0, 1, 2**63, 2**64 - 1, 12345]
+    for words in (1, 2, 3):
+        packed = pack(values, words)
+        assert packed == sum(v << (64 * words * j) for j, v in enumerate(values))
+        assert unpack(packed, len(values), words) == values
+        top = pack([2**64 - 1] * 4, words) * sum(1 << (64 * k) for k in range(words))
+        assert unpack(top, 4, words) == [2 ** (64 * words) - 1] * 4
+    with pytest.raises(OverflowError):
+        pack([2**64], 1)
+    with pytest.raises(OverflowError):
+        unpack(2 ** (64 * 2 * 3), 3, 2)
 
 
 def test_lambda_job_builds_each_table_once(monkeypatch):
