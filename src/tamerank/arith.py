@@ -14,10 +14,16 @@ from typing import Optional
 from .errors import InvariantViolationError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12, the least strong pseudoprime to all of _MR_BASES (Sorenson-Webster,
+# Math. Comp. 86 (2017)): the test is exact below it and proves nothing above
+PRIME_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every modulus used here."""
+    """Deterministic Miller-Rabin, exact for n < PRIME_BOUND; a larger n
+    raises ValueError."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"{n} is at or above {PRIME_BOUND}, where the primality test is not exact")
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -68,17 +74,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def carmichael(n: int) -> int:
-    lam = 1
-    for q, e in factorize(n).items():
-        if q == 2:
-            block = 1 if e == 1 else 2 if e == 2 else 2 ** (e - 2)
-        else:
-            block = q ** (e - 1) * (q - 1)
-        lam = math.lcm(lam, block)
-    return lam
-
-
 def v_p(n: int, p: int) -> int:
     """Largest v with p^v dividing n; n = 0 is rejected."""
     _check_odd_prime(p)
@@ -108,7 +103,7 @@ def mul_order(a: int, modulus: int) -> int:
     a %= modulus
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not a unit mod {modulus}")
-    order = carmichael(modulus)
+    order = euler_phi(modulus)
     for q in factorize(order):
         while order % q == 0 and pow(a, order // q, modulus) == 1:
             order //= q

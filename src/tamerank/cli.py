@@ -4,15 +4,16 @@ lambda / chars pipelines, and emit deterministic JSON reports.
 Exit codes:
   0  ok
   2  invalid configuration: the job document, --levels, --lambda-table, a
-     lambda table label that names no character class of the field, an
-     oracle level n0 below the stabilization level of a prime in S, an
-     oracle prime q in S with no stabilization level below 16, or an
-     unwritable --out
+     lambda table label that names no character class of the field, p or an
+     S entry at or above psi_12 = 318665857834031151167461 (the primality
+     test is exact only below it), an oracle level n0 below the
+     stabilization level of a prime in S, an oracle prime q in S with no
+     stabilization level below 16, or an unwritable --out
   3  lambda unavailable for a required character
   4  oracle inconsistency: the brute-force module contradicts the theory,
      or an oracle row disagrees with the rank formula
-  5  level bound reached: a Stickelberger lambda is not stable at two
-     consecutive levels up to MAX_LEVEL
+  5  level bound reached: no Stickelberger series below level MAX_LEVEL
+     has a unit coefficient, so lambda >= p^(MAX_LEVEL - 1)
   6  internal invariant violated (a bug, never a user error)
 """
 
@@ -25,7 +26,7 @@ import sys
 from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional
 
-from .arith import is_prime
+from .arith import PRIME_BOUND, is_prime
 from .characters import (
     FieldSpec,
     class_representatives,
@@ -80,6 +81,7 @@ class JobConfig:
         return FieldSpec(self.p, self.f, self.subgroup)
 
 
+_PRIME_LIMIT = f"is at or above {PRIME_BOUND}, where the primality test is not exact"
 _TABLE_RULE = "lambda table must map labels to nonnegative integers"
 _LEVELS_RULE = "oracle_levels must be a pair [n0, n1] with n1 > n0 >= 0"
 
@@ -113,8 +115,11 @@ def parse_config(text: str) -> JobConfig:
         raise ConfigError(["top-level document must be an object"])
 
     p = raw.get("p")
-    p_ok = _is_int(p) and p != 2 and is_prime(p)
-    if not p_ok:
+    p_big = _is_int(p) and p >= PRIME_BOUND
+    p_ok = _is_int(p) and p != 2 and not p_big and is_prime(p)
+    if p_big:
+        violations.append(f"p {_PRIME_LIMIT}")
+    elif not p_ok:
         violations.append("p must be an odd prime")
     f = raw.get("f", 1)
     if not _is_int(f) or f < 1:
@@ -139,7 +144,9 @@ def parse_config(text: str) -> JobConfig:
         if len(set(S)) != len(S):
             violations.append("S entries must be distinct")
         for q in S:
-            if not is_prime(q):
+            if q >= PRIME_BOUND:
+                violations.append(f"S entry {q} {_PRIME_LIMIT}")
+            elif not is_prime(q):
                 violations.append(f"S entry {q} is not prime")
         if p_ok and p in S:
             violations.append("S must not contain p")

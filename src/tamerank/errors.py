@@ -14,9 +14,8 @@ class ConfigError(TameRankError):
 
 
 class PrecisionError(TameRankError):
-    """A computation reached its fixed bound: no two consecutive levels up to
-    MAX_LEVEL agree on a Stickelberger lambda, or B_{1,chi} vanishes to its
-    working precision."""
+    """A computation reached its fixed bound: lambda, read once per level, is
+    p^(MAX_LEVEL - 1) or more, or B_{1,chi} vanishes to its working precision."""
 
 
 class LambdaUnavailableError(TameRankError):

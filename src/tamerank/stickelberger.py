@@ -26,14 +26,14 @@ in C.  A slot is wide enough for the largest such sum, so no slot carries
 into the next.  Tables are shared by every character of one prime and
 dropped when a character of another prime asks.
 
-Two facts are used downstream and are both asserted at runtime: mu = 0 (some
-coefficient is a unit) and level-to-level stability of the coefficients.
-Both levels are projected from their own tables, so the stability check
-compares two independent sums.  The lambda read-off, the index of the first
-unit coefficient in the T-power basis, is exactly the quantity the rank
-formula consumes; it is invariant under the usual variable reflection, and
-the whole normalization is pinned by calibration against regular and
-irregular primes in the test suite.
+lambda is read once per level, from the first unit T-coefficient of the
+level-n series (see lambda_minus); mu = 0 is Ferrero-Washington, and no
+finite level is taken to show otherwise.  A level is read only once the
+level above, projected from its own table, folds exactly onto it, so that
+check compares two independent sums.  The lambda read-off is exactly the
+quantity the rank formula consumes; it is invariant under the usual
+variable reflection, and the whole normalization is pinned by calibration
+against regular and irregular primes in the test suite.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Optional, Tuple
+from typing import ClassVar, NamedTuple, Optional, Tuple
 
 from .arith import split_prime_part, teichmuller_residue
 from .characters import DirichletCharacter, omega
@@ -154,7 +154,7 @@ class _TableCache:
 _TABLES = _TableCache()
 
 
-def _bucket_vectors(chi: DirichletCharacter, n: int) -> Tuple[list, object]:
+def _bucket_vectors(chi: DirichletCharacter, n: int) -> list:
     """Coefficients on the (1+T)^j basis, j in Z/p^n, as ring vectors mod p^N."""
     p, m, cond = chi.p, chi.order, chi.conductor
     fprime = split_prime_part(cond, p)[1]
@@ -183,18 +183,17 @@ def _bucket_vectors(chi: DirichletCharacter, n: int) -> Tuple[list, object]:
                 "this construction only applies to odd characters != omega"
             )
         coordinates.append([w // pn1 % modN for w in sums])
-    return [list(v) for v in zip(*coordinates)], local_ring(m, p, DEFAULT_PRECISION)
+    return [list(v) for v in zip(*coordinates)]
 
 
 @dataclass
 class StickelbergerSeries:
     """Level-n series with coefficients as O_chi coordinate vectors mod p^N."""
 
+    precision: ClassVar[int] = DEFAULT_PRECISION
     chi: DirichletCharacter
     level: int
-    precision: int
     bucket_coefficients: list  # on the (1+T)^j basis
-    _ring: object
 
     @property
     def length(self) -> int:
@@ -208,7 +207,7 @@ class StickelbergerSeries:
         return [sum(map(mul, combs, col)) % modN for col in zip(*self.bucket_coefficients)]
 
     def is_unit_coefficient(self, i: int) -> bool:
-        return self._ring.is_unit(self.t_coefficient(i))
+        return local_ring(self.chi.order, self.chi.p, self.precision).is_unit(self.t_coefficient(i))
 
     def first_unit_index(self) -> Optional[int]:
         for i in range(self.length):
@@ -233,8 +232,7 @@ def stickelberger_series(chi: DirichletCharacter, n: int) -> StickelbergerSeries
         raise ValueError("omega is excluded; its lambda needs a table entry")
     if n < 0:
         raise ValueError("level must be nonnegative")
-    vectors, ring = _bucket_vectors(chi, n)
-    return StickelbergerSeries(chi, n, DEFAULT_PRECISION, vectors, ring)
+    return StickelbergerSeries(chi, n, _bucket_vectors(chi, n))
 
 
 @dataclass(frozen=True)
@@ -247,10 +245,12 @@ class LambdaResult:
 def lambda_minus(chi: DirichletCharacter) -> LambdaResult:
     """lambda of the minus-side characteristic series for odd chi != omega.
 
-    The index of the first unit coefficient, read at levels n and n+1 for
-    n = 1, 2, ... until both agree and p^n > lambda; units are read mod p.
-    A level n+1 series that does not fold exactly onto level n, or mu > 0,
-    raises InvariantViolationError; no agreement up to MAX_LEVEL raises
+    Read once per level n = 1, 2, ...: mod p, (1+T)^{p^n} - 1 = T^{p^n}, so
+    by the distribution relation (Washington, Cyclotomic Fields, ch. 7) the
+    level-n series has the first p^n T-coefficients of the characteristic
+    series mod p.  Its first unit coefficient is lambda; with none, lambda
+    >= p^n.  Level n is read once level n+1 folds onto it exactly, else
+    InvariantViolationError; no unit below level MAX_LEVEL raises
     PrecisionError.
     """
     low = stickelberger_series(chi, 1)
@@ -260,23 +260,13 @@ def lambda_minus(chi: DirichletCharacter) -> LambdaResult:
             raise InvariantViolationError(
                 f"the level {n + 1} series of {chi.label()} does not fold onto level {n}"
             )
-        lam_low = low.first_unit_index()
-        if lam_low is None:
-            raise InvariantViolationError(
-                "mu > 0 detected; this contradicts Ferrero-Washington "
-                "and signals a bug"
-            )
-        lam_high = None
-        for i in range(lam_low + 1):
-            if high.is_unit_coefficient(i):
-                lam_high = i
-                break
-        if lam_high == lam_low and chi.p ** n > lam_low:
-            return LambdaResult(lam_low, True, (n, n + 1))
+        lam = low.first_unit_index()
+        if lam is not None:
+            return LambdaResult(lam, True, (n, n + 1))
         low = high
     raise PrecisionError(
-        f"lambda for {chi.label()} is not stable at two consecutive levels "
-        f"up to MAX_LEVEL = {MAX_LEVEL}"
+        f"the series of {chi.label()} have no unit coefficient below level "
+        f"MAX_LEVEL = {MAX_LEVEL}, so lambda >= {chi.p}^{MAX_LEVEL - 1}"
     )
 
 

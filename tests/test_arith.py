@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tamerank.arith import (
+    PRIME_BOUND,
     crt,
+    is_prime,
     mul_order,
     padic_log,
     smallest_primitive_root,
@@ -84,6 +86,16 @@ def test_mul_order_is_minimal(a, M):
     for d in range(1, e):
         if e % d == 0:
             assert pow(a, d, M) != 1 or d == e
+
+
+def test_is_prime_refuses_what_it_cannot_prove():
+    # psi_12 is a strong pseudoprime to every base 2..37
+    assert PRIME_BOUND == 399165290221 * 798330580441
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert not is_prime(3215031751)  # psi_4, caught by base 11
+    for n in (PRIME_BOUND, PRIME_BOUND + 2):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 def test_unit_group_examples():

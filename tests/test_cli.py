@@ -444,3 +444,50 @@ def test_oracle_prime_beyond_the_stabilization_bound(tmp_path, capsys):
     )
     assert main(["rank", "--config", cfg]) == EXIT_OK
     capsys.readouterr()
+
+
+# lambda >= p = 3 on these fields: the walk reads it from the level-2 series
+FIELD_239 = {"p": 3, "f": 239, "H": [49]}
+
+
+@pytest.mark.parametrize("doc, lam", [(FIELD_239, 6), ({"p": 3, "f": 311, "H": [289]}, 4)])
+def test_main_lambda_at_or_above_p(tmp_path, doc, lam):
+    code, text = outcome(tmp_path, "lambda", doc, [], "lambda")
+    assert code == EXIT_OK
+    [row] = json.loads(text)["rows"]
+    assert (row["lambda"], row["mu_zero"], row["levels_used"]) == (lam, True, [2, 3])
+
+
+def test_main_rank_auto_with_lambda_at_or_above_p(tmp_path):
+    doc = dict(FIELD_239, S=[2], **{"lambda": {"mode": "auto", "table": {"omega^1": 0}}})
+    code, text = outcome(tmp_path, "rank", doc, [], "rank")
+    assert code == EXIT_OK
+    records = {r["character"]: r for r in json.loads(text)["records"]}
+    assert records["chi239[1of2]"]["lambda"]["value"] == 6
+
+
+def test_main_lambda_out_of_levels_on_real_data(tmp_path, capsys, monkeypatch):
+    # lambda = 6 >= 3^1: with MAX_LEVEL = 2 only level 1 is read
+    monkeypatch.setattr(tamerank.stickelberger, "MAX_LEVEL", 2)
+    assert main(["lambda", "--config", write_config(tmp_path, FIELD_239)]) == EXIT_PRECISION
+    err = capsys.readouterr().err
+    assert "MAX_LEVEL = 2, so lambda >= 3^1" in err
+
+
+# psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on every base 2..37
+PSI_12 = 318665857834031151167461
+
+
+@pytest.mark.parametrize("command", ["rank", "oracle"])
+def test_main_rejects_s_entry_at_the_primality_bound(tmp_path, capsys, command):
+    doc = {"p": 5, "S": [PSI_12], "lambda": {"mode": "table", "table": {"all": 0}}}
+    assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == (
+        f"config error: S entry {PSI_12} is at or above {PSI_12}, where the primality test is not exact"
+    )
+
+
+def test_parse_config_rejects_p_at_the_primality_bound():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps({"p": PSI_12 + 2, "f": 3}))
+    assert exc.value.violations == [f"p is at or above {PSI_12}, where the primality test is not exact"]

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import direct_bucket_vectors, load_benchmark_module
 from tamerank import stickelberger
-from tamerank.arith import is_prime, split_prime_part
+from tamerank.arith import is_prime, smallest_primitive_root, split_prime_part
 from tamerank.characters import FieldSpec, enumerate_characters, omega
 from tamerank.cli import parse_config, run
 from tamerank.stickelberger import (
@@ -157,6 +157,47 @@ def test_lambda_with_nontrivial_tame_part():
     assert odd_sextics
     res = lambda_minus(odd_sextics[0])
     assert res.mu_zero and res.lambda_ >= 0
+
+
+def direct_lambda(chi):
+    """(lambda, n): the first unit T-coefficient of direct_bucket_vectors at
+    the least level n whose series has one."""
+    modN = chi.p ** DEFAULT_PRECISION
+    for n in range(1, MAX_LEVEL):
+        buckets, ring = direct_bucket_vectors(chi, n, DEFAULT_PRECISION)
+        for i in range(len(buckets)):
+            coefficient = [sum(math.comb(j, i) * b[t] for j, b in enumerate(buckets)) % modN
+                           for t in range(ring.dim)]
+            if ring.is_unit(coefficient):
+                return i, n
+    return None
+
+
+# primes l = 3 mod 4 below 400: chi_l, of conductor l, is the one odd
+# character != omega of (3, l, H = <g^2>), g a primitive root mod l
+CENSUS_CONDUCTORS = [ell for ell in range(7, 400, 4) if is_prime(ell)]
+
+
+def test_lambda_census_quadratic_at_3():
+    # lambda and the level it is read at match the direct build, and lambda
+    # >= 1 exactly when 3 | B_{1, chi^{-1}} or the Euler factor 1 - chi(3)
+    # vanishes; lambda >= 3 is read at level 2
+    lambdas = {}
+    for ell in CENSUS_CONDUCTORS:
+        g = smallest_primitive_root(ell)
+        field = FieldSpec(3, ell, (g * g % ell,))
+        [chi] = [c for c in enumerate_characters(field) if c.is_odd and c.conductor == ell]
+        res = lambda_minus(chi)
+        n = res.levels_used[0]
+        assert (res.lambda_, n) == direct_lambda(chi), ell
+        assert res.levels_used == (n, n + 1) and res.mu_zero
+        euler_vanishes = chi.value_exponents()[3 % ell] == 0
+        divisible = bernoulli_b1(chi.inverse()).p_valuation() >= 1
+        assert (res.lambda_ >= 1) == (divisible or euler_vanishes), ell
+        lambdas[ell] = res.lambda_
+    assert len(lambdas) == 39
+    assert (lambdas[239], lambdas[311]) == (6, 4)
+    assert {ell for ell, lam in lambdas.items() if lam >= 3} == {239, 311}
 
 
 # every irregular pair (p, k) with 100 < p < 160 (Buhler-Harvey, "Irregular

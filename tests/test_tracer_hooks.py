@@ -1,7 +1,7 @@
 """The benchmark tracer's hooks run against the package: they read a series'
-`precision` and its positional (chi, n), a module's `num_cosets` and its
-`gen_actions`.  `install` rebinds attributes for the whole process, so the
-traced jobs run in a child interpreter."""
+`precision` (a class attribute) and its positional (chi, n), a module's
+`num_cosets` and its `gen_actions`.  `install` rebinds attributes for the
+whole process, so the traced jobs run in a child interpreter."""
 
 import json
 import os
@@ -32,6 +32,7 @@ JOBS = [
     ("rank", {"p": 5, "S": [7, 11], "lambda": {"mode": "auto", "table": {"omega^1": 0}}}),
     ("lambda", {"p": 7}),
     ("oracle", {"p": 3, "S": [7]}),
+    ("lambda", {"p": 3, "f": 239, "H": [49]}),  # lambda = 6, read at level 2
 ]
 
 
@@ -43,6 +44,8 @@ def test_tracer_hooks_count_a_small_batch():
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout)
     assert metrics["stickelberger.series.calls"] > 0
+    # every other lambda is read at level 1 from two series; lambda = 6 takes three
+    assert metrics["stickelberger.series_per_lambda"] > 2
     assert metrics["stickelberger.residues_scanned"] > 0
     assert metrics["stickelberger.precision_retries"] == 0
     assert metrics["residue.cosets"] > 0
