@@ -40,6 +40,7 @@ from .errors import (
     LambdaUnavailableError,
     OracleInconsistencyError,
     PrecisionError,
+    TameRankError,
 )
 from .frobenius import admissible, m_index, stabilization_level
 from .rank import LambdaProvider, rank_total
@@ -186,8 +187,10 @@ def parse_config(text: str) -> JobConfig:
     )
 
 
-def _field_dict(job: JobConfig) -> dict:
-    return {"p": job.p, "f": job.f, "H": list(job.subgroup)}
+def _report(job: JobConfig, command: str, **body) -> dict:
+    """A report: the schema version, the command and the job's field, then the body."""
+    field = {"p": job.p, "f": job.f, "H": list(job.subgroup)}
+    return {"schema_version": SCHEMA_VERSION, "command": command, "field": field, **body}
 
 
 def validate_rank_report(report: dict) -> None:
@@ -211,22 +214,17 @@ def validate_rank_report(report: dict) -> None:
 
 
 def run_rank(job: JobConfig) -> dict:
+    """rank records and total for a job"""
     provider = LambdaProvider(job.lambda_table, job.allow_greenberg, job.allow_stickelberger)
     result = rank_total(job.field, list(job.S), provider)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "rank",
-        "field": _field_dict(job),
-        "S": list(result.S),
-        "records": [r.to_dict() for r in result.records],
-        "total": result.total,
-        "conjectural": result.conjectural,
-    }
+    report = _report(job, "rank", S=list(result.S), records=[r.to_dict() for r in result.records],
+                     total=result.total, conjectural=result.conjectural)
     validate_rank_report(report)
     return report
 
 
 def run_oracle(job: JobConfig) -> dict:
+    """brute-force verification grid"""
     field = job.field
     chars = enumerate_characters(field)
     reps = class_representatives(chars, field.p)
@@ -240,7 +238,6 @@ def run_oracle(job: JobConfig) -> dict:
         if low:
             raise ConfigError(low)
     rows = []
-    all_pass = True
     for q, s in stable.items():
         n0, n1 = given or (s, s + 1)
         lo, hi = residue_module(field, q, n0), residue_module(field, q, n1)
@@ -248,8 +245,6 @@ def run_oracle(job: JobConfig) -> dict:
             in_s_chi = admissible(chi, q)
             expected = chi.d_chi * field.p ** m_index(q, field.p) if in_s_chi else 0
             x0, x1, estimated = quotient_growth(lo, hi, chi)
-            ok = estimated == expected
-            all_pass = all_pass and ok
             rows.append(
                 {
                     "q": q,
@@ -259,19 +254,14 @@ def run_oracle(job: JobConfig) -> dict:
                     "exponents": [x0, x1],
                     "expected": expected,
                     "estimated": estimated,
-                    "pass": ok,
+                    "pass": estimated == expected,
                 }
             )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "oracle",
-        "field": _field_dict(job),
-        "rows": rows,
-        "all_pass": all_pass,
-    }
+    return _report(job, "oracle", rows=rows, all_pass=all(row["pass"] for row in rows))
 
 
 def run_lambda(job: JobConfig) -> dict:
+    """Stickelberger lambda table"""
     field = job.field
     chars = enumerate_characters(field)
     reps = class_representatives(chars, field.p)
@@ -289,41 +279,40 @@ def run_lambda(job: JobConfig) -> dict:
                 "levels_used": list(res.levels_used),
             }
         )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "lambda",
-        "field": _field_dict(job),
-        "rows": rows,
-    }
+    return _report(job, "lambda", rows=rows)
 
 
 def run_chars(job: JobConfig) -> dict:
+    """character inventory"""
     field = job.field
     chars = enumerate_characters(field)
     classes = conjugacy_classes(chars, field.p)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "chars",
-        "field": _field_dict(job),
-        "characters": [
-            dict(chi.to_dict(), label=chi.label()) for chi in chars
-        ],
-        "classes": [[chi.label() for chi in cl] for cl in classes],
-    }
+    return _report(
+        job,
+        "chars",
+        characters=[dict(chi.to_dict(), label=chi.label()) for chi in chars],
+        classes=[[chi.label() for chi in cl] for cl in classes],
+    )
+
+
+# each runner's docstring is its subcommand's help
+_RUNNERS = {"rank": run_rank, "oracle": run_oracle, "lambda": run_lambda, "chars": run_chars}
+
+# the typed errors other than ConfigError: exit code and stderr prefix
+_EXITS = (
+    (LambdaUnavailableError, EXIT_LAMBDA, "lambda unavailable"),
+    (OracleInconsistencyError, EXIT_INCONSISTENT, "oracle inconsistency"),
+    (PrecisionError, EXIT_PRECISION, "level bound reached"),
+    (InvariantViolationError, EXIT_INVARIANT, "internal invariant violated"),
+)
 
 
 def run(job: JobConfig, command: str) -> dict:
     """Dispatch a validated job; raises the typed errors mapped to exit codes
     by main()."""
-    if command == "rank":
-        return run_rank(job)
-    if command == "oracle":
-        return run_oracle(job)
-    if command == "lambda":
-        return run_lambda(job)
-    if command == "chars":
-        return run_chars(job)
-    raise ValueError(f"unknown command {command}")
+    if command not in _RUNNERS:
+        raise ValueError(f"unknown command {command}")
+    return _RUNNERS[command](job)
 
 
 def _read(path: str, what: str) -> str:
@@ -374,25 +363,14 @@ def main(argv: Optional[list] = None) -> int:
         description="Ranks of chi-quotients of tamely ramified Iwasawa modules",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_rank = sub.add_parser("rank", help="rank records and total for a job")
-    p_rank.add_argument("--config", required=True)
-    p_rank.add_argument("--assume-greenberg", action="store_true")
-    p_rank.add_argument("--lambda-table", default=None)
-    p_rank.add_argument("--out", default=None)
-
-    p_oracle = sub.add_parser("oracle", help="brute-force verification grid")
-    p_oracle.add_argument("--config", required=True)
-    p_oracle.add_argument("--levels", default=None, help="n0,n1")
-    p_oracle.add_argument("--out", default=None)
-
-    p_lambda = sub.add_parser("lambda", help="Stickelberger lambda table")
-    p_lambda.add_argument("--config", required=True)
-    p_lambda.add_argument("--out", default=None)
-
-    p_chars = sub.add_parser("chars", help="character inventory")
-    p_chars.add_argument("--config", required=True)
-    p_chars.add_argument("--out", default=None)
+    commands = {}
+    for command, runner in _RUNNERS.items():
+        commands[command] = sub.add_parser(command, help=runner.__doc__)
+        commands[command].add_argument("--config", required=True)
+        commands[command].add_argument("--out", default=None)
+    commands["rank"].add_argument("--assume-greenberg", action="store_true")
+    commands["rank"].add_argument("--lambda-table", default=None)
+    commands["oracle"].add_argument("--levels", default=None, help="n0,n1")
 
     args = parser.parse_args(argv)
     try:
@@ -409,18 +387,12 @@ def main(argv: Optional[list] = None) -> int:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
         return EXIT_CONFIG
-    except LambdaUnavailableError as exc:
-        print(f"lambda unavailable: {exc}", file=sys.stderr)
-        return EXIT_LAMBDA
-    except OracleInconsistencyError as exc:
-        print(f"oracle inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except PrecisionError as exc:
-        print(f"level bound reached: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except InvariantViolationError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    except TameRankError as exc:
+        for error, code, prefix in _EXITS:
+            if isinstance(exc, error):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
     if args.command == "oracle" and not report["all_pass"]:
         return EXIT_INCONSISTENT

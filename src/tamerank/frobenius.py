@@ -17,7 +17,7 @@ from .arith import euler_phi, is_prime, mul_order, padic_log, split_prime_part, 
 from .characters import DirichletCharacter, FieldSpec, RootOfUnity, omega
 from .errors import ConfigError, InvariantViolationError
 
-STABILIZATION_BOUND = 16  # stabilization levels are searched below this
+STABILIZATION_BOUND = 16  # oracle primes must stabilize below this level
 
 
 def m_index(q: int, p: int) -> int:
@@ -140,15 +140,17 @@ def splitting_count(field: FieldSpec, q: int, n: int) -> SplittingData:
 
 def stabilization_level(field: FieldSpec, q: int) -> int:
     """Smallest n at which the residue degree starts growing by a factor of
-    p each level; beyond it primes stay inert level-to-level.  It is at
-    least m_q, and a q with none below STABILIZATION_BOUND is a ConfigError."""
-    prev = splitting_count(field, q, 0).residue_degree
-    for n in range(STABILIZATION_BOUND):
-        nxt = splitting_count(field, q, n + 1).residue_degree
-        if nxt == field.p * prev:
-            return n
-        prev = nxt
-    raise ConfigError([
-        f"q = {q} (m_q = {m_index(q, field.p)}) has no stabilization level "
-        f"below {STABILIZATION_BOUND}"
-    ])
+    p each level; beyond it primes stay inert level-to-level.
+
+    By lifting the exponent, ord(q mod p^{n+1}) = ord(q mod p) p^{max(0, n - m_q)},
+    so the p-part of f_n is p^{max(v_p(e), n - m_q)} with e the order of q in
+    the tame quotient, and f_{n+1} = p f_n exactly when n >= m_q + v_p(e).  A
+    q whose level is STABILIZATION_BOUND or more is a ConfigError."""
+    p = field.p
+    m = m_index(q, p)
+    level = m + split_prime_part(_order_in_tame_quotient(q, field.tame_quotient(q)), p)[0]
+    if level >= STABILIZATION_BOUND:
+        raise ConfigError([
+            f"q = {q} (m_q = {m}) has no stabilization level below {STABILIZATION_BOUND}"
+        ])
+    return level

@@ -41,7 +41,10 @@ PROVENANCE_ZERO = "unconditional-zero"
 class LambdaValue:
     value: int
     provenance: str
-    conjectural: bool
+
+    @property
+    def conjectural(self) -> bool:
+        return self.provenance == PROVENANCE_GREENBERG
 
     def to_dict(self) -> dict:
         return {
@@ -66,17 +69,17 @@ class LambdaProvider:
 
     def resolve(self, chi: DirichletCharacter) -> LambdaValue:
         if chi.is_trivial:
-            return LambdaValue(0, PROVENANCE_ZERO, False)
+            return LambdaValue(0, PROVENANCE_ZERO)
         label = chi.label()
         if label in self.table:
-            return LambdaValue(int(self.table[label]), PROVENANCE_TABLE, False)
+            return LambdaValue(int(self.table[label]), PROVENANCE_TABLE)
         if "all" in self.table:
-            return LambdaValue(int(self.table["all"]), PROVENANCE_TABLE, False)
+            return LambdaValue(int(self.table["all"]), PROVENANCE_TABLE)
         if self.allow_stickelberger and chi.is_odd and chi != omega(chi.p):
             res = lambda_minus(chi)
-            return LambdaValue(chi.d_chi * res.lambda_, PROVENANCE_STICKELBERGER, False)
+            return LambdaValue(chi.d_chi * res.lambda_, PROVENANCE_STICKELBERGER)
         if self.allow_greenberg and not chi.is_odd:
-            return LambdaValue(0, PROVENANCE_GREENBERG, True)
+            return LambdaValue(0, PROVENANCE_GREENBERG)
         raise LambdaUnavailableError(label)
 
 
@@ -103,7 +106,10 @@ class RankRecord:
     p_chi: Optional[int]
     lam: LambdaValue
     rank: int
-    conjectural: bool
+
+    @property
+    def conjectural(self) -> bool:
+        return self.lam.conjectural
 
     def to_dict(self) -> dict:
         return {
@@ -122,48 +128,26 @@ class RankRecord:
 def rank_chi(
     chi: DirichletCharacter, S: Iterable[int], provider: LambdaProvider
 ) -> RankRecord:
-    """Rank of the chi-quotient for the prime set S."""
+    """Rank of the chi-quotient for the prime set S; with S_chi empty it is
+    lambda_chi, and degF and P_chi are None."""
     p = chi.p
     S = _validate_s(S, p)
     lam = provider.resolve(chi)
-    selected = s_chi(chi, S)
-    if not selected:
-        return RankRecord(
-            character=chi.label(),
-            d_chi=chi.d_chi,
-            parity=chi.parity,
-            s_chi=[],
-            m_map={},
-            deg_f=None,
-            p_chi=None,
-            lam=lam,
-            rank=lam.value,
-            conjectural=lam.conjectural,
-        )
-    m_map = {q: m_index(q, p) for q in selected}
-    deg_f = lcm_degree([admissible_annihilator(chi, q, m) for q, m in m_map.items()])
-    if chi == omega(p):
-        p_chi = 1
-    elif chi.is_odd:
-        p_chi = 0
-    else:
-        p_chi = chi.d_chi * deg_f
-    tame = sum(chi.d_chi * p ** m for m in m_map.values())
-    rank = lam.value + tame - p_chi
-    if rank < lam.value:
-        raise InvariantViolationError("tame contribution went negative")
-    return RankRecord(
-        character=chi.label(),
-        d_chi=chi.d_chi,
-        parity=chi.parity,
-        s_chi=selected,
-        m_map=m_map,
-        deg_f=deg_f,
-        p_chi=p_chi,
-        lam=lam,
-        rank=rank,
-        conjectural=lam.conjectural,
-    )
+    m_map = {q: m_index(q, p) for q in s_chi(chi, S)}
+    deg_f = p_chi = None
+    rank = lam.value
+    if m_map:
+        deg_f = lcm_degree([admissible_annihilator(chi, q, m) for q, m in m_map.items()])
+        if chi == omega(p):
+            p_chi = 1
+        elif chi.is_odd:
+            p_chi = 0
+        else:
+            p_chi = chi.d_chi * deg_f
+        rank += sum(chi.d_chi * p ** m for m in m_map.values()) - p_chi
+        if rank < lam.value:
+            raise InvariantViolationError("tame contribution went negative")
+    return RankRecord(chi.label(), chi.d_chi, chi.parity, list(m_map), m_map, deg_f, p_chi, lam, rank)
 
 
 @dataclass
@@ -172,7 +156,10 @@ class RankReport:
     S: list
     records: List[RankRecord]
     total: int
-    conjectural: bool
+
+    @property
+    def conjectural(self) -> bool:
+        return any(r.conjectural for r in self.records)
 
 
 def rank_total(
@@ -191,11 +178,4 @@ def rank_total(
             for label in sorted(unknown)
         )
     records = [rank_chi(chi, S, provider) for chi in reps]
-    total = sum(r.rank for r in records)
-    return RankReport(
-        field=field,
-        S=S,
-        records=records,
-        total=total,
-        conjectural=any(r.conjectural for r in records),
-    )
+    return RankReport(field, S, records, sum(r.rank for r in records))

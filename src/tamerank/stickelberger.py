@@ -43,6 +43,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import ClassVar, NamedTuple, Optional, Tuple
 
@@ -93,14 +94,18 @@ def _unpack(x: int, count: int, words: int) -> list:
 
 class ResidueTable(NamedTuple):
     """Half the units a mod M = f' p^{n+1}, one packed column per unit r =
-    units[s] below f'p/2: slot j of columns[s] holds 2(M - a) for the a with
-    c_n(a) = j and a = r mod f'p.  The other half of row j is M - a, at -r
-    mod f'p.  A slot is `words` 64-bit words wide, enough for any sum over s
-    of c_s columns[s] with 0 <= c_s < p^{_work_digits(n)}."""
+    _table_units(f', p)[s] below f'p/2: slot j of columns[s] holds 2(M - a)
+    for the a with c_n(a) = j and a = r mod f'p.  The other half of row j is
+    M - a, at -r mod f'p.  A slot is `words` 64-bit words wide, enough for
+    any sum over s of c_s columns[s] with 0 <= c_s < p^{_work_digits(n)}."""
 
-    units: tuple
     columns: tuple  # one packed int per unit
     words: int
+
+
+def _table_units(fprime: int, p: int) -> tuple:
+    """The units r below f'p/2 that head the columns of every level's table."""
+    return tuple(r for r in range(1, (fprime * p + 1) // 2) if math.gcd(r, fprime * p) == 1)
 
 
 def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
@@ -108,8 +113,7 @@ def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
     cell by CRT: a = r mod f' and a = omega(r) (1+p)^j mod p^{n+1}."""
     pn1 = p ** (n + 1)
     M = fprime * pn1
-    half = (fprime * p + 1) // 2
-    units = tuple(r for r in range(1, half) if math.gcd(r, fprime * p) == 1)
+    units = _table_units(fprime, p)
     words = _slot_words(len(units), M, p, n)
     e_f = pn1 * pow(pn1, -1, fprime) % M  # 1 mod f', 0 mod p^{n+1}
     e_p = fprime * pow(fprime, -1, pn1) % M  # 0 mod f', 1 mod p^{n+1}
@@ -122,7 +126,7 @@ def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
         # a = (r mod f') e_f + omega(r) e_p u mod M is never 0, so 2(M - a) = -2a mod 2M
         b, t = -2 * (r % fprime) * e_f, 2 * teich[r % p]
         columns.append(_pack([(b - t * u) % (2 * M) for u in steps], words))
-    return ResidueTable(units, tuple(columns), words)
+    return ResidueTable(tuple(columns), words)
 
 
 class _TableCache:
@@ -154,26 +158,35 @@ class _TableCache:
 _TABLES = _TableCache()
 
 
+@lru_cache(maxsize=1)
+def _character_columns(chi: DirichletCharacter, digits: int) -> tuple:
+    """Column c holds coordinate c of chi^{-1}(r) / f' mod p^digits over the
+    table units r.  Every level of one lambda_minus call shares them, each
+    reduced to its own working digits."""
+    p, cond = chi.p, chi.conductor
+    fprime = split_prime_part(cond, p)[1]
+    ring = local_ring(chi.order, p, digits)
+    inv_f = pow(fprime, -1, ring.mod)
+    dlog = chi.units.dlog
+    chi_inv = (ring.zeta_vector(-chi._exponent_at(dlog(r % cond))) for r in _table_units(fprime, p))
+    return tuple(tuple(c * inv_f % ring.mod for c in column) for column in zip(*chi_inv))
+
+
 def _bucket_vectors(chi: DirichletCharacter, n: int) -> list:
     """Coefficients on the (1+T)^j basis, j in Z/p^n, as ring vectors mod p^N."""
-    p, m, cond = chi.p, chi.order, chi.conductor
-    fprime = split_prime_part(cond, p)[1]
+    p = chi.p
+    fprime = split_prime_part(chi.conductor, p)[1]
     table = _TABLES.get(fprime, p, n)
     pn1 = p ** (n + 1)
     modN = p ** DEFAULT_PRECISION
-    ring = local_ring(m, p, _work_digits(n))
-    modw = ring.mod
-    inv_f = pow(fprime, -1, modw)
-    dlog = chi.units.dlog
+    modw = p ** _work_digits(n)
 
-    # column c holds one coordinate of chi^{-1}(r) / f' over the table's
-    # units r.  Slot j of sum_s c_s columns[s] is sum_r 2(M - a) c_r; less
-    # M sum c, it is sum_r (M - 2a) c_r, which is sum_a -a chi^{-1}(a) / f'
-    # over row j, and it is divided by p^{n+1}, exactly at p
-    chi_inv = (ring.zeta_vector(-chi._exponent_at(dlog(r % cond))) for r in table.units)
+    # Slot j of sum_s c_s columns[s] is sum_r 2(M - a) c_r; less M sum c, it
+    # is sum_r (M - 2a) c_r, which is sum_a -a chi^{-1}(a) / f' over row j,
+    # and it is divided by p^{n+1}, exactly at p
     coordinates = []
-    for column in zip(*chi_inv):
-        column = [c * inv_f % modw for c in column]
+    for column in _character_columns(chi, _work_digits(max(n, MAX_LEVEL))):
+        column = [c % modw for c in column]
         offset = fprime * pn1 * sum(column)
         packed = sum(map(mul, column, table.columns))
         sums = [(v - offset) % modw for v in _unpack(packed, p ** n, table.words)]

@@ -3,9 +3,9 @@ Frobenius profile with its ramification test, the level-to-level
 norm-reduction check of the residue modules, the dense chi-quotient
 presentation, the direct per-character Stickelberger buckets, the
 complex-embedding oracle for lcm degrees, the rational-tower prime count and
-rank, the two-level rank estimate, the search oracle for the unit behind
-sigma_p, and a read-only loader for the benchmark's modules.  Test modules
-import them as `from helpers import ...`."""
+rank, the two-level rank estimate, the search oracles for the unit behind
+sigma_p and for the stabilization level, and a read-only loader for the
+benchmark's modules.  Test modules import them as `from helpers import ...`."""
 
 import cmath
 import importlib.util
@@ -17,7 +17,14 @@ from pathlib import Path
 
 from tamerank.arith import is_prime, mul_order, split_prime_part, teichmuller_residue
 from tamerank.characters import FieldSpec
-from tamerank.frobenius import admissible, inertia_trivial, m_index, sigma_p_value
+from tamerank.frobenius import (
+    STABILIZATION_BOUND,
+    admissible,
+    inertia_trivial,
+    m_index,
+    sigma_p_value,
+    splitting_count,
+)
 from tamerank.errors import InvariantViolationError
 from tamerank.localring import local_ring
 from tamerank.rank import _validate_s
@@ -212,6 +219,19 @@ def gamma_unit_by_search(p: int, q: int, a: int) -> int:
     if len(found) != 1:
         raise InvariantViolationError(f"{len(found)} units u for q = {q}, p = {p}, a = {a}")
     return found[0]
+
+
+def stabilization_level_by_search(field: FieldSpec, q: int):
+    """Oracle for `tamerank.frobenius.stabilization_level`: the first n below
+    STABILIZATION_BOUND with f_{n+1} = p f_n, found by computing the residue
+    degree level by level; None if there is none."""
+    prev = splitting_count(field, q, 0).residue_degree
+    for n in range(STABILIZATION_BOUND):
+        nxt = splitting_count(field, q, n + 1).residue_degree
+        if nxt == field.p * prev:
+            return n
+        prev = nxt
+    return None
 
 
 def direct_bucket_vectors(chi, n: int, N: int) -> tuple:

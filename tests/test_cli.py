@@ -26,7 +26,9 @@ from tamerank.errors import (
     ConfigError,
     InvariantViolationError,
     LambdaUnavailableError,
+    OracleInconsistencyError,
     PrecisionError,
+    TameRankError,
 )
 from tamerank.stickelberger import StickelbergerSeries
 
@@ -306,6 +308,43 @@ def test_main_maps_internal_errors(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(tamerank.cli, "lambda_minus", short)
     assert main(["lambda", "--config", cfg]) == EXIT_PRECISION
     assert "unstable" in capsys.readouterr().err
+
+
+# every typed error, its exit code and its stderr line for the message "m"
+ERROR_EXITS = {
+    ConfigError: (EXIT_CONFIG, "config error: m"),
+    LambdaUnavailableError: (EXIT_LAMBDA, "lambda unavailable: lambda unavailable for character m"),
+    OracleInconsistencyError: (EXIT_INCONSISTENT, "oracle inconsistency: m"),
+    PrecisionError: (EXIT_PRECISION, "level bound reached: m"),
+    InvariantViolationError: (EXIT_INVARIANT, "internal invariant violated: m"),
+}
+
+
+def test_every_error_class_has_one_exit_code(tmp_path, capsys, monkeypatch):
+    assert set(TameRankError.__subclasses__()) == set(ERROR_EXITS)
+    assert len({code for code, _ in ERROR_EXITS.values()}) == len(ERROR_EXITS)
+    cfg = write_config(tmp_path, EXAMPLE_6_5)
+    for error, (code, line) in ERROR_EXITS.items():
+        def fail(job, command, error=error):
+            raise error(["m"] if error is ConfigError else "m")
+
+        monkeypatch.setattr(tamerank.cli, "run", fail)
+        for command in ("rank", "oracle", "lambda", "chars"):
+            assert main([command, "--config", cfg]) == code, (error, command)
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", line + "\n"), (error, command)
+
+
+def test_runner_table_keys_are_the_subcommands(capsys):
+    # argparse lists the subcommands main accepts when it refuses another,
+    # and exits 2 on that usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    choices = capsys.readouterr().err.split("choose from ")[1].split(")")[0]
+    assert [c.strip(" '") for c in choices.split(",")] == list(tamerank.cli._RUNNERS)
+    with pytest.raises(ValueError, match="unknown command bogus"):
+        run(parse_config(json.dumps(EXAMPLE_6_5)), "bogus")
 
 
 DOCUMENTED_EXITS = {

@@ -1,6 +1,11 @@
 import pytest
 
-from helpers import FrobeniusProfile, gamma_unit_by_search, rational_prime_count
+from helpers import (
+    FrobeniusProfile,
+    gamma_unit_by_search,
+    rational_prime_count,
+    stabilization_level_by_search,
+)
 from tamerank.arith import is_prime, v_p
 from tamerank.characters import (
     FieldSpec,
@@ -9,6 +14,7 @@ from tamerank.characters import (
     omega,
     trivial_character,
 )
+from tamerank.errors import ConfigError
 from tamerank.frobenius import (
     inertia_trivial,
     m_index,
@@ -158,6 +164,35 @@ def test_stabilization_level_examples():
     assert stabilization_level(FieldSpec(5, 1), 7) == 1
     # ramified prime: the quotient tower stabilizes late for q = 7, p = 5
     assert stabilization_level(FieldSpec(5, 7), 7) == 1
+
+
+# f with tame quotients whose orders carry a p-part: 7 and 19 for p = 3, 11
+# for p = 5, 29 for p = 7, 23 for p = 11, 53 for p = 13
+STABILIZATION_GRID = [
+    (3, 1, ()), (3, 7, ()), (3, 19, ()), (3, 19, (7,)), (3, 56, (13,)),
+    (5, 1, ()), (5, 11, ()), (5, 21, (2,)), (7, 29, ()), (7, 29, (28,)),
+    (11, 23, ()), (13, 53, ()),
+]
+
+
+def test_stabilization_level_matches_the_search():
+    # the formula m_q + v_p(e) against the level-by-level residue degrees,
+    # on every prime q < 400, q != p, of every grid field, ramified q included
+    seen = set()
+    for p, f, H in STABILIZATION_GRID:
+        field = FieldSpec(p, f, H)
+        for q in range(2, 400):
+            if not is_prime(q) or q == p:
+                continue
+            level = stabilization_level(field, q)
+            assert level == stabilization_level_by_search(field, q), (p, f, H, q)
+            seen.add((level > m_index(q, p), m_index(q, p) > 0))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    # m_q = 16: neither finds a level below the bound
+    field = FieldSpec(3, 1)
+    assert stabilization_level_by_search(field, 258280327) is None
+    with pytest.raises(ConfigError):
+        stabilization_level(field, 258280327)
 
 
 def test_frobenius_profile_serialization():

@@ -320,3 +320,28 @@ def test_lambda_job_builds_each_table_once(monkeypatch):
     job = parse_config('{"p": 7, "f": 13}')
     run(job, "lambda")
     assert sorted(built) == [(1, 7, 1), (1, 7, 2), (13, 7, 1), (13, 7, 2)]
+
+
+def test_series_builds_only_its_own_level(monkeypatch):
+    # the character side takes its units from _table_units, not from a table
+    built = []
+
+    def counted(fprime, p, n):
+        built.append((fprime, p, n))
+        return build(fprime, p, n)
+
+    build = stickelberger._residue_table
+    monkeypatch.setattr(stickelberger, "_residue_table", counted)
+    monkeypatch.setattr(stickelberger, "_TABLES", stickelberger._TableCache())
+    stickelberger_series(omega(5).power(3), 3)
+    assert built == [(1, 5, 3)]
+
+
+def test_lambda_evaluates_each_character_once():
+    # both levels of a lambda_minus call project the same character columns
+    columns = stickelberger._character_columns
+    columns.cache_clear()
+    rows = run(parse_config('{"p": 7, "f": 13}'), "lambda")["rows"]
+    info = columns.cache_info()
+    assert info.misses == len(rows) and info.hits == len(rows)
+    assert all(row["levels_used"] == [1, 2] for row in rows)
