@@ -83,7 +83,8 @@ class DirichletCharacter:
     """A primitive Dirichlet character attached to an ambient odd prime p,
     held as one integer exponent per generator of unit_group(modulus)."""
 
-    __slots__ = ("p", "modulus", "units", "exponents", "order", "_weights", "parity", "d_chi")
+    __slots__ = ("p", "modulus", "units", "exponents", "order", "_weights", "parity", "d_chi",
+                 "_label", "admissible_at")
 
     def __init__(self, p: int, modulus: int, exponents: tuple):
         self.p = p
@@ -100,6 +101,10 @@ class DirichletCharacter:
         self._weights = tuple(e * self.order // n for e, n in zip(self.exponents, orders))
         self.parity = -1 if self._exponent_at(self.units.minus_one) else 1
         self.d_chi = _local_degree(self.order, p)
+        self._label = None
+        # q -> whether q lies in S_chi, filled by frobenius.admissible; it
+        # lives as long as the character, so as long as its field's entry
+        self.admissible_at = {}
 
     @property
     def conductor(self) -> int:
@@ -140,11 +145,15 @@ class DirichletCharacter:
         return [(e // math.gcd(e, n), n // math.gcd(e, n)) for e, n in pairs]
 
     def label(self) -> str:
-        if self.is_trivial:
-            return "eps"
-        if self.modulus == self.p:
-            return f"omega^{self.exponents[0]}"
-        return f"chi{self.modulus}[{'.'.join(f'{k}of{n}' for k, n in self._reduced())}]"
+        if self._label is None:
+            if self.is_trivial:
+                self._label = "eps"
+            elif self.modulus == self.p:
+                self._label = f"omega^{self.exponents[0]}"
+            else:
+                parts = ".".join(f"{k}of{n}" for k, n in self._reduced())
+                self._label = f"chi{self.modulus}[{parts}]"
+        return self._label
 
     def to_dict(self) -> dict:
         return {
@@ -337,7 +346,8 @@ def conjugacy_classes(chars: list, p: int) -> list:
 
     Each class has size d_chi and its members share order, conductor, parity
     and d_chi; the class representative is the earliest member in the
-    enumeration order of `chars`.
+    enumeration order of `chars`.  Members are the objects of `chars`, so a
+    label or an S_chi test kept on one of them serves both lists.
     """
     index = {c: i for i, c in enumerate(chars)}
     seen = set()
@@ -349,7 +359,7 @@ def conjugacy_classes(chars: list, p: int) -> list:
         for m in orbit:
             if m not in index:
                 raise InvariantViolationError("conjugate escaped the dual group")
-        orbit.sort(key=index.__getitem__)
+        orbit = [chars[i] for i in sorted(map(index.__getitem__, orbit))]
         if len(orbit) != c.d_chi:
             raise InvariantViolationError("conjugacy class size != d_chi")
         if len({(m.conductor, m.parity, m.d_chi, m.order) for m in orbit}) != 1:
@@ -363,3 +373,13 @@ def conjugacy_classes(chars: list, p: int) -> list:
 
 def class_representatives(chars: list, p: int) -> list:
     return [cl[0] for cl in conjugacy_classes(chars, p)]
+
+
+@lru_cache(maxsize=1)
+def field_characters(field: FieldSpec) -> tuple:
+    """(characters, classes) of the field, both tuples, for the most recent
+    field only: consecutive jobs on one field share them, and with them each
+    character's label and S_chi tests.  A miss runs enumerate_characters and
+    conjugacy_classes, with all their checks."""
+    chars = enumerate_characters(field)
+    return tuple(chars), tuple(map(tuple, conjugacy_classes(chars, field.p)))

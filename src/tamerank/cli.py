@@ -27,13 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional
 
 from .arith import PRIME_BOUND, is_prime
-from .characters import (
-    FieldSpec,
-    class_representatives,
-    conjugacy_classes,
-    enumerate_characters,
-    omega,
-)
+from .characters import FieldSpec, field_characters, omega
 from .errors import (
     ConfigError,
     InvariantViolationError,
@@ -226,8 +220,7 @@ def run_rank(job: JobConfig) -> dict:
 def run_oracle(job: JobConfig) -> dict:
     """brute-force verification grid"""
     field = job.field
-    chars = enumerate_characters(field)
-    reps = class_representatives(chars, field.p)
+    reps = [cl[0] for cl in field_characters(field)[1]]
     given = job.oracle_levels
     # below its stabilization level a prime still splits between levels, and
     # chi-quotient growth there does not measure the rank
@@ -241,9 +234,10 @@ def run_oracle(job: JobConfig) -> dict:
     for q, s in stable.items():
         n0, n1 = given or (s, s + 1)
         lo, hi = residue_module(field, q, n0), residue_module(field, q, n1)
+        pm = field.p ** m_index(q, field.p)
         for chi in reps:
             in_s_chi = admissible(chi, q)
-            expected = chi.d_chi * field.p ** m_index(q, field.p) if in_s_chi else 0
+            expected = chi.d_chi * pm if in_s_chi else 0
             x0, x1, estimated = quotient_growth(lo, hi, chi)
             rows.append(
                 {
@@ -263,11 +257,9 @@ def run_oracle(job: JobConfig) -> dict:
 def run_lambda(job: JobConfig) -> dict:
     """Stickelberger lambda table"""
     field = job.field
-    chars = enumerate_characters(field)
-    reps = class_representatives(chars, field.p)
     rows = []
     om = omega(field.p)
-    for chi in reps:
+    for chi in (cl[0] for cl in field_characters(field)[1]):
         if not chi.is_odd or chi == om:
             continue
         res = lambda_minus(chi)
@@ -284,9 +276,7 @@ def run_lambda(job: JobConfig) -> dict:
 
 def run_chars(job: JobConfig) -> dict:
     """character inventory"""
-    field = job.field
-    chars = enumerate_characters(field)
-    classes = conjugacy_classes(chars, field.p)
+    chars, classes = field_characters(job.field)
     return _report(
         job,
         "chars",

@@ -11,7 +11,7 @@ can be read off character values at q.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .arith import euler_phi, is_prime, mul_order, padic_log, split_prime_part, v_p
 from .characters import DirichletCharacter, FieldSpec, RootOfUnity, omega
@@ -53,11 +53,15 @@ def sigma0_ok(chi: DirichletCharacter, q: int) -> bool:
 
 def admissible(chi: DirichletCharacter, q: int) -> bool:
     """Whether q belongs to S_chi: chi is unramified at q and
-    (omega chi^{-1})(q) has p-power order."""
-    return inertia_trivial(chi, q) and sigma0_ok(chi, q)
+    (omega chi^{-1})(q) has p-power order.  The answer is kept on chi, so a
+    chain of S sets on one field tests each (class, q) once."""
+    memo = chi.admissible_at
+    if q not in memo:
+        memo[q] = inertia_trivial(chi, q) and sigma0_ok(chi, q)
+    return memo[q]
 
 
-def sigma_p_value(chi: DirichletCharacter, q: int) -> RootOfUnity:
+def sigma_p_value(chi: DirichletCharacter, q: int, m: Optional[int] = None) -> RootOfUnity:
     """chi^{-1}(sigma_p) for the p-Sylow component sigma_p of the generator
     gamma^{p^m} sigma_p of the p-part of the decomposition group.
 
@@ -65,7 +69,8 @@ def sigma_p_value(chi: DirichletCharacter, q: int) -> RootOfUnity:
     of the Frobenius class; sigma_p is that p-part raised to u^{-1}, where
     u is the unit x_q / p^{m_q}.  As log omega(q) = 0, x_q equals
     log(q^{p-1}) / ((p-1) log(1+p)); with z_p of order p^a, u mod p^a needs
-    x_q mod p^{m_q+a+1}, so both logs are taken mod p^{m_q+a+2}.
+    x_q mod p^{m_q+a+1}, so both logs are taken mod p^{m_q+a+2}.  A caller
+    that has m_q passes it as m; the valuation check below still holds it.
     """
     p = chi.p
     if not inertia_trivial(chi, q):
@@ -74,7 +79,8 @@ def sigma_p_value(chi: DirichletCharacter, q: int) -> RootOfUnity:
     if zp.is_one:
         return zp
     a = split_prime_part(zp.order, p)[0]
-    m = m_index(q, p)
+    if m is None:
+        m = m_index(q, p)
     W = m + a + 2
     log_q = padic_log(pow(q, p - 1, p ** W), p, W)
     log_k0 = padic_log(1 + p, p, W)

@@ -1,7 +1,13 @@
 import pytest
 
 from helpers import random_prime_sets, rank_rational
-from tamerank.characters import FieldSpec, enumerate_characters, omega, trivial_character
+from tamerank.characters import (
+    FieldSpec,
+    enumerate_characters,
+    field_characters,
+    omega,
+    trivial_character,
+)
 from tamerank.errors import LambdaUnavailableError
 from tamerank.rank import (
     LambdaProvider,
@@ -62,6 +68,34 @@ def test_rank_total_empty_s_is_lambda_sum():
     report = rank_total(FieldSpec(5, 1), [], prov)
     # eps still resolves to 0 unconditionally
     assert report.total == 3 * 2
+
+
+# nested fields, each the next one's subfield
+NESTED_FIELDS = [FieldSpec(5, 7, (6,)), FieldSpec(5, 7), FieldSpec(5, 21)]
+# 3 and 7 divide some f; m_q is 1 for 7 and 43, 2 for 251 and 0 otherwise
+NESTED_S = [2, 3, 7, 11, 43, 251]
+
+
+def _records_by_class(field):
+    """rank_total's records without their label, keyed by the member labels
+    of their class, for a lambda table whose value depends on the class alone."""
+    classes = field_characters(field)[1]
+    members = [tuple(sorted(m.label() for m in cl)) for cl in classes]
+    table = {cl[0].label(): sum(map(len, key)) for cl, key in zip(classes, members)}
+    report = rank_total(field, NESTED_S, LambdaProvider(table=table))
+    records = [{k: v for k, v in r.to_dict().items() if k != "character"} for r in report.records]
+    return dict(zip(members, records))
+
+
+@pytest.mark.parametrize("small,big", [(0, 1), (1, 2), (0, 2)])
+def test_record_is_field_independent(small, big):
+    # the representative, and so the character label, may differ
+    mine = _records_by_class(NESTED_FIELDS[small])
+    theirs = _records_by_class(NESTED_FIELDS[big])
+    assert any(r["S_chi"] and r["d_chi"] > 1 for r in mine.values())
+    for members, record in mine.items():
+        assert members in theirs, members
+        assert theirs[members] == record, members
 
 
 def test_rank_rational_examples():

@@ -30,6 +30,9 @@ print(json.dumps({name: value for name, (value, unit) in tracer.metrics({}, {}, 
 
 JOBS = [
     ("rank", {"p": 5, "S": [7, 11], "lambda": {"mode": "auto", "table": {"omega^1": 0}}}),
+    # the same field with S grown by one prime: its characters and its tests
+    # at 7 and 11 are shared with the job before
+    ("rank", {"p": 5, "S": [7, 11, 19], "lambda": {"mode": "table", "table": {"all": 0}}}),
     ("lambda", {"p": 7}),
     ("oracle", {"p": 3, "S": [7]}),
     ("lambda", {"p": 3, "f": 239, "H": [49]}),  # lambda = 6, read at level 2
@@ -50,3 +53,7 @@ def test_tracer_hooks_count_a_small_batch():
     assert metrics["stickelberger.precision_retries"] == 0
     assert metrics["residue.cosets"] > 0
     assert metrics["residue.smith_cells"] > 0
+    fields = [(doc["p"], doc.get("f", 1), tuple(doc.get("H", []))) for _, doc in JOBS]
+    runs = sum(1 for i, field in enumerate(fields) if i == 0 or fields[i - 1] != field)
+    assert metrics["characters.enumerate.calls"] == runs
+    assert metrics["frobenius.sigma0_ok.calls_per_pair"] == 1.0
