@@ -44,7 +44,7 @@ def annihilator(chi: DirichletCharacter, q: int) -> Optional[AnnihilatorPoly]:
 
 def admissible_annihilator(chi: DirichletCharacter, q: int, m: int) -> AnnihilatorPoly:
     """The annihilator at a q already known to lie in S_chi, with m = m_q."""
-    return AnnihilatorPoly(chi.p, m, sigma_p_value(chi, q, m))
+    return AnnihilatorPoly(chi.p, m, sigma_p_value(chi, q))
 
 
 def contains(a: AnnihilatorPoly, b: AnnihilatorPoly) -> bool:

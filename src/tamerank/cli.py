@@ -234,10 +234,9 @@ def run_oracle(job: JobConfig) -> dict:
     for q, s in stable.items():
         n0, n1 = given or (s, s + 1)
         lo, hi = residue_module(field, q, n0), residue_module(field, q, n1)
-        pm = field.p ** m_index(q, field.p)
         for chi in reps:
             in_s_chi = admissible(chi, q)
-            expected = chi.d_chi * pm if in_s_chi else 0
+            expected = chi.d_chi * field.p ** m_index(q, field.p) if in_s_chi else 0
             x0, x1, estimated = quotient_growth(lo, hi, chi)
             rows.append(
                 {

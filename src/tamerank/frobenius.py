@@ -11,7 +11,8 @@ can be read off character values at q.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import euler_phi, is_prime, mul_order, padic_log, split_prime_part, v_p
 from .characters import DirichletCharacter, FieldSpec, RootOfUnity, omega
@@ -20,9 +21,11 @@ from .errors import ConfigError, InvariantViolationError
 STABILIZATION_BOUND = 16  # oracle primes must stabilize below this level
 
 
+@lru_cache(maxsize=None)
 def m_index(q: int, p: int) -> int:
     """m_q = v_p(q^(p-1) - 1) - 1; p^{m_q} counts the primes of the
-    rational tower above q."""
+    rational tower above q.  Kept per (q, p), so the primality test runs
+    once per pair rather than once per (class, q)."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     if q == p:
@@ -61,7 +64,7 @@ def admissible(chi: DirichletCharacter, q: int) -> bool:
     return memo[q]
 
 
-def sigma_p_value(chi: DirichletCharacter, q: int, m: Optional[int] = None) -> RootOfUnity:
+def sigma_p_value(chi: DirichletCharacter, q: int) -> RootOfUnity:
     """chi^{-1}(sigma_p) for the p-Sylow component sigma_p of the generator
     gamma^{p^m} sigma_p of the p-part of the decomposition group.
 
@@ -69,8 +72,7 @@ def sigma_p_value(chi: DirichletCharacter, q: int, m: Optional[int] = None) -> R
     of the Frobenius class; sigma_p is that p-part raised to u^{-1}, where
     u is the unit x_q / p^{m_q}.  As log omega(q) = 0, x_q equals
     log(q^{p-1}) / ((p-1) log(1+p)); with z_p of order p^a, u mod p^a needs
-    x_q mod p^{m_q+a+1}, so both logs are taken mod p^{m_q+a+2}.  A caller
-    that has m_q passes it as m; the valuation check below still holds it.
+    x_q mod p^{m_q+a+1}, so both logs are taken mod p^{m_q+a+2}.
     """
     p = chi.p
     if not inertia_trivial(chi, q):
@@ -79,8 +81,7 @@ def sigma_p_value(chi: DirichletCharacter, q: int, m: Optional[int] = None) -> R
     if zp.is_one:
         return zp
     a = split_prime_part(zp.order, p)[0]
-    if m is None:
-        m = m_index(q, p)
+    m = m_index(q, p)
     W = m + a + 2
     log_q = padic_log(pow(q, p - 1, p ** W), p, W)
     log_k0 = padic_log(1 + p, p, W)

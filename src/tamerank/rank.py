@@ -120,17 +120,14 @@ class RankRecord:
 
 
 def rank_chi(
-    chi: DirichletCharacter,
-    S: Iterable[int],
-    provider: LambdaProvider,
-    m_q: Optional[Dict[int, int]] = None,
+    chi: DirichletCharacter, S: Iterable[int], provider: LambdaProvider
 ) -> RankRecord:
     """Rank of the chi-quotient for the prime set S; with S_chi empty it is
-    lambda_chi, and degF and P_chi are None.  m_q maps each q of S to m_q
-    when the caller already has it, as rank_total does once per job."""
+    lambda_chi, and degF and P_chi are None.  S is validated once, by s_chi,
+    before lambda is resolved."""
     p = chi.p
+    m_map = {q: m_index(q, p) for q in s_chi(chi, S)}
     lam = provider.resolve(chi)
-    m_map = {q: m_q[q] if m_q is not None else m_index(q, p) for q in s_chi(chi, S)}
     deg_f = p_chi = None
     rank = lam.value
     if m_map:
@@ -165,7 +162,6 @@ def rank_total(
     """One record per conjugacy class representative; the total is their sum
     (d_chi already accounts for the class size)."""
     S = _validate_s(S, field.p)
-    m_q = {q: m_index(q, field.p) for q in S}
     reps = [cl[0] for cl in field_characters(field)[1]]
     unknown = set(provider.table) - {"all"} - {chi.label() for chi in reps}
     if unknown:
@@ -174,5 +170,5 @@ def rank_total(
             f" of {field}"
             for label in sorted(unknown)
         )
-    records = [rank_chi(chi, S, provider, m_q) for chi in reps]
+    records = [rank_chi(chi, S, provider) for chi in reps]
     return RankReport(field, S, records, sum(r.rank for r in records))

@@ -30,6 +30,11 @@ def test_s_chi_examples():
 def test_s_chi_rejects_p():
     with pytest.raises(ValueError):
         s_chi(omega(5), [5, 7])
+    # rank_chi checks S before lambda: this even character has no lambda
+    with pytest.raises(ValueError, match="S must not contain p"):
+        rank_chi(omega(5).power(2), [5, 7], LambdaProvider())
+    with pytest.raises(LambdaUnavailableError):
+        rank_chi(omega(5).power(2), [7], LambdaProvider())
 
 
 def test_rank_chi_q_mu5():
