@@ -46,7 +46,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def _check_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime.  A pass is kept, so the
+    fields, valuations and tame quotients of one p test it once; a failure
+    raises again on every call."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
 

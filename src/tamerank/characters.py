@@ -84,7 +84,7 @@ class DirichletCharacter:
     held as one integer exponent per generator of unit_group(modulus)."""
 
     __slots__ = ("p", "modulus", "units", "exponents", "order", "_weights", "parity", "d_chi",
-                 "_label", "admissible_at")
+                 "_label", "admissible_at", "_at_points")
 
     def __init__(self, p: int, modulus: int, exponents: tuple):
         self.p = p
@@ -105,6 +105,7 @@ class DirichletCharacter:
         # q -> whether q lies in S_chi, filled by frobenius.admissible; it
         # lives as long as the character, so as long as its field's entry
         self.admissible_at = {}
+        self._at_points = None  # (points, exponents_at(points)), the latest
 
     @property
     def conductor(self) -> int:
@@ -126,6 +127,18 @@ class DirichletCharacter:
         if math.gcd(a, self.modulus) != 1:
             return None
         return RootOfUnity(self._exponent_at(self.units.dlog(a)), self.order)
+
+    def exponents_at(self, points: tuple) -> tuple:
+        """The k with chi(a) = zeta_order^k for each a in `points`, which must
+        be units mod the conductor.  The latest answer is kept on the
+        character: every residue module of a field evaluates its characters
+        at the same generator points."""
+        if self._at_points is None or self._at_points[0] != points:
+            values = [self.value(a) for a in points]
+            if None in values:
+                raise InvariantViolationError("character evaluation hit a non-unit")
+            self._at_points = (points, tuple(v.exponent_for(self.order) for v in values))
+        return self._at_points[1]
 
     def value_exponents(self) -> list:
         """For each a mod the conductor, the k with chi(a) = zeta_order^k, or

@@ -13,11 +13,18 @@ The presentation has d = dim O_chi generators per coset and d relation rows
 per coset and generator of G, r d columns in all.  It is never written out:
 every relation ties two cosets by an invertible map, so a spanning tree of
 each orbit of cosets expresses every coset's generators through the root's.
-A coset's map to the root is a scalar unit c_j times a power Z(k_j)^T of the
-matrix of zeta_m, so the tree keeps only the pair (c_j, k_j).  The edges
-left out of the tree become relations on the root, and the p^e relations of
-all cosets collapse to p^e on the root because every tree map is invertible:
-one Smith block on d columns per orbit.
+A coset's map to the root is a scalar unit c_j times Z(k_j)^T, the matrix of
+chi at a product of generator points, so the tree keeps the pair (c_j, n_j)
+with n_j the count of each generator's edges on the path from the root.  The
+edges left out of the tree become relations on the root, and the p^e
+relations of all cosets collapse to p^e on the root because every tree map
+is invertible: one Smith block on d columns per orbit.
+
+Only the exponent k = sum_g n_g a_g, with chi(point_g) = zeta_m^{a_g},
+depends on chi.  So the forest and its relations (u, n) are built once per
+module and part (none, plus or minus) and kept on the module, and each
+character only maps the relations to (u, k) and reduces one Smith block per
+distinct relation set.
 
 The chi-quotient is taken over the group ring of G = Gal(K/Q), embedded in
 the level group as (tame part) x (Teichmueller torsion); the cyclotomic
@@ -28,10 +35,17 @@ and the growth rate is the Z_p-rank of the limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional
 
-from .arith import crt, smallest_primitive_root, split_prime_part, teichmuller_residue, unit_group
+from .arith import (
+    crt,
+    mul_order,
+    smallest_primitive_root,
+    split_prime_part,
+    teichmuller_residue,
+    unit_group,
+)
 from .characters import DirichletCharacter, FieldSpec, RootOfUnity
 from .errors import InvariantViolationError, OracleInconsistencyError
 from .frobenius import splitting_count
@@ -44,9 +58,12 @@ SNF_GUARD_DIGITS = 4
 class ResidueModule:
     """Induced module (Z/p^{e_n})^{r_n} with its Galois action tables.
 
-    `gen_actions` maps each generator of the embedded copy of G to its
-    coset permutation with Frobenius-power twists; `chi_points` holds the
-    integer at which a character of G must be evaluated for that generator.
+    `gen_actions` holds, for each generator g of the embedded copy of G, the
+    unit mod f p at which a character of G is evaluated for g (its point)
+    and its coset table: entry i is (j, t) with g c_i = qbar^t c_j.
+    `j_action` is the table of complex conjugation.  `forests` keeps the
+    chi-independent part of `chi_quotient_order` per part, built on first
+    use.
     """
 
     field: FieldSpec
@@ -57,6 +74,7 @@ class ResidueModule:
     cosets: list
     gen_actions: list  # [(chi_point, [(j, t)] per coset)]
     j_action: list  # [(j, t)] per coset for complex conjugation
+    forests: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_cosets(self) -> int:
@@ -72,17 +90,24 @@ class _LevelGroup:
         self.fq = self.quotient.f
         self.hset = self.quotient.subgroup_elements
         self.pmod = field.p ** (n + 1)
+        # the least element of each class a H of Z/fq, looked up by a mod fq
+        fq = self.fq
+        self._least = [None] * fq
+        for a in range(fq):
+            if self._least[a] is None:
+                orbit = [a * h % fq for h in self.hset]
+                least = min(orbit)
+                for x in orbit:
+                    self._least[x] = least
 
     def canon(self, a: int) -> int:
-        if self.fq == 1:
-            return 0
-        return min(a * h % self.fq for h in self.hset)
+        return self._least[a % self.fq]
 
     def element(self, a: int, b: int) -> tuple:
-        return (self.canon(a % self.fq), b % self.pmod)
+        return (self.canon(a), b % self.pmod)
 
     def mul(self, x: tuple, y: tuple) -> tuple:
-        return (self.canon(x[0] * y[0]) if self.fq > 1 else 0, x[1] * y[1] % self.pmod)
+        return (self._least[x[0] * y[0] % self.fq], x[1] * y[1] % self.pmod)
 
     def elements(self) -> list:
         tame = sorted({self.canon(a) for a in range(self.fq) if math.gcd(a, self.fq) == 1}) or [0]
@@ -191,76 +216,113 @@ def _snf_exponent(rows: List[list], ncols: int, p: int, K: int) -> int:
     return total
 
 
+class _Forest:
+    """The chi-independent part of `chi_quotient_order` on one module and part.
+
+    `points` and `orders` are the generator points and their orders in
+    (Z/fp)^x.  `orbits` pairs each distinct set of non-tree relations (u, n)
+    with the number of coset orbits that have it; n counts each generator's
+    edges mod its order, since chi(point_g)^{ord_g} = 1."""
+
+    __slots__ = ("points", "orders", "orbits")
+
+    def __init__(self, module: ResidueModule, part: Optional[str]):
+        p = module.field.p
+        mod = p ** (module.e_exp + SNF_GUARD_DIGITS)
+        self.points = tuple(point for point, _ in module.gen_actions)
+        self.orders = tuple(mul_order(point, module.field.f * p) for point in self.points)
+        qinv = pow(module.q, -1, mod)
+        twist = [1]  # twist[t] = q^{-t}
+        for _ in range(1, module.residue_degree):
+            twist.append(twist[-1] * qinv % mod)
+
+        # (s, g, table): q^t x_j = s Z(a_g)^T x_i for (j, t) = table[i]; the
+        # J edge of a part has no generator
+        edges = [(1, g, table) for g, (_, table) in enumerate(module.gen_actions)]
+        if part is not None:
+            sign = -1 if part == "plus" else 1
+            # kill the image of (1 -+ J): relations x_i -+ q^t x_{jJ}
+            edges.append((-sign % mod, None, module.j_action))
+
+        zero = (0,) * len(self.points)
+        tree = [None] * module.num_cosets  # coset j -> (c_j, c_j^{-1}, n_j)
+        orbits = {}  # relation set -> number of orbits with it
+        for root in range(module.num_cosets):
+            if tree[root] is not None:
+                continue
+            tree[root] = (1, 1, zero)
+            orbit = [root]
+            relations = set()
+            for i in orbit:  # breadth first: the orbit grows while it is walked
+                c, _, n = tree[i]
+                for s, g, table in edges:
+                    j, t = table[i]
+                    cj = c * s * twist[t] % mod
+                    nj = n if g is None else n[:g] + ((n[g] + 1) % self.orders[g],) + n[g + 1:]
+                    if tree[j] is None:
+                        tree[j] = (cj, pow(cj, -1, mod), nj)
+                        orbit.append(j)
+                    else:
+                        _, c0inv, n0 = tree[j]
+                        relations.add((cj * c0inv % mod,
+                                       tuple((x - y) % o for x, y, o in zip(nj, n0, self.orders))))
+            relations.discard((1, zero))
+            key = frozenset(relations)
+            orbits[key] = orbits.get(key, 0) + 1
+        self.orbits = tuple(orbits.items())
+
+
 def chi_quotient_order(
     module: ResidueModule, chi: DirichletCharacter, part: Optional[str] = None
 ) -> int:
     """Exponent of p in the order of the chi-quotient of the module (or of
     its plus/minus part when `part` is "plus" or "minus").
 
-    The presentation has d = dim O_chi generators x_i per coset i and, per
+    The presentation has d = dim O_chi generators x_i per coset and, per
     generator g of G with coset table (j, t) = table[i], the relation
-    q^t x_j = Z(a)^T x_i, where Z(a) is multiplication by chi(g) = zeta_m^a;
+    q^t x_j = Z(a_g)^T x_i, where Z(a) is multiplication by chi(g) = zeta_m^a;
     `part` adds complex conjugation as one more edge, with the table
     `j_action`: q^t x_j = x_i for "plus" and q^t x_j = -x_i for "minus".
     Every edge is invertible, so a breadth-first walk along the edges from a
-    root coset spans its orbit with a tree and writes x_j = c_j Z(k_j)^T x_root.  The Z's are powers of one zeta_m and
-    commute, so this matrix is the scalar c_j in (Z/p^K)^x times Z(k_j)^T,
-    kept as the pair (c_j, k_j).  A non-tree edge then reads
-    x_root = u Z(b)^T x_root, d rows (I - u Z(b)^T) on the root, one per
-    distinct (u, b) != (1, 0).  The relations p^e x_i = 0 on every coset
-    become p^e c_j Z(k_j)^T x_root = 0, whose span is p^e I on the root
+    root coset spans its orbit with a tree and writes
+    x_j = c_j Z(k_j)^T x_root.  The Z's are powers of one zeta_m and commute,
+    so this matrix is the scalar c_j in (Z/p^K)^x times Z(k_j)^T, and
+    k_j = sum_g n_g a_g for the edge counts n_j of the path.  A non-tree edge
+    then reads x_root = u Z(b)^T x_root, d rows (I - u Z(b)^T) on the root,
+    one per distinct (u, b) != (1, 0).  The relations p^e x_i = 0 on every
+    coset become p^e c_j Z(k_j)^T x_root = 0, whose span is p^e I on the root
     because c_j Z(k_j)^T is invertible.  So each orbit is one Smith block on
-    d columns, and the exponent is the sum over the orbits."""
+    d columns, and the exponent is the sum over the orbits.
+
+    The walk and its relations (u, n) do not depend on chi: they are built
+    once per module and part (`_Forest`).  Here the counts n become
+    exponents b, and orbits whose relation sets agree share one reduction."""
+    if part not in (None, "plus", "minus"):
+        raise ValueError("part must be 'plus', 'minus', or None")
+    forest = module.forests.get(part)
+    if forest is None:
+        forest = module.forests[part] = _Forest(module, part)
     p = module.field.p
     e = module.e_exp
     K = e + SNF_GUARD_DIGITS
-    mod = p ** K
+    pe = p ** e
     ring = local_ring(chi.order, p, K)
     d, m = ring.dim, ring.m
-    r = module.num_cosets
-    qinv = pow(module.q, -1, mod)
+    a = chi.exponents_at(forest.points)  # chi(point_g) = zeta_m^{a_g}, as m = chi.order
 
-    # (s, a, table): q^t x_j = s Z(a)^T x_i for (j, t) = table[i]
-    edges = []
-    for point, table in module.gen_actions:
-        value = chi.value(point)
-        if value is None:
-            raise InvariantViolationError("character evaluation hit a non-unit")
-        edges.append((1, value.exponent_for(m), table))
-    if part is not None:
-        sign = -1 if part == "plus" else 1 if part == "minus" else None
-        if sign is None:
-            raise ValueError("part must be 'plus', 'minus', or None")
-        # kill the image of (1 -+ J): relations x_i -+ q^t x_{jJ}
-        edges.append((-sign % mod, 0, module.j_action))
-
-    pe = p ** e
-    tree = [None] * r  # coset j -> (c_j, k_j)
+    reduced = {}  # relation set {(u, b)} -> exponent of its Smith block
     total = 0
-    for root in range(r):
-        if tree[root] is not None:
-            continue
-        tree[root] = (1, 0)
-        orbit = [root]
-        relations = set()
-        for i in orbit:  # breadth first: the orbit grows while it is walked
-            c, k = tree[i]
-            for s, a, table in edges:
-                j, t = table[i]
-                cj, kj = c * s * pow(qinv, t, mod) % mod, (k + a) % m
-                if tree[j] is None:
-                    tree[j] = (cj, kj)
-                    orbit.append(j)
-                else:
-                    c0, k0 = tree[j]
-                    relations.add((cj * pow(c0, -1, mod) % mod, (kj - k0) % m))
-        relations.discard((1, 0))
-        rows = [[pe if a == c else 0 for c in range(d)] for a in range(d)]
-        for u, b in relations:
-            Z = ring.root_matrix(RootOfUnity(b, m))
-            rows.extend([int(a == c) - u * Z[c][a] for c in range(d)] for a in range(d))
-        total += _snf_exponent(rows, d, p, K)
-    if total > e * r * d:
+    for relations, count in forest.orbits:
+        key = frozenset((u, sum(x * y for x, y in zip(n, a)) % m) for u, n in relations)
+        key -= {(1, 0)}
+        if key not in reduced:
+            rows = [[pe if i == c else 0 for c in range(d)] for i in range(d)]
+            for u, b in key:
+                Z = ring.root_matrix(RootOfUnity(b, m))
+                rows.extend([int(i == c) - u * Z[c][i] for c in range(d)] for i in range(d))
+            reduced[key] = _snf_exponent(rows, d, p, K)
+        total += count * reduced[key]
+    if total > e * module.num_cosets * d:
         raise InvariantViolationError("chi-quotient larger than the module")
     return total
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import tamerank.arith as arith
 from tamerank.arith import (
     PRIME_BOUND,
     crt,
@@ -86,6 +87,26 @@ def test_mul_order_is_minimal(a, M):
     for d in range(1, e):
         if e % d == 0:
             assert pow(a, d, M) != 1 or d == e
+
+
+def test_odd_prime_check_runs_once_per_prime(monkeypatch):
+    # fields, valuations and tame quotients of one p share one primality
+    # test; a failing p is tested, and refused, on every call
+    tested = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or real(n))
+    arith._check_odd_prime.cache_clear()
+    field = FieldSpec(13, 105, (2,))
+    field.tame_quotient(7).tame_quotient(3)
+    assert v_p(13 ** 3 * 7, 13) == 3 and v_p(26, 13) == 1
+    assert tested == [13]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            FieldSpec(15)
+        with pytest.raises(ValueError):
+            v_p(45, 15)
+    assert tested == [13] + [15] * 4
+    arith._check_odd_prime.cache_clear()
 
 
 def test_is_prime_refuses_what_it_cannot_prove():

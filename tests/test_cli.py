@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from tamerank.cli import (
     EXIT_LAMBDA,
     EXIT_OK,
     EXIT_PRECISION,
+    _oversized,
     main,
     parse_config,
     run,
@@ -31,6 +33,10 @@ from tamerank.errors import (
     TameRankError,
 )
 from tamerank.stickelberger import StickelbergerSeries
+
+from helpers import load_benchmark_module
+from tamerank.characters import FieldSpec
+from tamerank.frobenius import stabilization_level
 
 EXAMPLE_6_5 = {
     "p": 5,
@@ -51,6 +57,7 @@ def test_parse_config_valid():
     assert job.p == 5 and job.S == (7, 11)
     assert job.lambda_table == {"all": 0}
     assert job.field.group_order == 4
+    assert job.field is job.field
 
 
 def test_parse_config_rejects_p_in_s():
@@ -483,6 +490,45 @@ def test_oracle_prime_beyond_the_stabilization_bound(tmp_path, capsys):
     )
     assert main(["rank", "--config", cfg]) == EXIT_OK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "doc, flags, expected",
+    [
+        ({"p": 3, "S": [7], "oracle_levels": [1, 14]}, [],
+         ["oracle level n1 = 14 for q = 7: the level group has 9565938 elements, above 100000"]),
+        ({"p": 3, "S": [7]}, ["--levels", "1,1000000000"],
+         ["oracle level n1 = 1000000000 for q = 7: the level group has 2*3^1000000000 elements, "
+          "above 100000"]),
+        # on (5, 21; H = <8>) the q-quotient has tame degree 6 for q = 2 and 1
+        # for q = 7, so the level-11 groups have 6 * 4 * 5^11 and 4 * 5^11
+        # elements; every violation is named
+        ({"p": 5, "f": 21, "H": [8], "S": [2, 7], "oracle_levels": [0, 11]}, [],
+         ["oracle level n0 = 0 is below the stabilization level 1 of q = 7",
+          "oracle level n1 = 11 for q = 2: the level group has 1171875000 elements, above 100000",
+          "oracle level n1 = 11 for q = 7: the level group has 195312500 elements, above 100000"]),
+    ],
+)
+def test_oracle_levels_are_bounded_before_a_module_is_built(tmp_path, capsys, doc, flags, expected):
+    cfg = write_config(tmp_path, doc)
+    t0 = time.monotonic()
+    assert main(["oracle", "--config", cfg] + flags) == EXIT_CONFIG
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err.splitlines() == [f"config error: {v}" for v in expected]
+
+
+def test_oracle_bound_admits_the_benchmark_and_test_jobs(monkeypatch):
+    # the largest level group of an oracle-grid job (any seed gives the same
+    # groups) and the largest the fuzz test of main can draw: p = 7, f = 11,
+    # q = 19 at its default n1 = 3, 10 * 6 * 7^3 = 20580 elements
+    workloads = load_benchmark_module("workloads", monkeypatch)
+    for _, doc in workloads.generate("oracle-grid", 0):
+        job = parse_config(doc)
+        for q in job.S:
+            n1 = job.oracle_levels[1] if job.oracle_levels else stabilization_level(job.field, q) + 1
+            assert _oversized(job.field, q, n1) is None, doc
+    assert stabilization_level(FieldSpec(7, 11), 19) + 1 == 3
+    assert _oversized(FieldSpec(7, 11), 19, 3) is None
 
 
 # lambda >= p = 3 on these fields: the walk reads it from the level-2 series

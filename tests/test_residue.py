@@ -32,6 +32,7 @@ from tamerank.errors import InvariantViolationError
 from tamerank.localring import cyclotomic_poly, local_ring
 from tamerank.residue import (
     SNF_GUARD_DIGITS,
+    _LevelGroup,
     _snf_exponent,
     chi_quotient_order,
     residue_module,
@@ -201,30 +202,69 @@ def test_parity_decomposition_larger_field():
 
 
 # oracle-grid fields whose dense presentations all have at most this many
-# columns also check both parities; the larger ones would take seconds
+# columns check both parities against the dense oracle too; the larger ones
+# would take seconds, and check them against full = plus + minus instead
 PARITY_COLUMNS = 36
+PARTS = [None, "plus", "minus"]
 
 
-def test_tree_elimination_matches_dense_on_oracle_grid(monkeypatch):
-    # every chi_quotient_order call of the oracle-grid jobs at seed 0, at the
-    # levels run_oracle uses
+def _oracle_grid_modules(monkeypatch, seed=0):
+    """(job document, class representatives, modules) of each oracle-grid job,
+    one module per (q, n) at the levels run_oracle uses, as it builds them."""
     workloads = load_benchmark_module("workloads", monkeypatch)
-    for _, doc in workloads.generate("oracle-grid", 0):
+    for _, doc in workloads.generate("oracle-grid", seed):
         job = parse_config(doc)
         field = job.field
         reps = class_representatives(enumerate_characters(field), field.p)
-        cases = []
+        modules = []
         for q in sorted(job.S):
             s = stabilization_level(field, q)
-            cases += [(residue_module(field, q, n), chi)
-                      for n in job.oracle_levels or (s, s + 1) for chi in reps]
-        parts = [None]
-        if max(m.num_cosets * chi.d_chi for m, chi in cases) <= PARITY_COLUMNS:
-            parts += ["plus", "minus"]
-        for m, chi in cases:
-            for part in parts:
-                assert chi_quotient_order(m, chi, part) == dense_chi_quotient_order(m, chi, part), (
-                    doc, m.q, m.level, chi.label(), part)
+            modules += [residue_module(field, q, n) for n in job.oracle_levels or (s, s + 1)]
+        yield doc, reps, modules
+
+
+def test_tree_elimination_matches_dense_on_oracle_grid(monkeypatch):
+    # every chi_quotient_order call of the oracle-grid jobs at seed 0, and
+    # both parities, on modules shared across characters and parts as
+    # run_oracle shares them; module k takes its (chi, part) pairs rotated by
+    # k, so each part's forest is first built for a different character
+    for k, (doc, reps, modules) in enumerate(_oracle_grid_modules(monkeypatch)):
+        dense_parts = max(m.num_cosets * chi.d_chi for m in modules for chi in reps) <= PARITY_COLUMNS
+        pairs = [(chi, part) for chi in reps for part in PARTS]
+        for i, m in enumerate(modules):
+            shift = (k + i) % len(pairs)
+            got = {(chi, part): chi_quotient_order(m, chi, part)
+                   for chi, part in pairs[shift:] + pairs[:shift]}
+            for chi in reps:
+                where = (doc, m.q, m.level, chi.label())
+                full, plus, minus = (got[chi, part] for part in PARTS)
+                assert full == dense_chi_quotient_order(m, chi), where
+                if dense_parts:
+                    assert plus == dense_chi_quotient_order(m, chi, "plus"), where
+                    assert minus == dense_chi_quotient_order(m, chi, "minus"), where
+                assert full == plus + minus, where
+                assert (plus if chi.is_odd else minus) == 0, where
+
+
+def test_count_reduction_premise_on_oracle_grid(monkeypatch):
+    # the forest keeps each generator's edge count mod the order of its
+    # point, which is sound because chi(point_g)^{ord_g} = 1: a_g ord_g = 0
+    # mod m for every oracle-grid module at seed 0 and every representative
+    for doc, reps, modules in _oracle_grid_modules(monkeypatch):
+        for m in modules:
+            chi_quotient_order(m, reps[0])
+            forest = m.forests[None]
+            fp = m.field.f * m.field.p
+            assert forest.points == tuple(point for point, _ in m.gen_actions)
+            for point, order in zip(forest.points, forest.orders):
+                assert pow(point, order, fp) == 1, (doc, point, order)
+            for relations, _ in forest.orbits:
+                for _, n in relations:
+                    assert all(0 <= x < o for x, o in zip(n, forest.orders)), (doc, n)
+            for chi in reps:
+                a = chi.exponents_at(forest.points)
+                assert all(x * o % chi.order == 0 for x, o in zip(a, forest.orders)), (
+                    doc, m.q, chi.label())
 
 
 @st.composite
@@ -244,6 +284,48 @@ def test_tree_elimination_matches_dense(case):
     m, chi, part = case
     assume(m.num_cosets * chi.d_chi <= 40)
     assert chi_quotient_order(m, chi, part) == dense_chi_quotient_order(m, chi, part)
+
+
+@st.composite
+def _shared_calls(draw):
+    """Two modules, one of Q(mu_p) and one of F(mu_p) with F of conductor f,
+    and a run of (module, chi, part) calls on them.  The characters of
+    Q(mu_p) serve both modules, which evaluate them at different points."""
+    p = draw(st.sampled_from([3, 5]))
+    f = draw(st.integers(min_value=2, max_value=12).filter(lambda f: math.gcd(f, p) == 1))
+    primes = [q for q in range(2, 60) if is_prime(q) and q != p]
+    levels = st.integers(min_value=0, max_value=2)
+    small, large = FieldSpec(p, 1), FieldSpec(p, f)
+    modules = [residue_module(small, draw(st.sampled_from(primes)), draw(levels)),
+               residue_module(large, draw(st.sampled_from(primes)), draw(levels))]
+    base = class_representatives(enumerate_characters(small), p)
+    own = class_representatives(enumerate_characters(large), p)
+    pairs = [(0, chi) for chi in base] + [(1, chi) for chi in base + own]
+    calls = draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(PARTS)),
+                          min_size=2, max_size=8))
+    return [(modules[i], chi, part) for (i, chi), part in calls]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_shared_calls())
+def test_shared_module_answers_do_not_depend_on_call_order(calls):
+    # the forests kept on a module and the exponents kept on a character
+    # must give each call the answer of a fresh module
+    for m, chi, part in calls:
+        if m.num_cosets * chi.d_chi <= 40:
+            assert chi_quotient_order(m, chi, part) == dense_chi_quotient_order(m, chi, part)
+        else:
+            fresh = residue_module(m.field, m.q, m.level)
+            assert chi_quotient_order(m, chi, part) == chi_quotient_order(fresh, chi, part)
+
+
+def test_level_group_class_is_least_in_its_h_orbit():
+    # the lookup table agrees with min over H, for units and non-units
+    for field, q in [(FieldSpec(5, 21, (8,)), 2), (FieldSpec(3, 8, (3,)), 5), (FieldSpec(7, 8, (3,)), 3),
+                     (FieldSpec(5, 1), 7), (FieldSpec(3, 35, (4,)), 7)]:
+        grp = _LevelGroup(field, q, 1)
+        for a in range(-grp.fq, 3 * grp.fq):
+            assert grp.canon(a) == min(a * h % grp.fq for h in grp.hset), (field, q, a)
 
 
 def test_norm_reduction_surjective():
