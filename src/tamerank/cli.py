@@ -6,11 +6,10 @@ Exit codes:
   2  invalid configuration: the job document, --levels, --lambda-table, a
      lambda table label that names no character class of the field, p or an
      S entry at or above psi_12 = 318665857834031151167461 (the primality
-     test is exact only below it), an oracle level n0 below the
-     stabilization level of a prime in S, an oracle prime q in S with no
-     stabilization level below 16, an oracle level n1 whose level group
-     for some q in S has more than ORACLE_ORDER_BOUND = 100000 elements, or
-     an unwritable --out
+     test is exact only below it), an oracle job with an empty S, an oracle
+     level n0 below the stabilization level of a prime in S, an oracle level
+     n1 whose level group for some q in S has more than
+     ORACLE_ORDER_BOUND = 100000 elements, or an unwritable --out
   3  lambda unavailable for a required character
   4  oracle inconsistency: the brute-force module contradicts the theory,
      or an oracle row disagrees with the rank formula
@@ -76,15 +75,13 @@ class JobConfig:
     f: int = 1
     subgroup: tuple = ()
     S: tuple = ()
-    lambda_table: dict = dataclass_field(default_factory=dict)
-    allow_greenberg: bool = False
-    allow_stickelberger: bool = False
+    provider: LambdaProvider = dataclass_field(default_factory=LambdaProvider)
     oracle_levels: Optional[tuple] = None
 
     @cached_property
     def field(self) -> FieldSpec:
-        """Built once per job; main() changes only the flags, the lambda
-        table and the oracle levels after parsing."""
+        """Built once per job; main() changes only the lambda provider and
+        the oracle levels after parsing."""
         return FieldSpec(self.p, self.f, self.subgroup)
 
 
@@ -180,15 +177,12 @@ def parse_config(text: str) -> JobConfig:
 
     if violations:
         raise ConfigError(violations)
-    greenberg, stickelberger = _LAMBDA_MODES[mode]
     return JobConfig(
         p=p,
         f=f,
         subgroup=tuple(subgroup),
         S=tuple(S),
-        lambda_table=dict(table),
-        allow_greenberg=greenberg,
-        allow_stickelberger=stickelberger,
+        provider=LambdaProvider(dict(table), *_LAMBDA_MODES[mode]),
         oracle_levels=tuple(levels) if levels else None,
     )
 
@@ -221,8 +215,7 @@ def validate_rank_report(report: dict) -> None:
 
 def run_rank(job: JobConfig) -> dict:
     """rank records and total for a job"""
-    provider = LambdaProvider(job.lambda_table, job.allow_greenberg, job.allow_stickelberger)
-    result = rank_total(job.field, list(job.S), provider)
+    result = rank_total(job.field, list(job.S), job.provider)
     report = _report(job, "rank", S=list(result.S), records=[r.to_dict() for r in result.records],
                      total=result.total, conjectural=result.conjectural)
     validate_rank_report(report)
@@ -246,17 +239,18 @@ def _oversized(field: FieldSpec, q: int, n: int) -> Optional[str]:
 def run_oracle(job: JobConfig) -> dict:
     """brute-force verification grid"""
     field = job.field
-    reps = [cl[0] for cl in field_characters(field)[1]]
     given = job.oracle_levels
     # below its stabilization level a prime still splits between levels, and
     # chi-quotient growth there does not measure the rank
     stable = {q: stabilization_level(field, q) for q in sorted(job.S)}
     levels = {q: given or (s, s + 1) for q, s in stable.items()}
-    violations = [f"oracle level n0 = {n0} is below the stabilization level {stable[q]} of q = {q}"
-                  for q, (n0, _) in levels.items() if n0 < stable[q]]
+    violations = [] if job.S else ["oracle needs at least one prime in S"]
+    violations += [f"oracle level n0 = {n0} is below the stabilization level {stable[q]} of q = {q}"
+                   for q, (n0, _) in levels.items() if n0 < stable[q]]
     violations += [v for q, (_, n1) in levels.items() if (v := _oversized(field, q, n1))]
     if violations:
         raise ConfigError(violations)
+    reps = [cl[0] for cl in field_characters(field)[1]]
     rows = []
     for q, (n0, n1) in levels.items():
         lo, hi = residue_module(field, q, n0), residue_module(field, q, n1)
@@ -391,9 +385,9 @@ def main(argv: Optional[list] = None) -> int:
     try:
         job = parse_config(_read(args.config, "config"))
         if args.command == "rank":
-            job.allow_greenberg |= args.assume_greenberg
+            job.provider.allow_greenberg |= args.assume_greenberg
             if args.lambda_table:
-                job.lambda_table.update(_parse_table(_read(args.lambda_table, "lambda table")))
+                job.provider.table.update(_parse_table(_read(args.lambda_table, "lambda table")))
         if args.command == "oracle" and args.levels:
             job.oracle_levels = _parse_levels(args.levels)
         report = run(job, args.command)

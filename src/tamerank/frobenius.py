@@ -16,9 +16,7 @@ from typing import NamedTuple
 
 from .arith import euler_phi, is_prime, mul_order, padic_log, split_prime_part, v_p
 from .characters import DirichletCharacter, FieldSpec, RootOfUnity, omega
-from .errors import ConfigError, InvariantViolationError
-
-STABILIZATION_BOUND = 16  # oracle primes must stabilize below this level
+from .errors import InvariantViolationError
 
 
 @lru_cache(maxsize=None)
@@ -126,10 +124,7 @@ def splitting_count(field: FieldSpec, q: int, n: int) -> SplittingData:
     residue degree, number of primes, and the exponent of the p-part of the
     residue field's unit group."""
     p = field.p
-    if q == p:
-        raise ValueError("q must differ from p")
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
+    m = m_index(q, p)
     quotient = field.tame_quotient(q)
     pn1 = p ** (n + 1)
     e_tame = _order_in_tame_quotient(q, quotient)
@@ -141,7 +136,7 @@ def splitting_count(field: FieldSpec, q: int, n: int) -> SplittingData:
     r_n = group_order // f_n
     # v_p(q^{f_n} - 1) via lifting the exponent: the prime-to-p part of f_n
     # contributes v_p(q^{d} - 1) = m_q + 1, the p-part adds v_p(f_n).
-    e_n = m_index(q, p) + 1 + split_prime_part(f_n, p)[0]
+    e_n = m + 1 + split_prime_part(f_n, p)[0]
     return SplittingData(f_n, r_n, e_n)
 
 
@@ -151,13 +146,6 @@ def stabilization_level(field: FieldSpec, q: int) -> int:
 
     By lifting the exponent, ord(q mod p^{n+1}) = ord(q mod p) p^{max(0, n - m_q)},
     so the p-part of f_n is p^{max(v_p(e), n - m_q)} with e the order of q in
-    the tame quotient, and f_{n+1} = p f_n exactly when n >= m_q + v_p(e).  A
-    q whose level is STABILIZATION_BOUND or more is a ConfigError."""
-    p = field.p
-    m = m_index(q, p)
-    level = m + split_prime_part(_order_in_tame_quotient(q, field.tame_quotient(q)), p)[0]
-    if level >= STABILIZATION_BOUND:
-        raise ConfigError([
-            f"q = {q} (m_q = {m}) has no stabilization level below {STABILIZATION_BOUND}"
-        ])
-    return level
+    the tame quotient, and f_{n+1} = p f_n exactly when n >= m_q + v_p(e)."""
+    m = m_index(q, field.p)
+    return m + split_prime_part(_order_in_tame_quotient(q, field.tame_quotient(q)), field.p)[0]

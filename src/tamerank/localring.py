@@ -171,12 +171,11 @@ def _x_in(g, mod):
 
 
 def _find_irreducible(p: int, d: int) -> tuple:
-    """First monic irreducible of degree d over F_p in lexicographic order."""
+    """First monic irreducible of degree d over F_p in lexicographic order;
+    a nonzero constant term is necessary, so no tail with g[0] = 0 is walked."""
     x = (0, 1) + (0,) * (d - 2)
-    for tail in itertools.product(range(p), repeat=d):
+    for tail in itertools.product(range(1, p), *[range(p)] * (d - 1)):
         g = tail + (1,)
-        if not g[0]:
-            continue
         # irreducible iff x^{p^d} = x mod g and gcd(x^{p^{d/r}} - x, g) = 1
         powers = [x]
         for _ in range(d):

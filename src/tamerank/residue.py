@@ -26,10 +26,11 @@ module and part (none, plus or minus) and kept on the module, and each
 character only maps the relations to (u, k) and reduces one Smith block per
 distinct relation set.
 
-The chi-quotient is taken over the group ring of G = Gal(K/Q), embedded in
-the level group as (tame part) x (Teichmueller torsion); the cyclotomic
-Z_p-direction is deliberately left free, so module sizes grow with the level
-and the growth rate is the Z_p-rank of the limit.
+The chi-quotient is taken over the group ring of G = Gal(K/Q) = (Z/fp)^x / H,
+embedded in the level group as g -> (g, omega(g)) with omega(g) the
+Teichmueller lift of g mod p^{n+1}; the cyclotomic Z_p-direction is
+deliberately left free, so module sizes grow with the level and the growth
+rate is the Z_p-rank of the limit.
 """
 
 from __future__ import annotations
@@ -38,14 +39,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional
 
-from .arith import (
-    crt,
-    mul_order,
-    smallest_primitive_root,
-    split_prime_part,
-    teichmuller_residue,
-    unit_group,
-)
+from .arith import split_prime_part, teichmuller_residue, unit_group
 from .characters import DirichletCharacter, FieldSpec, RootOfUnity
 from .errors import InvariantViolationError, OracleInconsistencyError
 from .frobenius import splitting_count
@@ -58,12 +52,13 @@ SNF_GUARD_DIGITS = 4
 class ResidueModule:
     """Induced module (Z/p^{e_n})^{r_n} with its Galois action tables.
 
-    `gen_actions` holds, for each generator g of the embedded copy of G, the
-    unit mod f p at which a character of G is evaluated for g (its point)
-    and its coset table: entry i is (j, t) with g c_i = qbar^t c_j.
-    `j_action` is the table of complex conjugation.  `forests` keeps the
-    chi-independent part of `chi_quotient_order` per part, built on first
-    use.
+    G = (Z/fp)^x / H embeds in the level group as g -> (g, omega(g)), with
+    omega(g) the Teichmueller lift of g mod p^{n+1}.  `gen_actions` holds,
+    for each generator g of unit_group(f p) (its point, at which a character
+    of G is evaluated), the coset table of its image: entry i is (j, t) with
+    g c_i = qbar^t c_j.  `j_action` is the table of the image of -1, complex
+    conjugation.  `forests` keeps the chi-independent part of
+    `chi_quotient_order` per part, built on first use.
     """
 
     field: FieldSpec
@@ -110,7 +105,7 @@ class _LevelGroup:
         return (self._least[x[0] * y[0] % self.fq], x[1] * y[1] % self.pmod)
 
     def elements(self) -> list:
-        tame = sorted({self.canon(a) for a in range(self.fq) if math.gcd(a, self.fq) == 1}) or [0]
+        tame = sorted({self.canon(a) for a in range(self.fq) if math.gcd(a, self.fq) == 1})
         wild = [b for b in range(1, self.pmod) if b % self.p != 0]
         return [(a, b) for a in tame for b in wild]
 
@@ -122,11 +117,10 @@ def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
     grp = _LevelGroup(field, q, n)
     qbar = grp.element(q, q)
 
-    # enumerate cosets of <qbar>, identity's coset first, then ascending
+    # enumerate cosets of <qbar> in ascending order, the identity's first
     loc = {}
     cosets = []
-    order = [grp.element(1, 1)] + grp.elements()
-    for e in order:
+    for e in grp.elements():
         if e in loc:
             continue
         idx = len(cosets)
@@ -142,20 +136,12 @@ def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
     if len(cosets) != data.prime_count:
         raise InvariantViolationError("coset count != prime count")
 
-    def action_table(g: tuple) -> list:
-        return [loc[grp.mul(g, c)] for c in cosets]
+    def action_table(g: int) -> list:
+        """The coset table of the image (g, omega(g)) of g in G."""
+        image = grp.element(g, teichmuller_residue(g, p, n + 1))
+        return [loc[grp.mul(image, c)] for c in cosets]
 
-    gen_actions = []
-    f = field.f
-    if f > 1:
-        for g in unit_group(f).generators:
-            point = crt(g, f, 1, p)
-            gen_actions.append((point, action_table(grp.element(g, 1))))
-    gstar = smallest_primitive_root(p)
-    torsion = teichmuller_residue(gstar, p, n + 1)
-    gen_actions.append((crt(1, f, gstar, p), action_table(grp.element(1, torsion))))
-
-    j_action = action_table(grp.element(-1 % max(grp.fq, 1), -1 % grp.pmod))
+    gen_actions = [(g, action_table(g)) for g in unit_group(field.f * p).generators]
 
     return ResidueModule(
         field=field,
@@ -165,7 +151,7 @@ def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
         e_exp=data.p_exponent,
         cosets=cosets,
         gen_actions=gen_actions,
-        j_action=j_action,
+        j_action=action_table(-1),
     )
 
 
@@ -219,10 +205,10 @@ def _snf_exponent(rows: List[list], ncols: int, p: int, K: int) -> int:
 class _Forest:
     """The chi-independent part of `chi_quotient_order` on one module and part.
 
-    `points` and `orders` are the generator points and their orders in
-    (Z/fp)^x.  `orbits` pairs each distinct set of non-tree relations (u, n)
-    with the number of coset orbits that have it; n counts each generator's
-    edges mod its order, since chi(point_g)^{ord_g} = 1."""
+    `points` and `orders` are the generators of (Z/fp)^x and their orders.
+    `orbits` pairs each distinct set of non-tree relations (u, n) with the
+    number of coset orbits that have it; n counts each generator's edges mod
+    its order, since chi(point_g)^{ord_g} = 1."""
 
     __slots__ = ("points", "orders", "orbits")
 
@@ -230,7 +216,7 @@ class _Forest:
         p = module.field.p
         mod = p ** (module.e_exp + SNF_GUARD_DIGITS)
         self.points = tuple(point for point, _ in module.gen_actions)
-        self.orders = tuple(mul_order(point, module.field.f * p) for point in self.points)
+        self.orders = unit_group(module.field.f * p).orders
         qinv = pow(module.q, -1, mod)
         twist = [1]  # twist[t] = q^{-t}
         for _ in range(1, module.residue_degree):

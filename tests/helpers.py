@@ -18,7 +18,6 @@ from pathlib import Path
 from tamerank.arith import is_prime, mul_order, split_prime_part, teichmuller_residue
 from tamerank.characters import FieldSpec
 from tamerank.frobenius import (
-    STABILIZATION_BOUND,
     admissible,
     inertia_trivial,
     m_index,
@@ -221,12 +220,15 @@ def gamma_unit_by_search(p: int, q: int, a: int) -> int:
     return found[0]
 
 
+SEARCH_BOUND = 16  # stabilization_level_by_search looks at levels below it
+
+
 def stabilization_level_by_search(field: FieldSpec, q: int):
     """Oracle for `tamerank.frobenius.stabilization_level`: the first n below
-    STABILIZATION_BOUND with f_{n+1} = p f_n, found by computing the residue
-    degree level by level; None if there is none."""
+    SEARCH_BOUND with f_{n+1} = p f_n, found by computing the residue degree
+    level by level; None if there is none."""
     prev = splitting_count(field, q, 0).residue_degree
-    for n in range(STABILIZATION_BOUND):
+    for n in range(SEARCH_BOUND):
         nxt = splitting_count(field, q, n + 1).residue_degree
         if nxt == field.p * prev:
             return n

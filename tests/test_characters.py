@@ -127,7 +127,7 @@ def test_multiplicativity(field):
 @pytest.mark.parametrize("field", FIELDS)
 def test_sum_d_chi_over_classes(field):
     chars = enumerate_characters(field)
-    classes = conjugacy_classes(chars, field.p)
+    classes = conjugacy_classes(chars)
     assert sum(cl[0].d_chi for cl in classes) == field.group_order
     assert sum(len(cl) for cl in classes) == len(chars)
     for cl in classes:
@@ -136,18 +136,18 @@ def test_sum_d_chi_over_classes(field):
 
 def test_conjugacy_examples():
     # values of omega-powers lie in Z_5: four singletons
-    classes = conjugacy_classes(enumerate_characters(FieldSpec(5, 1)), 5)
+    classes = conjugacy_classes(enumerate_characters(FieldSpec(5, 1)))
     assert [len(cl) for cl in classes] == [1, 1, 1, 1]
     # p=5: cubic characters of conductor 7 pair up (5 = 2 mod 3)
     chars = enumerate_characters(FieldSpec(5, 7, (6,)))
     cubics = [c for c in chars if c.order == 3]
     assert len(cubics) == 2
-    classes = conjugacy_classes(chars, 5)
+    classes = conjugacy_classes(chars)
     sizes = [len(cl) for cl in classes if cl[0].order == 3]
     assert sizes == [2]
     # p=7: cubic characters split into singletons (7 = 1 mod 3)
     chars7 = enumerate_characters(FieldSpec(7, 9))
-    classes7 = conjugacy_classes(chars7, 7)
+    classes7 = conjugacy_classes(chars7)
     sizes7 = [len(cl) for cl in classes7 if cl[0].order == 3]
     assert sizes7 and all(s == 1 for s in sizes7)
 

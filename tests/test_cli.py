@@ -55,7 +55,7 @@ def write_config(tmp_path, doc, name="job.json"):
 def test_parse_config_valid():
     job = parse_config(json.dumps(EXAMPLE_6_5))
     assert job.p == 5 and job.S == (7, 11)
-    assert job.lambda_table == {"all": 0}
+    assert job.provider.table == {"all": 0}
     assert job.field.group_order == 4
     assert job.field is job.field
 
@@ -482,14 +482,25 @@ def test_precision_key_is_ignored(tmp_path, command, doc, precision):
 
 
 def test_oracle_prime_beyond_the_stabilization_bound(tmp_path, capsys):
-    # m_q = 16 for q = 258280327 at p = 3; the rank formula needs no level
+    # m_q = 16 for q = 258280327 at p = 3, so its levels are (16, 17) and the
+    # order bound rejects n1 = 17; the rank formula needs no level
     cfg = write_config(tmp_path, {"p": 3, "S": [258280327], "lambda": {"table": {"all": 0}}})
+    t0 = time.monotonic()
     assert main(["oracle", "--config", cfg]) == EXIT_CONFIG
+    assert time.monotonic() - t0 < 1.0
     assert capsys.readouterr().err.strip() == (
-        "config error: q = 258280327 (m_q = 16) has no stabilization level below 16"
+        "config error: oracle level n1 = 17 for q = 258280327: the level group has 2*3^17 elements,"
+        " above 100000"
     )
     assert main(["rank", "--config", cfg]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_oracle_with_an_empty_s_is_a_config_error(tmp_path, capsys):
+    # with no prime there is no row, and an all_pass over no rows checks nothing
+    cfg = write_config(tmp_path, {"p": 5, "S": []})
+    assert main(["oracle", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == "config error: oracle needs at least one prime in S"
 
 
 @pytest.mark.parametrize(

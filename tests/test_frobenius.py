@@ -14,7 +14,6 @@ from tamerank.characters import (
     omega,
     trivial_character,
 )
-from tamerank.errors import ConfigError
 from tamerank.frobenius import (
     inertia_trivial,
     m_index,
@@ -188,11 +187,10 @@ def test_stabilization_level_matches_the_search():
             assert level == stabilization_level_by_search(field, q), (p, f, H, q)
             seen.add((level > m_index(q, p), m_index(q, p) > 0))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
-    # m_q = 16: neither finds a level below the bound
+    # m_q = 16: the formula gives 16, past the search's bound
     field = FieldSpec(3, 1)
     assert stabilization_level_by_search(field, 258280327) is None
-    with pytest.raises(ConfigError):
-        stabilization_level(field, 258280327)
+    assert stabilization_level(field, 258280327) == 16
 
 
 def test_frobenius_profile_serialization():

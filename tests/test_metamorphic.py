@@ -38,7 +38,7 @@ def _record(rec):
 def test_rank_step_as_s_grows(field, pool):
     p = field.p
     subsets = [S for k in range(len(pool) + 1) for S in itertools.combinations(pool, k)]
-    for cls in conjugacy_classes(enumerate_characters(field), p):
+    for cls in conjugacy_classes(enumerate_characters(field)):
         chi = cls[0]
         records = {S: rank_chi(chi, S, ZERO_TABLE) for S in subsets}
         for S, rec in records.items():

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -344,6 +349,31 @@ def test_zeta_is_a_root_of_cyclotomic():
             z = ring.zeta_matrix(i)
             acc = [[(a + c * b) % ring.mod for a, b in zip(r, zr)] for r, zr in zip(acc, z)]
         assert acc == [[0] * ring.dim for _ in range(ring.dim)]
+
+
+# times the degree-11 search over F_13 and prints the seconds and the result
+FIND_IRREDUCIBLE = """
+import json, time
+from tamerank.localring import _find_irreducible
+t0 = time.monotonic()
+g = _find_irreducible(13, 11)
+print(json.dumps([time.monotonic() - t0, g]))
+"""
+
+
+def test_irreducible_search_skips_zero_constant_terms():
+    # a character of order 46 at p = 13 needs d0 = 11; the 13^10 tails with
+    # constant term 0 come first in the search order and must not be walked.
+    # Walking them takes minutes, so the search runs in a child interpreter
+    # that the timeout stops.
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", FIND_IRREDUCIBLE], capture_output=True, text=True,
+        timeout=30, env=dict(os.environ, PYTHONPATH=str(Path(localring.__file__).parents[1])),
+    )
+    assert proc.returncode == 0, proc.stderr
+    seconds, g = json.loads(proc.stdout)
+    assert seconds < 1.0
+    assert len(g) == 12 and g[-1] == 1 and g[0] != 0
 
 
 def test_irreducible_cyclotomic_skips_the_search(monkeypatch):

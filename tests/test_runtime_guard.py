@@ -1,6 +1,7 @@
 """The runtime is exact and standard-library only: every module of the package
 is parsed, and no float literal, true division, float() call or cmath import
-may appear, nor any absolute import outside a fixed standard-library list."""
+may appear, nor any absolute import outside a fixed standard-library list.
+Only the job layer (cli.py and rank.py) raises ConfigError."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,25 @@ def offences(tree: ast.AST) -> list:
             if node.module.split(".")[0] not in STDLIB_ALLOWED:
                 out.append(f"line {where}: from {node.module} import")
     return out
+
+
+# job validation belongs to the job layer: the math modules raise ValueError
+CONFIG_RAISERS = {"cli.py", "rank.py"}
+
+
+def raises_config_error(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ConfigError":
+                return True
+    return False
+
+
+def test_only_the_job_layer_raises_config_error():
+    raisers = {path.name for path in SOURCES
+               if raises_config_error(ast.parse(path.read_text(), filename=str(path)))}
+    assert raisers == CONFIG_RAISERS
 
 
 def test_sources_found():
