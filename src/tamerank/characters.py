@@ -142,9 +142,18 @@ class DirichletCharacter:
 
     def value_exponents(self) -> list:
         """For each a mod the conductor, the k with chi(a) = zeta_order^k, or
-        None when a is not a unit."""
-        M, dlog = self.modulus, self.units.dlog
-        return [self._exponent_at(dlog(a)) if math.gcd(a, M) == 1 else None for a in range(M)]
+        None when a is not a unit.  One walk over the products of powers of
+        the generators, with no discrete log: g^t adds t times chi's exponent
+        at g."""
+        M, order = self.modulus, self.order
+        walk = [(1 % M, 0)]
+        for g, n, w in zip(self.units.generators, self.units.orders, self._weights):
+            steps = [(pow(g, t, M), t * w) for t in range(n)]
+            walk = [(a * h % M, (k + v) % order) for h, v in steps for a, k in walk]
+        values = [None] * M
+        for a, k in walk:
+            values[a] = k
+        return values
 
     def power(self, t: int) -> "DirichletCharacter":
         return _primitive(self.p, self.units, tuple(e * t for e in self.exponents))

@@ -9,7 +9,8 @@ Exit codes:
      test is exact only below it), an oracle job with an empty S, an oracle
      level n0 below the stabilization level of a prime in S, an oracle level
      n1 whose level group for some q in S has more than
-     ORACLE_ORDER_BOUND = 100000 elements, or an unwritable --out
+     ORACLE_ORDER_BOUND = 100000 elements, an unwritable --out, or a closed
+     standard output
   3  lambda unavailable for a required character
   4  oracle inconsistency: the brute-force module contradicts the theory,
      or an oracle row disagrees with the rank formula
@@ -363,7 +364,16 @@ def _emit(report: dict, out: Optional[str]) -> None:
         except OSError as exc:
             raise ConfigError([f"cannot write report: {exc}"]) from exc
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError as exc:
+            # close stdout and drop what it still buffers, so that the
+            # interpreter's flush at exit does not fail a second time
+            try:
+                sys.stdout.close()
+            except BrokenPipeError:
+                pass
+            raise ConfigError([f"cannot write report: {exc}"]) from exc
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -22,9 +22,24 @@ The table is stored by column: the column of r is one int that holds
 substitution).  A character is then a projection of the table: coordinate i
 of every bucket at once is the multiply-accumulate, over r, of coordinate i
 of chi^{-1}(r) times the column of r, which Python's big-int arithmetic runs
-in C.  A slot is wide enough for the largest such sum, so no slot carries
-into the next.  Tables are shared by every character of one prime and
-dropped when a character of another prime asks.
+in C.  Tables are shared by every character of one prime and dropped when a
+character of another prime asks.
+
+The projection stays one int x per coordinate.  One multiple of ONES (a 1
+in every slot) turns every slot into the numerator of its bucket sum, mod
+p^w with w = N + n + 3 working digits, and x is then divided by P = p^{n+1}
+as a whole: q, r = divmod(x, P).
+A slot is S = 64 words bits wide and kept below 2^{S-1}, so every slot is
+divisible by P exactly when r = 0 and the top b = bit_length(P) bits of
+every slot of q are 0.  If every slot x_j is y_j P, then y_j < 2^{S-1} /
+2^{b-1} = 2^k with k = S - b.  Conversely, if r = 0 and every y_j < 2^k,
+then every y_j P < 2^S, so these are the base-2^S digits of x: x_j = y_j P.
+
+A level is folded onto a lower level l by adding the p^{n-l} blocks of p^l
+slots of q, as byte slices of one to_bytes, and only the p^l folded slots are
+unpacked.  The sum never carries: p^{n-l} (2^k - 1) < P 2^k < 2^S.  A level's
+own buckets are unpacked and reduced mod p^N only when its coefficients are
+read, so a character whose lambda is read at level 1 never unpacks level 2.
 
 lambda is read once per level, from the first unit T-coefficient of the
 level-n series (see lambda_minus); mu = 0 is Ferrero-Washington, and no
@@ -43,11 +58,11 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import ClassVar, NamedTuple, Optional, Tuple
 
-from .arith import split_prime_part, teichmuller_residue
+from .arith import split_prime_part, teichmuller_residue, unit_group
 from .characters import DirichletCharacter, omega
 from .errors import InvariantViolationError, PrecisionError
 from .localring import _pdivmod_exact, cyclotomic_poly, local_ring
@@ -63,10 +78,11 @@ def _work_digits(n: int) -> int:
 
 
 def _slot_words(count: int, M: int, p: int, n: int) -> int:
-    """64-bit words per slot that hold any sum of `count` products c v with
-    0 <= c < p^{_work_digits(n)} and 0 <= v < 2M - 1."""
-    bound = count * (2 * M - 1) * (p ** _work_digits(n) - 1)
-    return -(-bound.bit_length() // 64)
+    """64-bit words per slot that hold, with the top bit spare, any sum of
+    `count` products c v and one shift c, with 0 <= c < p^{_work_digits(n)}
+    and 0 <= v <= 2M - 1."""
+    bound = (count * (2 * M - 1) + 1) * (p ** _work_digits(n) - 1)
+    return -(-(bound.bit_length() + 1) // 64)
 
 
 def _pack(values, words: int) -> int:
@@ -92,12 +108,39 @@ def _unpack(x: int, count: int, words: int) -> list:
     return slots
 
 
+def _ones(count: int, words: int) -> int:
+    """The int with 1 in each of its first `count` slots."""
+    return int.from_bytes((b"\1" + bytes(8 * words - 1)) * count, "little")
+
+
+def _exact_quotient(x: int, divisor: int, ones: int, words: int) -> int:
+    """x / divisor slot by slot, for slots below 2^{64 words - 1} laid out as
+    ones has them; InvariantViolationError unless every slot is divisible."""
+    q, r = divmod(x, divisor)
+    k = 64 * words - divisor.bit_length()
+    if r or q & ((1 << 64 * words) - (1 << k)) * ones:
+        raise InvariantViolationError(
+            "Stickelberger coefficient is not p-integral; "
+            "this construction only applies to odd characters != omega"
+        )
+    return q
+
+
+def _fold(x: int, count: int, words: int, size: int) -> int:
+    """The sum of the count / size blocks of `size` slots of x; the caller
+    keeps the sum of every slot below 2^{64 words}."""
+    data = memoryview(x.to_bytes(8 * words * count, "little"))
+    width = 8 * words * size
+    return sum(int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width))
+
+
 class ResidueTable(NamedTuple):
     """Half the units a mod M = f' p^{n+1}, one packed column per unit r =
     _table_units(f', p)[s] below f'p/2: slot j of columns[s] holds 2(M - a)
     for the a with c_n(a) = j and a = r mod f'p.  The other half of row j is
     M - a, at -r mod f'p.  A slot is `words` 64-bit words wide, enough for
-    any sum over s of c_s columns[s] with 0 <= c_s < p^{_work_digits(n)}."""
+    any sum over s of c_s columns[s], plus one c, with 0 <= c, c_s <
+    p^{_work_digits(n)}, and a spare top bit."""
 
     columns: tuple  # one packed int per unit
     words: int
@@ -130,9 +173,10 @@ def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
 
 
 class _TableCache:
-    """Residue tables and binomial rows of one prime, each built on first
-    use.  Every character of a field shares its p, so a request for another
-    prime starts a new working set and drops the old one."""
+    """Residue tables, binomial rows and the table units' discrete logs of
+    one prime, each built on first use.  Every character of a field shares
+    its p, so a request for another prime starts a new working set and drops
+    the old one."""
 
     def __init__(self):
         self.p = None
@@ -147,6 +191,12 @@ class _TableCache:
 
     def get(self, fprime: int, p: int, n: int) -> ResidueTable:
         return self._entry(p, ("table", fprime, n), lambda: _residue_table(fprime, p, n))
+
+    def unit_logs(self, conductor: int, fprime: int, p: int) -> tuple:
+        """unit_group(conductor).dlog of each table unit of (f', p)."""
+        dlog = unit_group(conductor).dlog
+        return self._entry(p, ("logs", conductor, fprime),
+                           lambda: tuple(dlog(r % conductor) for r in _table_units(fprime, p)))
 
     def binomials(self, p: int, n: int, i: int) -> list:
         """binom(j, i) mod p^DEFAULT_PRECISION for j in Z/p^n."""
@@ -167,57 +217,70 @@ def _character_columns(chi: DirichletCharacter, digits: int) -> tuple:
     fprime = split_prime_part(cond, p)[1]
     ring = local_ring(chi.order, p, digits)
     inv_f = pow(fprime, -1, ring.mod)
-    dlog = chi.units.dlog
-    chi_inv = (ring.zeta_vector(-chi._exponent_at(dlog(r % cond))) for r in _table_units(fprime, p))
-    return tuple(tuple(c * inv_f % ring.mod for c in column) for column in zip(*chi_inv))
+    exponents = [-chi._exponent_at(logs) % chi.order for logs in _TABLES.unit_logs(cond, fprime, p)]
+    vectors = {k: [c * inv_f % ring.mod for c in ring.zeta_vector(k)] for k in set(exponents)}
+    return tuple(zip(*(vectors[k] for k in exponents)))
 
 
-def _bucket_vectors(chi: DirichletCharacter, n: int) -> list:
-    """Coefficients on the (1+T)^j basis, j in Z/p^n, as ring vectors mod p^N."""
+def _projection(chi: DirichletCharacter, n: int) -> tuple:
+    """(quotients, words): coordinate i of bucket j, the coefficient of
+    (1+T)^j for j in Z/p^n, is slot j of quotients[i], mod p^N."""
     p = chi.p
     fprime = split_prime_part(chi.conductor, p)[1]
     table = _TABLES.get(fprime, p, n)
     pn1 = p ** (n + 1)
-    modN = p ** DEFAULT_PRECISION
     modw = p ** _work_digits(n)
+    ones = _ones(p ** n, table.words)
 
-    # Slot j of sum_s c_s columns[s] is sum_r 2(M - a) c_r; less M sum c, it
-    # is sum_r (M - 2a) c_r, which is sum_a -a chi^{-1}(a) / f' over row j,
-    # and it is divided by p^{n+1}, exactly at p
-    coordinates = []
+    # Slot j of sum_s c_s columns[s] is sum_r 2(M - a) c_r; less M sum c,
+    # shifted in as its residue mod p^w, it is sum_r (M - 2a) c_r, which is
+    # sum_a -a chi^{-1}(a) / f' over row j, and it is divided by p^{n+1},
+    # exactly at p
+    quotients = []
     for column in _character_columns(chi, _work_digits(max(n, MAX_LEVEL))):
         column = [c % modw for c in column]
-        offset = fprime * pn1 * sum(column)
-        packed = sum(map(mul, column, table.columns))
-        sums = [(v - offset) % modw for v in _unpack(packed, p ** n, table.words)]
-        if any(w % pn1 for w in sums):
-            raise InvariantViolationError(
-                "Stickelberger coefficient is not p-integral; "
-                "this construction only applies to odd characters != omega"
-            )
-        coordinates.append([w // pn1 % modN for w in sums])
-    return [list(v) for v in zip(*coordinates)]
+        shift = -fprime * pn1 * sum(column) % modw
+        packed = sum(map(mul, column, table.columns)) + shift * ones
+        quotients.append(_exact_quotient(packed, pn1, ones, table.words))
+    return tuple(quotients), table.words
 
 
 @dataclass
 class StickelbergerSeries:
-    """Level-n series with coefficients as O_chi coordinate vectors mod p^N."""
+    """Level-n series with coefficients as O_chi coordinate vectors mod p^N,
+    held packed: coordinate i of bucket j is slot j of quotients[i], reduced
+    mod p^N, with slots `words` 64-bit words wide."""
 
     precision: ClassVar[int] = DEFAULT_PRECISION
     chi: DirichletCharacter
     level: int
-    bucket_coefficients: list  # on the (1+T)^j basis
+    quotients: tuple  # one packed int per coordinate
+    words: int
 
     @property
     def length(self) -> int:
-        return len(self.bucket_coefficients)
+        return self.chi.p ** self.level
+
+    def _unpacked(self, quotients: tuple, count: int) -> list:
+        modN = self.chi.p ** self.precision
+        return [[y % modN for y in _unpack(q, count, self.words)] for q in quotients]
+
+    @cached_property
+    def bucket_columns(self) -> list:
+        """Coordinate i of every bucket, unpacked on first read."""
+        return self._unpacked(self.quotients, self.length)
+
+    @property
+    def bucket_coefficients(self) -> list:
+        """The coefficients on the (1+T)^j basis, one vector per bucket."""
+        return [list(v) for v in zip(*self.bucket_columns)]
 
     def t_coefficient(self, i: int) -> list:
         """Coefficient of T^i: sum_j binom(j, i) * bucket_j, column by column
         (binom(j, i) = 0 for j < i, so i >= length gives the zero vector)."""
         modN = self.chi.p ** self.precision
         combs = _TABLES.binomials(self.chi.p, self.level, i)
-        return [sum(map(mul, combs, col)) % modN for col in zip(*self.bucket_coefficients)]
+        return [sum(map(mul, combs, col)) % modN for col in self.bucket_columns]
 
     def is_unit_coefficient(self, i: int) -> bool:
         return local_ring(self.chi.order, self.chi.p, self.precision).is_unit(self.t_coefficient(i))
@@ -230,11 +293,11 @@ class StickelbergerSeries:
 
     def folded_buckets(self, lower_level: int) -> list:
         """Bucket coefficients reduced mod (1+T)^{p^lower_level} - 1: row r
-        sums the rows j = r mod p^lower_level."""
-        modN = self.chi.p ** self.precision
+        sums the rows j = r mod p^lower_level.  Only the folded slots are
+        unpacked."""
         size = self.chi.p ** lower_level
-        rows = self.bucket_coefficients
-        return [[sum(col) % modN for col in zip(*rows[r::size])] for r in range(size)]
+        folded = tuple(_fold(q, self.length, self.words, size) for q in self.quotients)
+        return [list(v) for v in zip(*self._unpacked(folded, size))]
 
 
 def stickelberger_series(chi: DirichletCharacter, n: int) -> StickelbergerSeries:
@@ -245,7 +308,7 @@ def stickelberger_series(chi: DirichletCharacter, n: int) -> StickelbergerSeries
         raise ValueError("omega is excluded; its lambda needs a table entry")
     if n < 0:
         raise ValueError("level must be nonnegative")
-    return StickelbergerSeries(chi, n, _bucket_vectors(chi, n))
+    return StickelbergerSeries(chi, n, *_projection(chi, n))
 
 
 @dataclass(frozen=True)

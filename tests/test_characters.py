@@ -124,6 +124,18 @@ def test_multiplicativity(field):
                 assert va * vb == vab
 
 
+@pytest.mark.parametrize("field", FIELDS + [FieldSpec(3, 64), FieldSpec(5, 48), FieldSpec(7, 45)])
+def test_value_exponents_match_value(field):
+    # the walk over the generators gives chi(a) at every a mod the
+    # conductor, None at the non-units; moduli 1, 4, 2^e and odd composites
+    for chi in enumerate_characters(field):
+        exponents = chi.value_exponents()
+        assert len(exponents) == chi.conductor
+        for a, k in enumerate(exponents):
+            value = chi.value(a)
+            assert k == (None if value is None else value.exponent_for(chi.order)), (chi, a)
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_sum_d_chi_over_classes(field):
     chars = enumerate_characters(field)

@@ -1,7 +1,10 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -301,6 +304,30 @@ def test_main_unwritable_out_is_a_config_error(tmp_path, capsys):
     out = str(tmp_path / "missing" / "report.json")
     assert main(["rank", "--config", cfg, "--out", out]) == EXIT_CONFIG
     assert "cannot write report" in capsys.readouterr().err
+
+
+# with stdout buffered, a report that fits the buffer fails at the flush and
+# a larger one inside the write; unbuffered, both fail inside the write
+@pytest.mark.parametrize("p", [5, 211])
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_main_closed_stdout_is_a_config_error(tmp_path, p, unbuffered):
+    # the reader of stdout has gone, as in `tamerank chars ... | head -c 10`
+    cfg = write_config(tmp_path, {"p": p})
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(tamerank.cli.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "tamerank", "chars", "--config", cfg],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.splitlines() == ["config error: cannot write report: [Errno 32] Broken pipe"]
 
 
 def test_main_maps_internal_errors(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,8 @@ from tamerank import stickelberger
 from tamerank.arith import is_prime, smallest_primitive_root, split_prime_part
 from tamerank.characters import FieldSpec, enumerate_characters, omega
 from tamerank.cli import parse_config, run
+from tamerank.errors import InvariantViolationError
+from tamerank.localring import local_ring
 from tamerank.stickelberger import (
     DEFAULT_PRECISION,
     MAX_LEVEL,
@@ -271,11 +273,11 @@ def test_shared_table_matches_direct_build():
             ("words", 1), ("words", 2)} <= seen
 
 
-def test_slot_width_bound(monkeypatch):
-    # a slot must hold U (2M - 1) (p^{N+n+3} - 1), above any sum of U products
-    # c * 2(M - a) with c < p^{N+n+3}: checked for every table, up to
-    # MAX_LEVEL, of the lambda-minus fields, the fields above and the f = 1
-    # census p <= 157
+def slot_tables(monkeypatch):
+    """(p, n, words, bound) for every table, up to MAX_LEVEL, of the
+    lambda-minus fields, the fields above and the f = 1 census p <= 157;
+    bound = (U (2M - 1) + 1) (p^{N+n+3} - 1) is the largest slot before the
+    exact division."""
     workloads = load_benchmark_module("workloads", monkeypatch)
     fields = [field[:2] for field in workloads.LAMBDA_FIELDS + workloads.LAMBDA_RANK_FIELDS]
     fields += SHARED_TABLE_FIELDS + WIDE_SLOT_FIELDS
@@ -285,9 +287,49 @@ def test_slot_width_bound(monkeypatch):
             units = sum(1 for r in range(1, (fprime * p + 1) // 2) if math.gcd(r, fprime * p) == 1)
             for n in range(MAX_LEVEL + 1):
                 M = fprime * p ** (n + 1)
-                words = stickelberger._slot_words(units, M, p, n)
-                bound = units * (2 * M - 1) * (p ** (DEFAULT_PRECISION + n + 3) - 1)
-                assert bound < 2 ** (64 * words), (fprime, p, n)
+                bound = (units * (2 * M - 1) + 1) * (p ** (DEFAULT_PRECISION + n + 3) - 1)
+                yield p, n, stickelberger._slot_words(units, M, p, n), bound
+
+
+def test_slot_width_bound(monkeypatch):
+    # a slot holds any sum of U products c * 2(M - a) and the shift c, with c
+    # < p^{N+n+3}, and keeps its top bit spare for the integrality check
+    for p, n, words, bound in slot_tables(monkeypatch):
+        assert 2 * bound < 2 ** (64 * words), (p, n)
+
+
+def test_fold_never_carries(monkeypatch):
+    # a quotient slot is below 2^k, k = 64 words - bit_length(p^{n+1}), so
+    # p^{n-l} of them sum below 2^{64 words}, for every level l < n
+    for p, n, words, bound in slot_tables(monkeypatch):
+        k = 64 * words - (p ** (n + 1)).bit_length()
+        assert bound // p ** (n + 1) < 2 ** k, (p, n)
+        for lower in range(n):
+            assert p ** (n - lower) * (2 ** k - 1) < 2 ** (64 * words), (p, n, lower)
+    # and the fold adds full slots block by block, with no carry between them
+    for p, n, words in [(3, 3, 1), (5, 2, 1), (7, 2, 2), (3, 2, 3)]:
+        k = 64 * words - (p ** (n + 1)).bit_length()
+        full = stickelberger._ones(p ** n, words) * (2 ** k - 1)
+        for lower in range(n):
+            folded = stickelberger._fold(full, p ** n, words, p ** lower)
+            sums = stickelberger._unpack(folded, p ** lower, words)
+            assert sums == [p ** (n - lower) * (2 ** k - 1)] * p ** lower, (p, n, lower)
+
+
+def test_integrality_is_checked_slot_by_slot():
+    # slot 0 = P - (2^S mod P) and slot 1 = 1: the whole int is P + 2^S - (2^S
+    # mod P), a multiple of P, but slot 0 is not; the quotient is 1 + floor(2^S
+    # / P), at least 2^k, so it sets a high bit of slot 0
+    for p, n, words in [(5, 1, 1), (23, 2, 2), (157, 4, 3)]:
+        P, S = p ** (n + 1), 64 * words
+        ones = stickelberger._ones(2, words)
+        crafted = P - 2 ** S % P + (1 << S)
+        assert crafted % P == 0
+        with pytest.raises(InvariantViolationError, match="not p-integral"):
+            stickelberger._exact_quotient(crafted, P, ones, words)
+        assert stickelberger._exact_quotient(P * 3 + (P * 7 << S), P, ones, words) == 3 + (7 << S)
+        with pytest.raises(InvariantViolationError):
+            stickelberger._exact_quotient(P * 3 + 1 + (P << S), P, ones, words)
 
 
 def test_pack_round_trip():
@@ -335,6 +377,22 @@ def test_series_builds_only_its_own_level(monkeypatch):
     monkeypatch.setattr(stickelberger, "_TABLES", stickelberger._TableCache())
     stickelberger_series(omega(5).power(3), 3)
     assert built == [(1, 5, 3)]
+
+
+def test_lambda_zero_unpacks_p_slots_per_level(monkeypatch):
+    # lambda = 0 is read at level 1: its p buckets are unpacked, and level 2
+    # is unpacked only as folded onto level 1, never as its p^2 buckets
+    unpacked = []
+
+    def counted(x, count, words):
+        unpacked.append(count)
+        return unpack(x, count, words)
+
+    unpack = stickelberger._unpack
+    monkeypatch.setattr(stickelberger, "_unpack", counted)
+    chi = omega(23).power(3)
+    assert lambda_minus(chi) == stickelberger.LambdaResult(0, True, (1, 2))
+    assert unpacked == [23] * 2 * local_ring(chi.order, 23, DEFAULT_PRECISION).dim
 
 
 def test_lambda_evaluates_each_character_once():
