@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -84,23 +85,24 @@ class DirichletCharacter:
     held as one integer exponent per generator of unit_group(modulus)."""
 
     __slots__ = ("p", "modulus", "units", "exponents", "order", "_weights", "parity", "d_chi",
-                 "_label", "admissible_at", "_at_points")
+                 "_hash", "_label", "admissible_at", "_at_points")
 
     def __init__(self, p: int, modulus: int, exponents: tuple):
         self.p = p
         self.modulus = modulus
-        self.units = unit_group(modulus)
-        orders = self.units.orders
+        self.units = units = unit_group(modulus)
+        orders = units.orders
         if len(exponents) != len(orders):
             raise ValueError("one exponent per unit-group generator required")
-        self.exponents = tuple(e % n for e, n in zip(exponents, orders))
-        if self.units.conductor(self.exponents) != modulus:
+        self.exponents = exponents = tuple(map(operator.mod, exponents, orders))
+        if units.conductor(exponents) != modulus:
             raise ValueError(f"the exponents do not define a primitive character mod {modulus}")
-        self.order = math.lcm(1, *(n // math.gcd(e, n) for e, n in zip(self.exponents, orders)))
-        # chi(a) = zeta_order^k with k = sum_i w_i x_i for x = dlog(a)
-        self._weights = tuple(e * self.order // n for e, n in zip(self.exponents, orders))
-        self.parity = -1 if self._exponent_at(self.units.minus_one) else 1
-        self.d_chi = _local_degree(self.order, p)
+        self.order = order = math.lcm(*map(operator.floordiv, orders, map(math.gcd, exponents, orders)))
+        # chi(a) = zeta_order^k with k = sum_i w_i x_i for x = dlog(a), w_i = e_i order / n_i
+        self._weights = tuple(map(operator.floordiv, map(order.__mul__, exponents), orders))
+        self.parity = -1 if self._exponent_at(units.minus_one) else 1
+        self.d_chi = _local_degree(order, p)
+        self._hash = hash((p, modulus, exponents))
         self._label = None
         # q -> whether q lies in S_chi, filled by frobenius.admissible; it
         # lives as long as the character, so as long as its field's entry
@@ -120,7 +122,7 @@ class DirichletCharacter:
         return self.parity == -1
 
     def _exponent_at(self, logs) -> int:
-        return sum(w * x for w, x in zip(self._weights, logs)) % self.order
+        return sum(map(operator.mul, self._weights, logs)) % self.order
 
     def value(self, a: int):
         """chi(a) as a RootOfUnity, or None when gcd(a, conductor) > 1."""
@@ -162,9 +164,9 @@ class DirichletCharacter:
         return self.power(-1)
 
     def _reduced(self) -> list:
-        """Each generator's image as a reduced (numerator, denominator) in Q/Z."""
+        """Each generator's image as a reduced [numerator, denominator] in Q/Z."""
         pairs = zip(self.exponents, self.units.orders)
-        return [(e // math.gcd(e, n), n // math.gcd(e, n)) for e, n in pairs]
+        return [[e // math.gcd(e, n), n // math.gcd(e, n)] for e, n in pairs]
 
     def label(self) -> str:
         if self._label is None:
@@ -178,13 +180,15 @@ class DirichletCharacter:
         return self._label
 
     def to_dict(self) -> dict:
+        """The character's row of the `chars` inventory."""
         return {
             "modulus": self.modulus,
-            "generator_exponents": [[k, n] for k, n in self._reduced()],
+            "generator_exponents": self._reduced(),
             "order": self.order,
             "conductor": self.conductor,
             "parity": self.parity,
             "d_chi": self.d_chi,
+            "label": self.label(),
         }
 
     def _key(self):
@@ -194,7 +198,7 @@ class DirichletCharacter:
         return isinstance(other, DirichletCharacter) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return f"<character {self.label()} mod {self.modulus} (p={self.p})>"
@@ -329,11 +333,10 @@ def enumerate_characters(field: FieldSpec) -> list:
         tuple(x * (top // n) for x, n in zip(units.dlog(crt(h, f, 1, p)), units.orders))
         for h in field.subgroup
     ]
-    chars = [
-        _primitive(p, units, expo)
-        for expo in itertools.product(*(range(n) for n in units.orders))
-        if all(sum(e * w for e, w in zip(expo, hw)) % top == 0 for hw in h_weights)
-    ]
+    expos = itertools.product(*(range(n) for n in units.orders))
+    if h_weights:
+        expos = (e for e in expos if all(sum(map(operator.mul, e, hw)) % top == 0 for hw in h_weights))
+    chars = [_primitive(p, units, expo) for expo in expos]
     if len(chars) != field.group_order:
         raise InvariantViolationError(
             f"enumerated {len(chars)} characters, expected {field.group_order}"
@@ -341,52 +344,62 @@ def enumerate_characters(field: FieldSpec) -> list:
     return chars
 
 
-def _conjugacy_orbit(chi: DirichletCharacter) -> list:
-    """Orbit of chi under the local Galois action t: chi -> chi^t with
-    t = p^j on the prime-to-p part of the order and arbitrary on the p-part."""
-    n, p = chi.order, chi.p
-    if n == 1:
-        return [chi]
-    a, n0 = split_prime_part(n, p)
+@lru_cache(maxsize=None)
+def _conjugating_exponents(order: int, p: int) -> tuple:
+    """The t of the local Galois action chi -> chi^t on characters of this
+    order, t = p^j on the prime-to-p part and any unit on the p-part: the
+    subgroup of (Z/order)^x they form, grown from t = 1, which comes first."""
+    a, n0 = split_prime_part(order, p)
     pa = p ** a
     tgens = []
     if n0 > 1:
         tgens.append(crt(p % n0, n0, 1, pa))
     if pa > 1:
         tgens.append(crt(1, n0, smallest_primitive_root(pa), pa))
-    # the subgroup of (Z/n)^x generated by tgens, grown from 1
-    ts = [1]
+    ts, found = [1], {1}
     for s in ts:
         for t in tgens:
-            if s * t % n not in ts:
-                ts.append(s * t % n)
-    return [chi] + [chi.power(t) for t in ts[1:]]
+            st = s * t % order
+            if st not in found:
+                found.add(st)
+                ts.append(st)
+    return tuple(ts)
 
 
 def conjugacy_classes(chars: list) -> list:
     """Partition of the full dual into Q_p-conjugacy classes.
 
-    Each class has size d_chi and its members share order, conductor, parity
-    and d_chi; the class representative is the earliest member in the
-    enumeration order of `chars`.  Members are the objects of `chars`, so a
-    label or an S_chi test kept on one of them serves both lists.
+    For t prime to chi's order, chi^t is primitive at chi's modulus with
+    exponents e_i t mod n_i: orbits are found by exponent lookup in an index
+    of `chars`, building no character, with one t-set per (order, p) led by
+    t = 1, so a singleton class looks nothing up (and a field of singletons
+    builds no index).  Each class has size d_chi
+    and its members share order, conductor, parity and d_chi; the class
+    representative is its earliest member in `chars`, whose objects the
+    members are, so a label or an S_chi test kept on one serves both lists.
     """
-    index = {c: i for i, c in enumerate(chars)}
+    index = None
     seen = set()
     classes = []
-    for c in chars:
-        if c in seen:
+    for i, c in enumerate(chars):
+        if i in seen:
             continue
-        orbit = _conjugacy_orbit(c)
-        for m in orbit:
-            if m not in index:
+        orbit = [c]
+        ts = _conjugating_exponents(c.order, c.p)
+        if len(ts) > 1:
+            if index is None:
+                index = {(m.modulus, m.exponents): j for j, m in enumerate(chars)}
+            orders = c.units.orders
+            members = [index.get((c.modulus, tuple(e * t % n for e, n in zip(c.exponents, orders))))
+                       for t in ts]
+            if None in members:
                 raise InvariantViolationError("conjugate escaped the dual group")
-        orbit = [chars[i] for i in sorted(map(index.__getitem__, orbit))]
+            seen.update(members)
+            orbit = [chars[j] for j in sorted(members)]
+            if len({(m.conductor, m.parity, m.d_chi, m.order) for m in orbit}) != 1:
+                raise InvariantViolationError("conjugates disagree on cached data")
         if len(orbit) != c.d_chi:
             raise InvariantViolationError("conjugacy class size != d_chi")
-        if len({(m.conductor, m.parity, m.d_chi, m.order) for m in orbit}) != 1:
-            raise InvariantViolationError("conjugates disagree on cached data")
-        seen.update(orbit)
         classes.append(orbit)
     if sum(len(cl) for cl in classes) != len(chars):
         raise InvariantViolationError("class sizes do not sum to |G|")

@@ -300,7 +300,7 @@ def run_chars(job: JobConfig) -> dict:
     return _report(
         job,
         "chars",
-        characters=[dict(chi.to_dict(), label=chi.label()) for chi in chars],
+        characters=[chi.to_dict() for chi in chars],
         classes=[[chi.label() for chi in cl] for cl in classes],
     )
 

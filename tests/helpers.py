@@ -5,7 +5,8 @@ presentation, the direct per-character Stickelberger buckets, the
 complex-embedding oracle for lcm degrees, the rational-tower prime count and
 rank, the two-level rank estimate, the search oracles for the unit behind
 sigma_p and for the stabilization level, and a read-only loader for the
-benchmark's modules.  Test modules import them as `from helpers import ...`."""
+benchmark's modules, and the conjugacy classes built through chi.power(t).
+Test modules import them as `from helpers import ...`."""
 
 import cmath
 import importlib.util
@@ -15,7 +16,14 @@ import sys
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
-from tamerank.arith import is_prime, mul_order, split_prime_part, teichmuller_residue
+from tamerank.arith import (
+    crt,
+    is_prime,
+    mul_order,
+    smallest_primitive_root,
+    split_prime_part,
+    teichmuller_residue,
+)
 from tamerank.characters import FieldSpec
 from tamerank.frobenius import (
     admissible,
@@ -234,6 +242,45 @@ def stabilization_level_by_search(field: FieldSpec, q: int):
             return n
         prev = nxt
     return None
+
+
+def conjugacy_orbit_by_power(chi) -> list:
+    """Oracle for the orbits of `tamerank.characters.conjugacy_classes`: the
+    orbit of chi under the local Galois action t: chi -> chi^t with t = p^j on
+    the prime-to-p part of the order and arbitrary on the p-part, each member
+    built as a new character by chi.power(t)."""
+    n, p = chi.order, chi.p
+    if n == 1:
+        return [chi]
+    a, n0 = split_prime_part(n, p)
+    pa = p ** a
+    tgens = []
+    if n0 > 1:
+        tgens.append(crt(p % n0, n0, 1, pa))
+    if pa > 1:
+        tgens.append(crt(1, n0, smallest_primitive_root(pa), pa))
+    # the subgroup of (Z/n)^x generated by tgens, grown from 1
+    ts = [1]
+    for s in ts:
+        for t in tgens:
+            if s * t % n not in ts:
+                ts.append(s * t % n)
+    return [chi] + [chi.power(t) for t in ts[1:]]
+
+
+def conjugacy_classes_by_power(chars: list) -> list:
+    """Oracle for `tamerank.characters.conjugacy_classes`: each orbit from
+    `conjugacy_orbit_by_power`, its members the objects of `chars` in their
+    enumeration order."""
+    index = {c: i for i, c in enumerate(chars)}
+    seen = set()
+    classes = []
+    for c in chars:
+        if c not in seen:
+            orbit = [chars[i] for i in sorted(index[m] for m in conjugacy_orbit_by_power(c))]
+            seen.update(orbit)
+            classes.append(orbit)
+    return classes
 
 
 def direct_bucket_vectors(chi, n: int, N: int) -> tuple:

@@ -1,19 +1,26 @@
 import itertools
 import math
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import conjugacy_classes_by_power
+from tamerank import characters
 from tamerank.arith import teichmuller_residue, unit_group
 from tamerank.characters import (
+    DirichletCharacter,
     FieldSpec,
     RootOfUnity,
     compose,
     conjugacy_classes,
     enumerate_characters,
+    field_characters,
     omega,
     trivial_character,
 )
+from tamerank.errors import InvariantViolationError
 
 FIELDS = [
     FieldSpec(3, 1),
@@ -162,6 +169,120 @@ def test_conjugacy_examples():
     classes7 = conjugacy_classes(chars7)
     sizes7 = [len(cl) for cl in classes7 if cl[0].order == 3]
     assert sizes7 and all(s == 1 for s in sizes7)
+
+
+# each field with the kinds of its classes of size > 1: True where p divides
+# the order (d_chi > 1 from the p-part), False where the order is prime to p
+# and p has order > 1 modulo it.  Every class of (13, 105; H = <2>) is a
+# singleton: every order divides 12, and 13 = 1 mod 12.
+ORBIT_FIELDS = [
+    (FieldSpec(5, 7), {False}),
+    (FieldSpec(5, 72), {False}),
+    (FieldSpec(13, 105, (2,)), set()),
+    (FieldSpec(5, 11), {True}),
+    (FieldSpec(3, 7), {True}),
+    (FieldSpec(7, 29), {True, False}),
+]
+
+
+def assert_classes_match_power_orbits(field):
+    """conjugacy_classes and the chi.power(t) oracle give the same classes:
+    the same objects of `chars` in the same order, so the same
+    representatives.  Returns the classes."""
+    chars = enumerate_characters(field)
+    position = {id(c): i for i, c in enumerate(chars)}
+    classes = conjugacy_classes(chars)
+    found = [[position[id(m)] for m in cl] for cl in classes]
+    assert found == [[position[id(m)] for m in cl] for cl in conjugacy_classes_by_power(chars)]
+    return classes
+
+
+@pytest.mark.parametrize("field,kinds", ORBIT_FIELDS)
+def test_classes_match_power_orbits(field, kinds):
+    classes = assert_classes_match_power_orbits(field)
+    assert {cl[0].order % field.p == 0 for cl in classes if len(cl) > 1} == kinds
+
+
+@st.composite
+def _fields(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    f = draw(st.integers(min_value=1, max_value=60).filter(lambda f: math.gcd(f, p) == 1))
+    units = [h for h in range(1, f) if math.gcd(h, f) == 1] or [0]
+    return FieldSpec(p, f, tuple(draw(st.lists(st.sampled_from(units), max_size=2))))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_fields())
+def test_classes_match_power_orbits_on_drawn_fields(field):
+    assert_classes_match_power_orbits(field)
+
+
+def test_classifying_builds_no_character(monkeypatch):
+    # enumeration builds |G| characters and classification none; the t-set
+    # cache misses once per distinct (order, p)
+    built = []
+    init = DirichletCharacter.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(DirichletCharacter, "__init__", counted)
+    tsets = lru_cache(maxsize=None)(characters._conjugating_exponents.__wrapped__)
+    monkeypatch.setattr(characters, "_conjugating_exponents", tsets)
+    pairs = set()
+    for field, _ in ORBIT_FIELDS:
+        chars = enumerate_characters(field)
+        assert len(built) == field.group_order
+        built.clear()
+        conjugacy_classes(chars)
+        assert built == []
+        pairs |= {(c.order, c.p) for c in chars}
+        assert tsets.cache_info().misses == len(pairs)
+
+
+def test_class_partition_checks_raise(monkeypatch):
+    chars = enumerate_characters(FieldSpec(5, 7))
+    cubic = next(c for c in chars if c.order == 3)
+    with pytest.raises(InvariantViolationError, match="escaped the dual group"):
+        conjugacy_classes([c for c in chars if c is not cubic])
+    cubic.parity = -1
+    with pytest.raises(InvariantViolationError, match="disagree on cached data"):
+        conjugacy_classes(chars)
+    cubic.parity = 1
+    tsets = characters._conjugating_exponents
+    monkeypatch.setattr(characters, "_conjugating_exponents", lambda order, p: (1,))
+    with pytest.raises(InvariantViolationError, match="size != d_chi"):
+        conjugacy_classes(chars)
+    # 19 has order 2 mod 5: a t-set (1, 2) in place of (1, 4) has the right
+    # size, but the orbits it makes overlap
+    monkeypatch.setattr(characters, "_conjugating_exponents",
+                        lambda order, p: (1, 2) if order == 5 else tsets(order, p))
+    with pytest.raises(InvariantViolationError, match="do not sum to"):
+        conjugacy_classes(enumerate_characters(FieldSpec(19, 11)))
+    field = FieldSpec(5, 7)
+    object.__setattr__(field, "group_order", field.group_order + 1)
+    with pytest.raises(InvariantViolationError, match="expected 25"):
+        enumerate_characters(field)
+
+
+def test_equal_characters_hash_equal_by_every_route():
+    def twin(chars, chi):
+        return next(c for c in chars if c.label() == chi.label())
+
+    w3 = DirichletCharacter(5, 5, (3,))
+    chi35 = next(c for c in enumerate_characters(FieldSpec(5, 7)) if c.conductor == 35)
+    for chi, routes in [
+        (w3, [omega(5).power(3), omega(5).power(7), omega(5).inverse()]),
+        (chi35, [DirichletCharacter(5, 35, chi35.exponents)]),
+    ]:
+        routes += [chi.inverse().inverse(), twin(field_characters(FieldSpec(5, 7))[0], chi),
+                   twin(field_characters(FieldSpec(5, 21))[0], chi)]
+        assert all(r == chi and hash(r) == hash(chi) for r in routes)
+        assert len({chi, *routes}) == 1
+    # the same modulus and exponents under another p is another character
+    chi3, chi5 = DirichletCharacter(3, 7, (2,)), DirichletCharacter(5, 7, (2,))
+    assert chi3 != chi5 and len({chi3, chi5, DirichletCharacter(3, 7, (2,))}) == 2
 
 
 def test_d_chi_values():

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from helpers import BENCHMARKS
+from tamerank.characters import FieldSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -53,7 +54,10 @@ def test_tracer_hooks_count_a_small_batch():
     assert metrics["stickelberger.precision_retries"] == 0
     assert metrics["residue.cosets"] > 0
     assert metrics["residue.smith_cells"] > 0
+    # consecutive jobs on one field share its characters and classes
     fields = [(doc["p"], doc.get("f", 1), tuple(doc.get("H", []))) for _, doc in JOBS]
-    runs = sum(1 for i, field in enumerate(fields) if i == 0 or fields[i - 1] != field)
-    assert metrics["characters.enumerate.calls"] == runs
+    runs = [field for i, field in enumerate(fields) if i == 0 or fields[i - 1] != field]
+    assert metrics["characters.enumerate.calls"] == len(runs)
+    assert metrics["characters.classes.calls"] == len(runs)
+    assert metrics["characters.enumerated"] == sum(FieldSpec(*field).group_order for field in runs)
     assert metrics["frobenius.sigma0_ok.calls_per_pair"] == 1.0
