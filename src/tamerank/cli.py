@@ -53,11 +53,11 @@ EXIT_INCONSISTENT = 4
 EXIT_PRECISION = 5
 EXIT_INVARIANT = 6
 
-# The oracle walks the whole level group of each q at n1 and keeps every
-# element while it builds the module.  The largest group of a benchmark or
-# test job has 20580 elements (p = 7, f = 11, q = 19 at n1 = 3, which the fuzz
-# test of main can draw), and a group of 118098 elements (p = 3 at n = 10)
-# took 0.26 s and 55 MB peak RSS to build on a 2-vCPU container.
+# The level group of q at n1 is A x B, A = (Z/f_q)^x / H_q and B the cyclic
+# (Z/p^(n1+1))^x.  Its order caps each size the oracle's module is built from:
+# the r_n cosets, the |A| classes, the baby-step giant-step discrete logs in B
+# (about sqrt|B| steps each) and e_n.  The largest group of a benchmark or
+# test job has 75000 elements (p = 5, f = 7, q = 11 at n1 = 5).
 ORACLE_ORDER_BOUND = 100_000
 
 _LAMBDA_MODES = {

@@ -4,10 +4,11 @@ At level n the p-part of (O_{K_n}/q)^x is induced from the decomposition
 subgroup: primes above q are the cosets of <Frob_q>, each contributing a
 cyclic group Z/p^{e_n} on which Frobenius acts as multiplication by q.  All
 group data lives in modular arithmetic: an element of Gal(K_n/Q), taken
-modulo inertia, is a pair (tame class, unit mod p^{n+1}).  chi-quotients
-are computed by Smith reduction of an integer presentation over the
-coefficient lattice of O_chi, which makes this an implementation-independent
-check on every rank-formula ingredient.
+modulo inertia, is a pair (tame class, unit mod p^{n+1}), and the cosets
+come from the structure of that group, not from a walk over its elements
+(`residue_module`).  chi-quotients are computed by Smith reduction of an
+integer presentation over the coefficient lattice of O_chi, which makes this
+an implementation-independent check on every rank-formula ingredient.
 
 The presentation has d = dim O_chi generators per coset and d relation rows
 per coset and generator of G, r d columns in all.  It is never written out:
@@ -76,72 +77,69 @@ class ResidueModule:
         return len(self.cosets)
 
 
-class _LevelGroup:
-    """Gal(K_n/Q) modulo the inertia at q, as pairs of modular residues."""
-
-    def __init__(self, field: FieldSpec, q: int, n: int):
-        self.p = field.p
-        self.quotient = field.tame_quotient(q)
-        self.fq = self.quotient.f
-        self.hset = self.quotient.subgroup_elements
-        self.pmod = field.p ** (n + 1)
-        # the least element of each class a H of Z/fq, looked up by a mod fq
-        fq = self.fq
-        self._least = [None] * fq
-        for a in range(fq):
-            if self._least[a] is None:
-                orbit = [a * h % fq for h in self.hset]
-                least = min(orbit)
-                for x in orbit:
-                    self._least[x] = least
-
-    def canon(self, a: int) -> int:
-        return self._least[a % self.fq]
-
-    def element(self, a: int, b: int) -> tuple:
-        return (self.canon(a), b % self.pmod)
-
-    def mul(self, x: tuple, y: tuple) -> tuple:
-        return (self._least[x[0] * y[0] % self.fq], x[1] * y[1] % self.pmod)
-
-    def elements(self) -> list:
-        tame = sorted({self.canon(a) for a in range(self.fq) if math.gcd(a, self.fq) == 1})
-        wild = [b for b in range(1, self.pmod) if b % self.p != 0]
-        return [(a, b) for a in tame for b in wild]
+def _least_in_class(quotient: FieldSpec) -> list:
+    """The least element of each class a H of Z/fq, indexed by a mod fq.  In
+    ascending order the first element met of a class is its least."""
+    fq = quotient.f
+    least = [None] * fq
+    for a in range(fq):
+        if least[a] is None:
+            for h in quotient.subgroup_elements:
+                least[a * h % fq] = a
+    return least
 
 
 def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
-    """Build the level-n module for q with deterministic coset ordering."""
+    """Build the level-n module for q from the structure of its group.
+
+    Modulo inertia at q the level group is A x B, with A = (Z/fq)^x / H_q
+    and B = (Z/p^{n+1})^x cyclic on g of order nB, and Frobenius is
+    (a_q, g^kq).  The <a_q>-orbits of A all have one length e, and each class
+    is a = head_i a_q^t0.  The element (a, g^k) is c_j Frob^t exactly when
+    t = t0 + e s and K = k - t0 kq = k' + s e kq mod nB, where c_j is
+    (head_i, g^k').  So with w = gcd(e kq, nB) the cosets are (head_i, g^k')
+    for 0 <= k' < w, and (a, g^k) lies in the one with k' = K mod w, at
+    s = (K div w) (e kq / w)^{-1} mod nB / w.  The identity's coset is first."""
     p = field.p
     data = splitting_count(field, q, n)
-    grp = _LevelGroup(field, q, n)
-    qbar = grp.element(q, q)
-
-    # enumerate cosets of <qbar> in ascending order, the identity's first
-    loc = {}
-    cosets = []
-    for e in grp.elements():
-        if e in loc:
+    quotient = field.tame_quotient(q)
+    fq = quotient.f
+    least = _least_in_class(quotient)
+    heads, place = [], {}  # class a -> (i, t0) with a = heads[i] a_q^t0
+    for a in range(fq):
+        if least[a] in place or math.gcd(a, fq) != 1:
             continue
-        idx = len(cosets)
-        cosets.append(e)
-        x = e
-        for t in range(data.residue_degree):
-            if x in loc:
-                raise InvariantViolationError("coset walk collided")
-            loc[x] = (idx, t)
-            x = grp.mul(x, qbar)
-        if x != e:
-            raise InvariantViolationError("Frobenius order mismatch in coset walk")
-    if len(cosets) != data.prime_count:
+        x, t = a, 0
+        while x not in place:
+            place[x] = (len(heads), t)
+            x, t = least[x * q % fq], t + 1
+        if x != a or (heads and t != e):
+            raise InvariantViolationError("an <a_q>-orbit in A does not close")
+        heads.append(a)
+        e = t
+
+    pmod = p ** (n + 1)
+    B = unit_group(pmod)
+    g, nB = B.generators[0], B.orders[0]
+    kq = B.dlog(q)[0]
+    w = math.gcd(e * kq, nB)
+    if e * nB // w != data.residue_degree:
+        raise InvariantViolationError("Frobenius order != residue degree")
+    r = len(heads) * w
+    if r != data.prime_count:
         raise InvariantViolationError("coset count != prime count")
+    inv = pow(e * kq // w, -1, nB // w)
 
-    def action_table(g: int) -> list:
-        """The coset table of the image (g, omega(g)) of g in G."""
-        image = grp.element(g, teichmuller_residue(g, p, n + 1))
-        return [loc[grp.mul(image, c)] for c in cosets]
+    def locate(a: int, k: int) -> tuple:
+        """(j, t) with (a, g^k) = c_j Frob^t."""
+        i, t0 = place[least[a % fq]]
+        K = (k - t0 * kq) % nB
+        return i * w + K % w, t0 + e * (K // w * inv % (nB // w))
 
-    gen_actions = [(g, action_table(g)) for g in unit_group(field.f * p).generators]
+    def action_table(x: int) -> list:
+        """The coset table of the image (x, omega(x)) of x in G."""
+        k = B.dlog(teichmuller_residue(x, p, n + 1))[0]
+        return [locate(x * heads[j // w], k + j % w) for j in range(r)]
 
     return ResidueModule(
         field=field,
@@ -149,8 +147,8 @@ def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
         level=n,
         residue_degree=data.residue_degree,
         e_exp=data.p_exponent,
-        cosets=cosets,
-        gen_actions=gen_actions,
+        cosets=[(a, pow(g, k, pmod)) for a in heads for k in range(w)],
+        gen_actions=[(x, action_table(x)) for x in unit_group(field.f * p).generators],
         j_action=action_table(-1),
     )
 

@@ -1,5 +1,6 @@
 """Helpers that only the tests use: random prime sets, a per-(field, q)
-Frobenius profile with its ramification test, the level-to-level
+Frobenius profile with its ramification test, the element-walk level group
+(the oracle of the residue modules' cosets), the level-to-level
 norm-reduction check of the residue modules, the dense chi-quotient
 presentation, the direct per-character Stickelberger buckets, the
 complex-embedding oracle for lcm degrees, the rational-tower prime count and
@@ -37,7 +38,6 @@ from tamerank.localring import local_ring
 from tamerank.rank import _validate_s
 from tamerank.residue import (
     SNF_GUARD_DIGITS,
-    _LevelGroup,
     _snf_exponent,
     quotient_growth,
     residue_module,
@@ -108,6 +108,43 @@ class FrobeniusProfile:
                 rec["sigma_p_exponent"] = [val.k, val.order]
             out["per_chi"][chi.label()] = rec
         return out
+
+
+# The element-walk oracle: the level group listed element by element, against
+# which the tests check the cosets and tables that
+# `tamerank.residue.residue_module` builds from the group's structure.
+class _LevelGroup:
+    """Gal(K_n/Q) modulo the inertia at q, as pairs of modular residues."""
+
+    def __init__(self, field: FieldSpec, q: int, n: int):
+        self.p = field.p
+        self.quotient = field.tame_quotient(q)
+        self.fq = self.quotient.f
+        self.hset = self.quotient.subgroup_elements
+        self.pmod = field.p ** (n + 1)
+        # the least element of each class a H of Z/fq, looked up by a mod fq
+        fq = self.fq
+        self._least = [None] * fq
+        for a in range(fq):
+            if self._least[a] is None:
+                orbit = [a * h % fq for h in self.hset]
+                least = min(orbit)
+                for x in orbit:
+                    self._least[x] = least
+
+    def canon(self, a: int) -> int:
+        return self._least[a % self.fq]
+
+    def element(self, a: int, b: int) -> tuple:
+        return (self.canon(a), b % self.pmod)
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        return (self._least[x[0] * y[0] % self.fq], x[1] * y[1] % self.pmod)
+
+    def elements(self) -> list:
+        tame = sorted({self.canon(a) for a in range(self.fq) if math.gcd(a, self.fq) == 1})
+        wild = [b for b in range(1, self.pmod) if b % self.p != 0]
+        return [(a, b) for a in tame for b in wild]
 
 
 def norm_reduction_surjective(field: FieldSpec, q: int, n: int) -> bool:

@@ -276,6 +276,20 @@ def test_run_oracle_levels_spanning_two_levels_pass():
 
 
 @pytest.mark.parametrize(
+    "doc, rows",
+    [({"p": 3, "S": [7], "oracle_levels": [1, 9]}, 2),
+     ({"p": 5, "f": 7, "S": [7, 11], "oracle_levels": [1, 5]}, 32)],
+)
+def test_main_oracle_wide_level_spans_pass(tmp_path, capsys, doc, rows):
+    # growth read over several levels, on level groups of up to 75000 elements
+    cfg = write_config(tmp_path, doc)
+    assert main(["oracle", "--config", cfg]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["rows"]) == rows and report["all_pass"]
+    assert all(r["pass"] and r["levels"] == doc["oracle_levels"] for r in report["rows"])
+
+
+@pytest.mark.parametrize(
     "table",
     [[1, 2], {"all": 0, "omega^1": "x"}, {"all": -5}, {"all": 1.5}, {"all": True}],
 )

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _LevelGroup,
     dense_chi_quotient_order,
     load_benchmark_module,
     norm_reduction_surjective,
@@ -31,13 +33,14 @@ from tamerank.frobenius import (
     stabilization_level,
 )
 import tamerank.localring as localring
-from tamerank.arith import smallest_primitive_root, split_prime_part, teichmuller_residue
+import tamerank.residue as residue
+from tamerank.arith import smallest_primitive_root, split_prime_part, teichmuller_residue, unit_group
 from tamerank.cli import parse_config
 from tamerank.errors import InvariantViolationError
 from tamerank.localring import cyclotomic_poly, local_ring
 from tamerank.residue import (
     SNF_GUARD_DIGITS,
-    _LevelGroup,
+    _least_in_class,
     _snf_exponent,
     chi_quotient_order,
     residue_module,
@@ -328,9 +331,90 @@ def test_level_group_class_is_least_in_its_h_orbit():
     # the lookup table agrees with min over H, for units and non-units
     for field, q in [(FieldSpec(5, 21, (8,)), 2), (FieldSpec(3, 8, (3,)), 5), (FieldSpec(7, 8, (3,)), 3),
                      (FieldSpec(5, 1), 7), (FieldSpec(3, 35, (4,)), 7)]:
-        grp = _LevelGroup(field, q, 1)
-        for a in range(-grp.fq, 3 * grp.fq):
-            assert grp.canon(a) == min(a * h % grp.fq for h in grp.hset), (field, q, a)
+        quotient = field.tame_quotient(q)
+        fq, least = quotient.f, _least_in_class(quotient)
+        for a in range(-fq, 3 * fq):
+            assert least[a % fq] == min(a * h % fq for h in quotient.subgroup_elements), (field, q, a)
+
+
+def _assert_matches_element_walk(m):
+    """The cosets of m partition its level group, listed element by element,
+    and every table entry (j, t) of an image x reads x c_i = c_j Frob^t."""
+    grp = _LevelGroup(m.field, m.q, m.level)
+    frob, powers = grp.element(m.q, m.q), [grp.element(1, 1)]
+    for _ in range(m.residue_degree - 1):
+        powers.append(grp.mul(powers[-1], frob))
+    assert all(grp.element(*c) == c for c in m.cosets)
+    walk = {grp.mul(c, x): (j, t) for j, c in enumerate(m.cosets) for t, x in enumerate(powers)}
+    elements = grp.elements()
+    assert len(walk) == m.num_cosets * m.residue_degree == len(elements) and set(walk) == set(elements)
+    for x, table in m.gen_actions + [(-1, m.j_action)]:
+        image = grp.element(x, teichmuller_residue(x, m.field.p, m.level + 1))
+        assert [walk[grp.mul(image, c)] for c in m.cosets] == table, (m.field, m.q, m.level, x)
+
+
+@st.composite
+def _level_groups(draw):
+    """(field, q, n) with p in {3, 5, 7}, f <= 40 with a drawn H, q prime to
+    f or dividing it, and n <= 2: at most 36 * 6 * 7^2 elements."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    f = draw(st.integers(min_value=1, max_value=40).filter(lambda f: math.gcd(f, p) == 1))
+    units = [a for a in range(2, f) if math.gcd(a, f) == 1]
+    gens = draw(st.lists(st.sampled_from(units), max_size=2)) if units else []
+    divisors = [q for q in range(2, f + 1) if f % q == 0 and is_prime(q)]
+    coprime = [q for q in range(2, 100) if is_prime(q) and q != p and f % q]
+    q = draw(st.sampled_from(divisors if divisors and draw(st.booleans()) else coprime))
+    return FieldSpec(p, f, tuple(gens)), q, draw(st.integers(min_value=0, max_value=2))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_level_groups())
+def test_structural_cosets_match_the_element_walk(case):
+    _assert_matches_element_walk(residue_module(*case))
+
+
+def test_structural_cosets_match_the_element_walk_on_oracle_grid(monkeypatch):
+    for seed in range(3):
+        for _, _, modules in _oracle_grid_modules(monkeypatch, seed):
+            for m in modules:
+                _assert_matches_element_walk(m)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_module_work_follows_its_cosets_not_its_group(n):
+    # the level group has 2 * 3^n elements (118098 at n = 10), the module 2 cosets
+    unit_group(3 ** (n + 1))
+    tracemalloc.start()
+    try:
+        m = residue_module(FieldSpec(3, 1), 7, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.num_cosets == 2 and peak < 2 ** 20
+
+
+def test_structural_checks_raise_on_corrupted_inputs(monkeypatch):
+    # (Z/7)^x splits into the <2>-orbits {1, 2, 4} and {3, 6, 5}; sending 6
+    # to the class of 4 walks the second orbit into the first
+    field = FieldSpec(5, 7)
+    least_in_class = residue._least_in_class
+
+    def corrupted(quotient):
+        least = least_in_class(quotient)
+        least[6] = 4
+        return least
+
+    with monkeypatch.context() as patch:
+        patch.setattr(residue, "_least_in_class", corrupted)
+        with pytest.raises(InvariantViolationError, match="does not close"):
+            residue_module(field, 2, 1)
+    data = splitting_count(field, 2, 1)
+    for wrong, message in [(data._replace(residue_degree=data.residue_degree + 1), "residue degree"),
+                           (data._replace(prime_count=data.prime_count + 1), "coset count")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(residue, "splitting_count", lambda *args: wrong)
+            with pytest.raises(InvariantViolationError, match=message):
+                residue_module(field, 2, 1)
 
 
 def test_norm_reduction_surjective():
