@@ -204,6 +204,19 @@ class DirichletCharacter:
         return f"<character {self.label()} mod {self.modulus} (p={self.p})>"
 
 
+def _generated_subgroup(gens, n: int) -> list:
+    """The subgroup of (Z/n)^x that the units gens generate, grown breadth
+    first from 1, which comes first."""
+    elems, seen = [1], {1}
+    for x in elems:  # the list grows while it is walked
+        for g in gens:
+            y = x * g % n
+            if y not in seen:
+                seen.add(y)
+                elems.append(y)
+    return elems
+
+
 @lru_cache(maxsize=None)
 def _local_degree(order: int, p: int) -> int:
     """d_chi = [Q_p(values of chi) : Q_p] for a character of this order."""
@@ -294,16 +307,7 @@ class FieldSpec:
 
     @cached_property
     def subgroup_elements(self) -> frozenset:
-        elems = {1 % self.f}
-        frontier = list(elems)
-        while frontier:
-            x = frontier.pop()
-            for h in self.subgroup:
-                y = x * h % self.f
-                if y not in elems:
-                    elems.add(y)
-                    frontier.append(y)
-        return frozenset(elems)
+        return frozenset(_generated_subgroup(self.subgroup, self.f))
 
     @cached_property
     def group_order(self) -> int:
@@ -356,14 +360,7 @@ def _conjugating_exponents(order: int, p: int) -> tuple:
         tgens.append(crt(p % n0, n0, 1, pa))
     if pa > 1:
         tgens.append(crt(1, n0, smallest_primitive_root(pa), pa))
-    ts, found = [1], {1}
-    for s in ts:
-        for t in tgens:
-            st = s * t % order
-            if st not in found:
-                found.add(st)
-                ts.append(st)
-    return tuple(ts)
+    return tuple(_generated_subgroup(tgens, order))
 
 
 def conjugacy_classes(chars: list) -> list:

@@ -6,9 +6,12 @@ d = d0 * phi(p^alpha) with d0 = ord(p mod n0).  It is realized mod p^K as
 irreducible mod p, so (Z/p^K)[x]/(g) is the unramified ring of rank d0.
 Elements are coordinate vectors on the x^i y^j basis.  zeta_m^k is the
 product of zeta_{n0}^k in the first factor and y^k in the second, so its
-vector is the outer product of the two factor powers; matrices are built
-only for `root_matrix`, as the Kronecker product of the two factors'
-multiplication matrices.
+vector is the outer product of the two factor powers.  The ring is a
+discrete valuation ring with uniformizer pi = y - 1 (p when alpha = 0) and
+residue field F_{p^d0}; `valuation` reads v_pi off the coordinates, and a
+unit is an element of valuation 0.  Matrices are built only for
+`root_matrix`, as the Kronecker product of the two factors' multiplication
+matrices.
 
 zeta_{n0} is the n0-th root of unity above a pinned root b of order n0 in
 F_{p^d0} = F_p[x]/(g), i.e. the Teichmueller lift of b, found by Newton's
@@ -301,7 +304,9 @@ class LocalCoefficientRing:
         return xs[i], ys[j]
 
     def zeta_matrix(self, k: int) -> list:
-        """Multiplication by zeta_m^k on the basis."""
+        """Multiplication by zeta_m^k on the basis.  It and `root_matrix`
+        serve the tests' dense chi-quotient presentation, and
+        `benchmarks/tracer.py` counts `root_matrix` calls."""
         k %= self.m
         if k not in self._cache:
             xv, yv = self._factor_powers(k)
@@ -319,17 +324,25 @@ class LocalCoefficientRing:
         xv, yv = self._factor_powers(k)
         return [a * b % self.mod for a in xv for b in yv]
 
+    def valuation(self, vec) -> int:
+        """v_pi(vec) for the uniformizer pi = y - 1 (pi = p when w = 1), so
+        v_pi(p) = w; w K when vec = 0 mod p^K, and exact below that.  vec is
+        sum_j C_j y^j with C_j (coordinates i w + j) in the unramified ring,
+        so on the basis x^i pi^k, which is integral as Phi_{p^alpha}(1 + pi)
+        is Eisenstein, it is sum_k D_k pi^k with D_k = sum_j C(j, k) C_j; for
+        k < w the terms have distinct valuations w v_p(D_k) + k."""
+        w, best = self.w, self.w * self.K
+        for k in range(w):
+            for i in range(self.d0):
+                if best <= k:  # every term from here on has valuation >= k
+                    return best
+                x = sum(math.comb(j, k) * vec[i * w + j] for j in range(k, w)) % self.mod
+                if x:
+                    best = min(best, w * split_prime_part(x, self.p)[0] + k)
+        return best
+
     def is_unit(self, vec) -> bool:
-        """Unit test in the local ring: nonzero image in the residue field
-        F_{p^{d0}} after y -> 1 and reduction mod p."""
-        p = self.p
-        for i in range(self.d0):
-            s = 0
-            for j in range(self.w):
-                s += vec[i * self.w + j]
-            if s % p:
-                return True
-        return False
+        return self.valuation(vec) == 0
 
 
 @lru_cache(maxsize=None)

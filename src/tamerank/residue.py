@@ -6,9 +6,9 @@ cyclic group Z/p^{e_n} on which Frobenius acts as multiplication by q.  All
 group data lives in modular arithmetic: an element of Gal(K_n/Q), taken
 modulo inertia, is a pair (tame class, unit mod p^{n+1}), and the cosets
 come from the structure of that group, not from a walk over its elements
-(`residue_module`).  chi-quotients are computed by Smith reduction of an
-integer presentation over the coefficient lattice of O_chi, which makes this
-an implementation-independent check on every rank-formula ingredient.
+(`residue_module`).  chi-quotients are read from a presentation over
+O_chi = Z_p[zeta_m], which makes this an implementation-independent check on
+every rank-formula ingredient.
 
 The presentation has d = dim O_chi generators per coset and d relation rows
 per coset and generator of G, r d columns in all.  It is never written out:
@@ -19,13 +19,13 @@ chi at a product of generator points, so the tree keeps the pair (c_j, n_j)
 with n_j the count of each generator's edges on the path from the root.  The
 edges left out of the tree become relations on the root, and the p^e
 relations of all cosets collapse to p^e on the root because every tree map
-is invertible: one Smith block on d columns per orbit.
+is invertible.  So each orbit is the quotient of O_chi by an ideal, and O_chi
+is a discrete valuation ring: the orbit's size is one valuation.
 
 Only the exponent k = sum_g n_g a_g, with chi(point_g) = zeta_m^{a_g},
 depends on chi.  So the forest and its relations (u, n) are built once per
 module and part (none, plus or minus) and kept on the module, and each
-character only maps the relations to (u, k) and reduces one Smith block per
-distinct relation set.
+character only maps the relations to (u, k) and takes their valuations.
 
 The chi-quotient is taken over the group ring of G = Gal(K/Q) = (Z/fp)^x / H,
 embedded in the level group as g -> (g, omega(g)) with omega(g) the
@@ -38,14 +38,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import List, Optional
+from typing import Optional
 
-from .arith import split_prime_part, teichmuller_residue, unit_group
-from .characters import DirichletCharacter, FieldSpec, RootOfUnity
+from .arith import teichmuller_residue, unit_group
+from .characters import DirichletCharacter, FieldSpec
 from .errors import InvariantViolationError, OracleInconsistencyError
 from .frobenius import splitting_count
 from .localring import local_ring
 
+# chi-quotients are read mod p^(e_n + SNF_GUARD_DIGITS): a valuation below
+# w (e_n + 4) is exact there, and an orbit reads at most w e_n
 SNF_GUARD_DIGITS = 4
 
 
@@ -153,53 +155,6 @@ def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
     )
 
 
-def _snf_exponent(rows: List[list], ncols: int, p: int, K: int) -> int:
-    """Sum of p-valuations of the invariant factors of the lattice quotient
-    Z^ncols / (row span), computed mod p^K.  The cokernel must be finite
-    p-torsion, which the caller guarantees with explicit p^e rows.
-
-    Each step pivots on an entry p^v * unit of least valuation v, normalised
-    to p^v; the pivot row leaves the matrix and every other row subtracts
-    (entry / p^v) times it, which cancels its entry in the pivot column
-    exactly.  So a pivoted column is zero in every row that remains, and
-    ncols pivots consume all columns; a row with no nonzero entry left drops
-    out.  Entries are kept mod p^K, so a nonzero one has valuation < K."""
-    mod = p ** K
-    mat = [r for r in ([x % mod for x in row] for row in rows) if any(r)]
-    total = 0
-    for _ in range(ncols):
-        best = None
-        for i, row in enumerate(mat):
-            for c, x in enumerate(row):
-                if x:
-                    v = split_prime_part(x, p)[0]
-                    if best is None or v < best[0]:
-                        best = (v, i, c)
-                        if v == 0:
-                            break
-            if best and best[0] == 0:
-                break
-        if best is None:
-            raise InvariantViolationError(
-                "relation matrix left a free direction; presentation is wrong"
-            )
-        v, i, col = best
-        pivot_row = mat.pop(i)
-        pv = p ** v
-        inv = pow(pivot_row[col] // pv, -1, mod)
-        pivot_row = [x * inv % mod for x in pivot_row]
-        new_mat = []
-        for row in mat:
-            factor = row[col] // pv
-            if factor:
-                row = [(x - factor * y) % mod for x, y in zip(row, pivot_row)]
-            if any(row):
-                new_mat.append(row)
-        mat = new_mat
-        total += v
-    return total
-
-
 class _Forest:
     """The chi-independent part of `chi_quotient_order` on one module and part.
 
@@ -272,15 +227,19 @@ def chi_quotient_order(
     x_j = c_j Z(k_j)^T x_root.  The Z's are powers of one zeta_m and commute,
     so this matrix is the scalar c_j in (Z/p^K)^x times Z(k_j)^T, and
     k_j = sum_g n_g a_g for the edge counts n_j of the path.  A non-tree edge
-    then reads x_root = u Z(b)^T x_root, d rows (I - u Z(b)^T) on the root,
-    one per distinct (u, b) != (1, 0).  The relations p^e x_i = 0 on every
-    coset become p^e c_j Z(k_j)^T x_root = 0, whose span is p^e I on the root
-    because c_j Z(k_j)^T is invertible.  So each orbit is one Smith block on
-    d columns, and the exponent is the sum over the orbits.
+    then reads x_root = u Z(b)^T x_root, d rows (I - u Z(b)^T) on the root:
+    row i is (1 - u zeta_m^b) e_i, so the rows span the ideal
+    (1 - u zeta_m^b) O_chi.  The relations p^e x_i = 0 on every coset become
+    p^e c_j Z(k_j)^T x_root = 0, whose span is p^e O_chi on the root because
+    c_j Z(k_j)^T is invertible.  O_chi is a discrete valuation ring with
+    uniformizer pi, v_pi(p) = w and residue degree d0, so an orbit adds
+    d0 min(w e, min over its relations of v_pi(1 - u zeta_m^b)), and the
+    exponent is the sum over the orbits.  A relation with (u, b) = (1, 0)
+    reads 0, of valuation w K > w e, and changes nothing.
 
     The walk and its relations (u, n) do not depend on chi: they are built
     once per module and part (`_Forest`).  Here the counts n become
-    exponents b, and orbits whose relation sets agree share one reduction."""
+    exponents b."""
     if part not in (None, "plus", "minus"):
         raise ValueError("part must be 'plus', 'minus', or None")
     forest = module.forests.get(part)
@@ -288,24 +247,17 @@ def chi_quotient_order(
         forest = module.forests[part] = _Forest(module, part)
     p = module.field.p
     e = module.e_exp
-    K = e + SNF_GUARD_DIGITS
-    pe = p ** e
-    ring = local_ring(chi.order, p, K)
+    ring = local_ring(chi.order, p, e + SNF_GUARD_DIGITS)
     d, m = ring.dim, ring.m
     a = chi.exponents_at(forest.points)  # chi(point_g) = zeta_m^{a_g}, as m = chi.order
 
-    reduced = {}  # relation set {(u, b)} -> exponent of its Smith block
     total = 0
     for relations, count in forest.orbits:
-        key = frozenset((u, sum(x * y for x, y in zip(n, a)) % m) for u, n in relations)
-        key -= {(1, 0)}
-        if key not in reduced:
-            rows = [[pe if i == c else 0 for c in range(d)] for i in range(d)]
-            for u, b in key:
-                Z = ring.root_matrix(RootOfUnity(b, m))
-                rows.extend([int(i == c) - u * Z[c][i] for c in range(d)] for i in range(d))
-            reduced[key] = _snf_exponent(rows, d, p, K)
-        total += count * reduced[key]
+        v = ring.w * e  # v_pi(p^e)
+        for u, n in relations:
+            b = sum(x * y for x, y in zip(n, a)) % m
+            v = min(v, ring.valuation([int(c == 0) - u * z for c, z in enumerate(ring.zeta_vector(b))]))
+        total += count * ring.d0 * v
     if total > e * module.num_cosets * d:
         raise InvariantViolationError("chi-quotient larger than the module")
     return total

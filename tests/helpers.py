@@ -2,7 +2,7 @@
 Frobenius profile with its ramification test, the element-walk level group
 (the oracle of the residue modules' cosets), the level-to-level
 norm-reduction check of the residue modules, the dense chi-quotient
-presentation, the direct per-character Stickelberger buckets, the
+presentation with the Smith reduction that counts it, the direct per-character Stickelberger buckets, the
 complex-embedding oracle for lcm degrees, the rational-tower prime count and
 rank, the two-level rank estimate, the search oracles for the unit behind
 sigma_p and for the stabilization level, and a read-only loader for the
@@ -36,12 +36,7 @@ from tamerank.frobenius import (
 from tamerank.errors import InvariantViolationError
 from tamerank.localring import local_ring
 from tamerank.rank import _validate_s
-from tamerank.residue import (
-    SNF_GUARD_DIGITS,
-    _snf_exponent,
-    quotient_growth,
-    residue_module,
-)
+from tamerank.residue import SNF_GUARD_DIGITS, quotient_growth, residue_module
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -165,6 +160,53 @@ def norm_reduction_surjective(field: FieldSpec, q: int, n: int) -> bool:
     for c in hi.cosets:
         hit.add(lo_loc[glo.element(c[0], c[1])])
     return len(hit) == lo.num_cosets
+
+
+def _snf_exponent(rows: list, ncols: int, p: int, K: int) -> int:
+    """Sum of p-valuations of the invariant factors of the lattice quotient
+    Z^ncols / (row span), computed mod p^K.  The cokernel must be finite
+    p-torsion, which the caller guarantees with explicit p^e rows.
+
+    Each step pivots on an entry p^v * unit of least valuation v, normalised
+    to p^v; the pivot row leaves the matrix and every other row subtracts
+    (entry / p^v) times it, which cancels its entry in the pivot column
+    exactly.  So a pivoted column is zero in every row that remains, and
+    ncols pivots consume all columns; a row with no nonzero entry left drops
+    out.  Entries are kept mod p^K, so a nonzero one has valuation < K."""
+    mod = p ** K
+    mat = [r for r in ([x % mod for x in row] for row in rows) if any(r)]
+    total = 0
+    for _ in range(ncols):
+        best = None
+        for i, row in enumerate(mat):
+            for c, x in enumerate(row):
+                if x:
+                    v = split_prime_part(x, p)[0]
+                    if best is None or v < best[0]:
+                        best = (v, i, c)
+                        if v == 0:
+                            break
+            if best and best[0] == 0:
+                break
+        if best is None:
+            raise InvariantViolationError(
+                "relation matrix left a free direction; presentation is wrong"
+            )
+        v, i, col = best
+        pivot_row = mat.pop(i)
+        pv = p ** v
+        inv = pow(pivot_row[col] // pv, -1, mod)
+        pivot_row = [x * inv % mod for x in pivot_row]
+        new_mat = []
+        for row in mat:
+            factor = row[col] // pv
+            if factor:
+                row = [(x - factor * y) % mod for x, y in zip(row, pivot_row)]
+            if any(row):
+                new_mat.append(row)
+        mat = new_mat
+        total += v
+    return total
 
 
 def dense_chi_quotient_order(module, chi, part=None) -> int:

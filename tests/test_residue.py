@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     _LevelGroup,
+    _snf_exponent,
     dense_chi_quotient_order,
     load_benchmark_module,
     norm_reduction_surjective,
@@ -41,7 +42,6 @@ from tamerank.localring import cyclotomic_poly, local_ring
 from tamerank.residue import (
     SNF_GUARD_DIGITS,
     _least_in_class,
-    _snf_exponent,
     chi_quotient_order,
     residue_module,
 )
@@ -538,3 +538,70 @@ def test_ring_vectors_agree_with_matrices(m, p, sample):
         for b in ks:
             prod = [sum(x * y for x, y in zip(row, ring.zeta_vector(b))) % ring.mod for row in z]
             assert prod == ring.zeta_vector(a + b), (a, b)
+
+
+# (m, p) covering w = 1 and w > 1, d0 = 1 and d0 > 1; their (w, d0) are
+# (1, 2), (1, 1), (6, 1), (1, 6), (2, 2), (1, 2), (2, 6) and (6, 1)
+VALUATION_RINGS = [(4, 3), (4, 5), (9, 3), (9, 5), (24, 3), (24, 7), (21, 3), (21, 7)]
+
+
+def _cyclic_product(a: list, b: list) -> list:
+    """Product of two elements of Z[X]/(X^m - 1) on the powers of X."""
+    m = len(a)
+    out = [0] * m
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % m] += x * y
+    return out
+
+
+@st.composite
+def _ideal_generators(draw):
+    """(m, p, e, a): a = p^s (1 - zeta^t)^j u in Z[zeta_m], u drawn on the
+    powers of zeta, as its coefficients on those powers (t = 0 gives 0)."""
+    m, p = draw(st.sampled_from(VALUATION_RINGS))
+    e = draw(st.integers(min_value=1, max_value=3))
+    a = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=m, max_size=m))
+    one_minus = [0] * m
+    one_minus[0] += 1
+    one_minus[draw(st.integers(min_value=0, max_value=m - 1))] -= 1
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        a = _cyclic_product(a, one_minus)
+    s = draw(st.integers(min_value=0, max_value=1))
+    return m, p, e, [c * p ** s for c in a]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_ideal_generators())
+def test_valuation_counts_the_quotient_by_an_ideal(drawn):
+    # O_chi / (a, p^e) has p^{d0 min(v(a), w e)} elements; the rows a e_i and
+    # p^e e_i present it, and a Smith reduction counts it independently
+    m, p, e, a = drawn
+    K = e + SNF_GUARD_DIGITS
+    ring = local_ring(m, p, K)
+    vec = [sum(c * z for c, z in zip(a, col)) for col in zip(*map(ring.zeta_vector, range(m)))]
+    mult = [[sum(c * row[i] for c, row in zip(a, rows)) for rows in zip(*map(ring.zeta_matrix, range(m)))]
+            for i in range(ring.dim)]
+    pe_rows = [[p ** e if i == c else 0 for c in range(ring.dim)] for i in range(ring.dim)]
+    expected = _snf_exponent(mult + pe_rows, ring.dim, p, K)
+    assert ring.d0 * min(ring.valuation(vec), ring.w * e) == expected
+
+
+def test_valuation_fixed_values():
+    for m, p in VALUATION_RINGS:
+        ring = local_ring(m, p, 5)
+        w, zero = ring.w, [0] * ring.dim
+        assert ring.valuation([p] + zero[1:]) == w
+        # p^2 x^(d0 - 1) y^(w - 1), p^2 times a unit
+        assert ring.valuation([p ** 2 * (i == ring.dim - 1) for i in range(ring.dim)]) == 2 * w
+        assert ring.valuation(zero) == w * 5
+        assert ring.valuation([1] + zero[1:]) == 0
+        assert ring.valuation(ring.zeta_vector(1)) == 0 and ring.is_unit(ring.zeta_vector(1))
+        assert not ring.is_unit([p] + zero[1:])
+        if w > 1:
+            assert ring.valuation([1, -1] + zero[2:]) == 1  # 1 - y, the uniformizer
+            # zeta_{p^alpha} - 1 has valuation 1, and a primitive p-th root's w / (p - 1)
+            y = ring.zeta_vector(m // ring.pa)
+            assert ring.valuation([c - (i == 0) for i, c in enumerate(y)]) == 1
+            yp = ring.zeta_vector(m // p)
+            assert ring.valuation([c - (i == 0) for i, c in enumerate(yp)]) == w // (p - 1)

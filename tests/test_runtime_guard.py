@@ -1,14 +1,21 @@
 """The runtime is exact and standard-library only: every module of the package
 is parsed, and no float literal, true division, float() call or cmath import
 may appear, nor any absolute import outside a fixed standard-library list.
-Only the job layer (cli.py and rank.py) raises ConfigError."""
+Only the job layer (cli.py and rank.py) raises ConfigError.  Every
+module-level function and class is exported or used by the package itself,
+save a named few that a caller outside it keeps."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "tamerank").glob("*.py"))
+from helpers import _snf_exponent
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "tamerank").glob("*.py"))
+SOURCES_BY_NAME = {path.name: path for path in SOURCES}
 
 STDLIB_ALLOWED = {
     "__future__", "argparse", "array", "dataclasses", "fractions", "functools",
@@ -67,3 +74,44 @@ def test_guard_catches_each_offence():
     source = "import cmath\nfrom numpy import array\nx = 1.5\ny = 3 / 2\ny /= 2\nz = float(3)\n"
     found = offences(ast.parse(source))
     assert len(found) == 6, found
+
+
+# module-level functions and classes that the package neither exports nor
+# uses, each with the caller outside it that keeps it
+OUTSIDE_CALLERS = {"class_representatives": "benchmarks/checks.py"}
+
+
+def unused_definitions(trees: dict) -> set:
+    """(module, name) of each module-level function or class of the modules
+    (file name -> tree) that `__init__.py` does not export and that no other
+    top-level statement of the package names, as a variable or an attribute."""
+    exports = {alias.asname or alias.name for node in trees["__init__.py"].body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    names = [{node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+             | {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+             for stmt in statements]
+    return {(module, stmt.name) for module, tree in trees.items() for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in exports
+            and not any(stmt.name in used for other, used in zip(statements, names) if other is not stmt)}
+
+
+def package_trees() -> dict:
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def test_every_definition_is_exported_or_used():
+    assert {name for _, name in unused_definitions(package_trees())} == set(OUTSIDE_CALLERS)
+    for name, caller in OUTSIDE_CALLERS.items():
+        assert name in (ROOT / caller).read_text()
+
+
+def test_dead_code_guard_catches_unused_helpers():
+    def appended(module: str, source: str) -> dict:
+        return {**package_trees(), module: ast.parse(SOURCES_BY_NAME[module].read_text() + "\n\n" + source)}
+
+    planted = appended("arith.py", "def _planted(n):\n    return _planted(n - 1) if n else 0\n")
+    assert ("arith.py", "_planted") in unused_definitions(planted)
+    # the Smith reduction that only the tests' dense oracle uses
+    left = appended("residue.py", inspect.getsource(_snf_exponent))
+    assert ("residue.py", "_snf_exponent") in unused_definitions(left)
