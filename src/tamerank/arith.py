@@ -292,6 +292,16 @@ def unit_group(M: int) -> UnitGroupStructure:
     return ug
 
 
+@lru_cache(maxsize=4096)
+def unit_dlog(M: int, a: int) -> tuple:
+    """unit_group(M).dlog(a), solved once per (M, a) for a reduced mod M:
+    every character of conductor M reads the same logs at the same points
+    (the primes of S, the residue modules' generator points).  A field
+    reads a few hundred pairs; the bound keeps the memo of a long run of
+    jobs near a megabyte."""
+    return unit_group(M).dlog(a)
+
+
 def teichmuller_residue(a: int, p: int, N: int) -> int:
     """Integer representative of the Teichmueller lift of a mod p^N."""
     _check_odd_prime(p)

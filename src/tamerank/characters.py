@@ -26,6 +26,7 @@ from .arith import (
     mul_order,
     smallest_primitive_root,
     split_prime_part,
+    unit_dlog,
     unit_group,
 )
 from .errors import InvariantViolationError
@@ -87,7 +88,9 @@ class DirichletCharacter:
     __slots__ = ("p", "modulus", "units", "exponents", "order", "_weights", "parity", "d_chi",
                  "_hash", "_label", "admissible_at", "_at_points")
 
-    def __init__(self, p: int, modulus: int, exponents: tuple):
+    def __init__(self, p: int, modulus: int, exponents: tuple, _conductor: int = None):
+        # `_primitive` passes the conductor it has just read; any other
+        # construction reads it here (a character mod 1 has none to check)
         self.p = p
         self.modulus = modulus
         self.units = units = unit_group(modulus)
@@ -95,7 +98,9 @@ class DirichletCharacter:
         if len(exponents) != len(orders):
             raise ValueError("one exponent per unit-group generator required")
         self.exponents = exponents = tuple(map(operator.mod, exponents, orders))
-        if units.conductor(exponents) != modulus:
+        if _conductor is None:
+            _conductor = units.conductor(exponents) if modulus > 1 else 1
+        if _conductor != modulus:
             raise ValueError(f"the exponents do not define a primitive character mod {modulus}")
         self.order = order = math.lcm(*map(operator.floordiv, orders, map(math.gcd, exponents, orders)))
         # chi(a) = zeta_order^k with k = sum_i w_i x_i for x = dlog(a), w_i = e_i order / n_i
@@ -124,22 +129,29 @@ class DirichletCharacter:
     def _exponent_at(self, logs) -> int:
         return sum(map(operator.mul, self._weights, logs)) % self.order
 
+    def exponent_at(self, a: int):
+        """The k with chi(a) = zeta_order^k, or None when gcd(a, conductor) > 1.
+        The discrete log of a is shared by every character of this conductor."""
+        M = self.modulus
+        if math.gcd(a, M) != 1:
+            return None
+        return self._exponent_at(unit_dlog(M, a % M))
+
     def value(self, a: int):
         """chi(a) as a RootOfUnity, or None when gcd(a, conductor) > 1."""
-        if math.gcd(a, self.modulus) != 1:
-            return None
-        return RootOfUnity(self._exponent_at(self.units.dlog(a)), self.order)
+        k = self.exponent_at(a)
+        return None if k is None else RootOfUnity(k, self.order)
 
     def exponents_at(self, points: tuple) -> tuple:
-        """The k with chi(a) = zeta_order^k for each a in `points`, which must
-        be units mod the conductor.  The latest answer is kept on the
-        character: every residue module of a field evaluates its characters
-        at the same generator points."""
+        """`exponent_at` of each a in `points`, which must be units mod the
+        conductor (a non-unit raises InvariantViolationError).  The latest
+        answer is kept on the character: every residue module of a field
+        evaluates its characters at the same generator points."""
         if self._at_points is None or self._at_points[0] != points:
-            values = [self.value(a) for a in points]
-            if None in values:
+            exponents = tuple(map(self.exponent_at, points))
+            if None in exponents:
                 raise InvariantViolationError("character evaluation hit a non-unit")
-            self._at_points = (points, tuple(v.exponent_for(self.order) for v in values))
+            self._at_points = (points, exponents)
         return self._at_points[1]
 
     def value_exponents(self) -> list:
@@ -242,7 +254,7 @@ def _primitive(p: int, units, exponents: tuple) -> DirichletCharacter:
     group is evaluated once through a lift."""
     cond = units.conductor(exponents)
     if cond == units.modulus:
-        return DirichletCharacter(p, cond, exponents)
+        return DirichletCharacter(p, cond, exponents, cond)
     top = math.lcm(1, *units.orders)
     weights = [e * (top // n) for e, n in zip(exponents, units.orders)]
     out = []

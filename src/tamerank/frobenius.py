@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import euler_phi, is_prime, mul_order, padic_log, split_prime_part, v_p
-from .characters import DirichletCharacter, FieldSpec, RootOfUnity, omega
+from .characters import ONE, DirichletCharacter, FieldSpec, RootOfUnity, omega
 from .errors import InvariantViolationError
 
 
@@ -40,16 +40,24 @@ def inertia_trivial(chi: DirichletCharacter, q: int) -> bool:
 
 def sigma0_ok(chi: DirichletCharacter, q: int) -> bool:
     """Whether chi^{-1} omega is trivial on the non-p part of the Frobenius
-    class of q, i.e. whether (chi^{-1} omega)(q) has p-power order."""
+    class of q, i.e. whether (chi^{-1} omega)(q) has p-power order.
+
+    In integers: chi(q) = zeta_n^k for n = ord chi and omega(q) =
+    zeta_{p-1}^x, so (chi^{-1} omega)(q) = zeta_L^K with L = lcm(p - 1, n)
+    and K = x L/(p-1) - k L/n.  Its order L/gcd(K, L) is a power of p
+    exactly when the prime-to-p part of L divides K."""
     p = chi.p
     if q == p:
         raise ValueError("q must differ from p")
-    val = chi.value(q)
-    if val is None:
+    k = chi.exponent_at(q)
+    if k is None:
         raise InvariantViolationError(
             "sigma0_ok called with q dividing the conductor; check inertia first"
         )
-    return (omega(p).value(q) * val.inverse()).order_is_p_power(p)
+    n = chi.order
+    L = math.lcm(p - 1, n)
+    K = omega(p).exponent_at(q) * (L // (p - 1)) - k * (L // n)
+    return K % split_prime_part(L, p)[1] == 0
 
 
 def admissible(chi: DirichletCharacter, q: int) -> bool:
@@ -75,25 +83,39 @@ def sigma_p_value(chi: DirichletCharacter, q: int) -> RootOfUnity:
     p = chi.p
     if not inertia_trivial(chi, q):
         raise ValueError("chi is ramified at q")
-    zp = chi.value(q).inverse().p_power_part(p)
-    if zp.is_one:
-        return zp
-    a = split_prime_part(zp.order, p)[0]
+    # chi^{-1}(q) = zeta_{p^a n}^{-k}, p not dividing n; its p-power part is
+    # its (n n^{-1} mod p^a)-th power, zeta_{p^a}^e
+    a, n = split_prime_part(chi.order, p)
+    pa = p ** a
+    e = -chi.exponent_at(q) * pow(n, -1, pa) % pa
+    if e == 0:
+        return ONE
+    a -= split_prime_part(e, p)[0]  # z_p = zeta_pa^e has order p^a
     m = m_index(q, p)
     W = m + a + 2
     log_q = padic_log(pow(q, p - 1, p ** W), p, W)
+    if log_q % p:
+        raise InvariantViolationError("log of a principal unit is not divisible by p")
+    mod = p ** (W - 1)
+    x_q = log_q // p * _gamma_log_inverse(p, W) % mod
+    pm = p ** m
+    if x_q % pm or x_q // pm % p == 0:
+        raise InvariantViolationError(f"Gamma-component valuation != m_q = {m}")
+    return RootOfUnity(e * pow(x_q // pm, -1, p ** a), pa)
+
+
+@lru_cache(maxsize=256)
+def _gamma_log_inverse(p: int, W: int) -> int:
+    """The inverse mod p^(W-1) of (p-1) log(1+p) / p, from log(1+p) mod p^W,
+    once per (p, W).  A job meets a few W = m_q + a + 2 per p; the bound
+    keeps a long run's memo small."""
     log_k0 = padic_log(1 + p, p, W)
-    if log_q % p or log_k0 % p:
+    if log_k0 % p:
         raise InvariantViolationError("log of a principal unit is not divisible by p")
     den = (p - 1) * (log_k0 // p)
     if den % p == 0:
         raise InvariantViolationError("(p-1) log(1+p) / p is not a unit")
-    mod = p ** (W - 1)
-    x_q = log_q // p * pow(den, -1, mod) % mod
-    pm = p ** m
-    if x_q % pm or x_q // pm % p == 0:
-        raise InvariantViolationError(f"Gamma-component valuation != m_q = {m}")
-    return zp ** pow(x_q // pm, -1, p ** a)
+    return pow(den, -1, p ** (W - 1))
 
 
 class SplittingData(NamedTuple):

@@ -4,7 +4,8 @@ Frobenius profile with its ramification test, the element-walk level group
 norm-reduction check of the residue modules, the dense chi-quotient
 presentation with the Smith reduction that counts it, the direct per-character Stickelberger buckets, the
 complex-embedding oracle for lcm degrees, the rational-tower prime count and
-rank, the two-level rank estimate, the search oracles for the unit behind
+rank, the two-level rank estimate, the RootOfUnity oracles of sigma0_ok
+and sigma_p_value, the search oracles for the unit behind
 sigma_p and for the stabilization level, and a read-only loader for the
 benchmark's modules, and the conjugacy classes built through chi.power(t).
 Test modules import them as `from helpers import ...`."""
@@ -21,11 +22,12 @@ from tamerank.arith import (
     crt,
     is_prime,
     mul_order,
+    padic_log,
     smallest_primitive_root,
     split_prime_part,
     teichmuller_residue,
 )
-from tamerank.characters import FieldSpec
+from tamerank.characters import FieldSpec, omega
 from tamerank.frobenius import (
     admissible,
     inertia_trivial,
@@ -291,6 +293,48 @@ def rank_rational(S, p: int) -> int:
         return 0
     powers = [p ** m_index(q, p) for q in selected]
     return sum(powers) - max(powers)
+
+
+def sigma0_ok_oracle(chi, q: int) -> bool:
+    """Oracle for `tamerank.frobenius.sigma0_ok`: (omega chi^{-1})(q) built
+    from RootOfUnity values and its order tested for a power of p."""
+    p = chi.p
+    if q == p:
+        raise ValueError("q must differ from p")
+    val = chi.value(q)
+    if val is None:
+        raise InvariantViolationError(
+            "sigma0_ok called with q dividing the conductor; check inertia first"
+        )
+    return (omega(p).value(q) * val.inverse()).order_is_p_power(p)
+
+
+def sigma_p_value_oracle(chi, q: int):
+    """Oracle for `tamerank.frobenius.sigma_p_value`: the p-power part z_p of
+    chi^{-1}(q) taken as a RootOfUnity, raised to u^{-1} for the unit
+    u = x_q / p^{m_q}, with both logarithms taken afresh on every call."""
+    p = chi.p
+    if not inertia_trivial(chi, q):
+        raise ValueError("chi is ramified at q")
+    zp = chi.value(q).inverse().p_power_part(p)
+    if zp.is_one:
+        return zp
+    a = split_prime_part(zp.order, p)[0]
+    m = m_index(q, p)
+    W = m + a + 2
+    log_q = padic_log(pow(q, p - 1, p ** W), p, W)
+    log_k0 = padic_log(1 + p, p, W)
+    if log_q % p or log_k0 % p:
+        raise InvariantViolationError("log of a principal unit is not divisible by p")
+    den = (p - 1) * (log_k0 // p)
+    if den % p == 0:
+        raise InvariantViolationError("(p-1) log(1+p) / p is not a unit")
+    mod = p ** (W - 1)
+    x_q = log_q // p * pow(den, -1, mod) % mod
+    pm = p ** m
+    if x_q % pm or x_q // pm % p == 0:
+        raise InvariantViolationError(f"Gamma-component valuation != m_q = {m}")
+    return zp ** pow(x_q // pm, -1, p ** a)
 
 
 def gamma_unit_by_search(p: int, q: int, a: int) -> int:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import conjugacy_classes_by_power
 from tamerank import characters
-from tamerank.arith import teichmuller_residue, unit_group
+from tamerank.arith import UnitGroupStructure, teichmuller_residue, unit_group
 from tamerank.characters import (
     DirichletCharacter,
     FieldSpec,
@@ -239,6 +239,30 @@ def test_classifying_builds_no_character(monkeypatch):
         assert built == []
         pairs |= {(c.order, c.p) for c in chars}
         assert tsets.cache_info().misses == len(pairs)
+
+
+def test_enumeration_reads_each_conductor_once(monkeypatch):
+    # one conductor call per character: the lift path's check on the trivial
+    # character, at modulus 1, has nothing to read
+    calls = []
+    conductor = UnitGroupStructure.conductor
+
+    def counted(self, exponents):
+        calls.append(self.modulus)
+        return conductor(self, exponents)
+
+    monkeypatch.setattr(UnitGroupStructure, "conductor", counted)
+    chars = enumerate_characters(FieldSpec(1031, 1))
+    assert len(calls) == len(chars) == 1030
+    # direct construction and lifted characters still check primitivity
+    units = unit_group(35)
+    imprimitive = (0, 1)  # trivial on the 5-part: conductor 7
+    assert units.conductor(imprimitive) == 7
+    with pytest.raises(ValueError, match="primitive"):
+        DirichletCharacter(5, 35, imprimitive)
+    calls.clear()
+    lifted = DirichletCharacter(5, 35, (1, 1)).power(4)
+    assert lifted.modulus == 7 and calls == [35, 35, 7]
 
 
 def test_class_partition_checks_raise(monkeypatch):

@@ -1,19 +1,28 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     FrobeniusProfile,
     gamma_unit_by_search,
     rational_prime_count,
+    sigma0_ok_oracle,
+    sigma_p_value_oracle,
     stabilization_level_by_search,
 )
-from tamerank.arith import is_prime, v_p
+from tamerank import arith, frobenius
+from tamerank.arith import factorize, is_prime, v_p
 from tamerank.characters import (
     FieldSpec,
+    RootOfUnity,
     enumerate_characters,
     class_representatives,
+    field_characters,
     omega,
     trivial_character,
 )
+from tamerank.errors import InvariantViolationError
 from tamerank.frobenius import (
     inertia_trivial,
     m_index,
@@ -22,6 +31,7 @@ from tamerank.frobenius import (
     splitting_count,
     stabilization_level,
 )
+from tamerank.rank import LambdaProvider, rank_total
 
 
 def test_m_index_examples():
@@ -109,6 +119,104 @@ def test_sigma_p_matches_unit_search(p, f, H, a_values):
     assert {0, 1, 2} <= {m for _, m in seen}
     # mod 3 every unit is its own inverse; elsewhere u != u^{-1} must occur
     assert (asymmetric > 0) == (p ** max(a_values) > 3)
+
+
+def _outcome(fn, chi, q):
+    try:
+        return fn(chi, q)
+    except (ValueError, InvariantViolationError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _fields_and_primes(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    f = draw(st.integers(min_value=1, max_value=120).filter(lambda f: math.gcd(f, p) == 1))
+    units = [h for h in range(1, f) if math.gcd(h, f) == 1] or [0]
+    H = tuple(draw(st.lists(st.sampled_from(units), max_size=2)))
+    # primes q != p at random, p itself, and primes dividing f (ramified or not)
+    qs = draw(st.lists(st.sampled_from([q for q in range(2, 200) if is_prime(q)]), min_size=1, max_size=4))
+    if f > 1:
+        qs += draw(st.lists(st.sampled_from(sorted(factorize(f))), max_size=2))
+    return FieldSpec(p, f, H), qs
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_fields_and_primes())
+def test_integer_sigma_path_matches_the_root_of_unity_oracles(drawn):
+    field, qs = drawn
+    for chi in class_representatives(enumerate_characters(field), field.p):
+        for q in qs:
+            assert _outcome(sigma0_ok, chi, q) == _outcome(sigma0_ok_oracle, chi, q), (chi, q)
+            assert _outcome(sigma_p_value, chi, q) == _outcome(sigma_p_value_oracle, chi, q), (chi, q)
+
+
+def test_rank_chain_evaluates_sigma0_in_integers(monkeypatch):
+    # a chain of S sets on one field: sigma0_ok builds no RootOfUnity, and
+    # each (modulus, q mod modulus) is solved by one discrete log
+    field = FieldSpec(13, 105, (2,))
+    chain = [[2], [2, 11], [2, 11, 29], [2, 11, 29, 53], [2, 11, 29, 53, 79, 131]]
+    inside, calls, roots, solved = [False], [], [], []
+
+    post_init = RootOfUnity.__post_init__
+    def counted_root(self):
+        roots.append(inside[0])
+        post_init(self)
+
+    sigma0 = frobenius.sigma0_ok
+    def flagged_sigma0(chi, q):
+        calls.append((chi, q))
+        inside[0] = True
+        try:
+            return sigma0(chi, q)
+        finally:
+            inside[0] = False
+
+    dlog = arith.UnitGroupStructure.dlog
+    def counted_dlog(self, a):
+        solved.append((self.modulus, a))
+        return dlog(self, a)
+
+    monkeypatch.setattr(RootOfUnity, "__post_init__", counted_root)
+    monkeypatch.setattr(frobenius, "sigma0_ok", flagged_sigma0)
+    monkeypatch.setattr(arith.UnitGroupStructure, "dlog", counted_dlog)
+    field_characters.cache_clear()
+    arith.unit_dlog.cache_clear()
+    field_characters(field)
+    solved.clear()
+    for S in chain:
+        rank_total(field, S, LambdaProvider(table={"all": 0}))
+    field_characters.cache_clear()
+    assert len(calls) == len(set(calls)) > 100
+    assert not any(roots)
+    RootOfUnity(1, 3)
+    assert roots == [False]  # the count is live
+    assert solved and len(solved) == len(set(solved))
+
+
+def test_sigma_p_takes_log_one_plus_p_once_per_precision(monkeypatch):
+    logs = []
+    padic_log = frobenius.padic_log
+
+    def counted_log(u, p, N):
+        logs.append((u, N))
+        return padic_log(u, p, N)
+
+    monkeypatch.setattr(frobenius, "padic_log", counted_log)
+    frobenius._gamma_log_inverse.cache_clear()
+    field = FieldSpec(3, 19)
+    primes = [q for q in range(5, 400) if is_prime(q) and field.f % q]
+    nontrivial = 0
+    for chi in class_representatives(enumerate_characters(field), field.p):
+        for q in primes:
+            value = sigma_p_value(chi, q)
+            assert value == sigma_p_value_oracle(chi, q)
+            nontrivial += not value.is_one
+    # one log of q^(p-1) per nontrivial value, and one log(1 + p) per precision
+    precisions = frobenius._gamma_log_inverse.cache_info().currsize
+    assert 2 <= precisions <= 4 and nontrivial > 10 * precisions
+    assert len(logs) == nontrivial + precisions
+    assert {N for u, N in logs if u == 1 + field.p} == {N for u, N in logs}
 
 
 def test_splitting_count_examples():
