@@ -90,7 +90,7 @@ class DirichletCharacter:
 
     def __init__(self, p: int, modulus: int, exponents: tuple, _conductor: int = None):
         # `_primitive` passes the conductor it has just read; any other
-        # construction reads it here (a character mod 1 has none to check)
+        # construction reads it here
         self.p = p
         self.modulus = modulus
         self.units = units = unit_group(modulus)
@@ -99,7 +99,7 @@ class DirichletCharacter:
             raise ValueError("one exponent per unit-group generator required")
         self.exponents = exponents = tuple(map(operator.mod, exponents, orders))
         if _conductor is None:
-            _conductor = units.conductor(exponents) if modulus > 1 else 1
+            _conductor = units.conductor(exponents)
         if _conductor != modulus:
             raise ValueError(f"the exponents do not define a primitive character mod {modulus}")
         self.order = order = math.lcm(*map(operator.floordiv, orders, map(math.gcd, exponents, orders)))

@@ -94,28 +94,18 @@ def sigma_p_value(chi: DirichletCharacter, q: int) -> RootOfUnity:
     m = m_index(q, p)
     W = m + a + 2
     log_q = padic_log(pow(q, p - 1, p ** W), p, W)
-    if log_q % p:
-        raise InvariantViolationError("log of a principal unit is not divisible by p")
-    mod = p ** (W - 1)
-    x_q = log_q // p * _gamma_log_inverse(p, W) % mod
-    pm = p ** m
-    if x_q % pm or x_q // pm % p == 0:
-        raise InvariantViolationError(f"Gamma-component valuation != m_q = {m}")
-    return RootOfUnity(e * pow(x_q // pm, -1, p ** a), pa)
-
-
-@lru_cache(maxsize=256)
-def _gamma_log_inverse(p: int, W: int) -> int:
-    """The inverse mod p^(W-1) of (p-1) log(1+p) / p, from log(1+p) mod p^W,
-    once per (p, W).  A job meets a few W = m_q + a + 2 per p; the bound
-    keeps a long run's memo small."""
     log_k0 = padic_log(1 + p, p, W)
-    if log_k0 % p:
+    if log_q % p or log_k0 % p:
         raise InvariantViolationError("log of a principal unit is not divisible by p")
     den = (p - 1) * (log_k0 // p)
     if den % p == 0:
         raise InvariantViolationError("(p-1) log(1+p) / p is not a unit")
-    return pow(den, -1, p ** (W - 1))
+    mod = p ** (W - 1)
+    x_q = log_q // p * pow(den, -1, mod) % mod
+    pm = p ** m
+    if x_q % pm or x_q // pm % p == 0:
+        raise InvariantViolationError(f"Gamma-component valuation != m_q = {m}")
+    return RootOfUnity(e * pow(x_q // pm, -1, p ** a), pa)
 
 
 class SplittingData(NamedTuple):

@@ -194,31 +194,6 @@ def test_rank_chain_evaluates_sigma0_in_integers(monkeypatch):
     assert solved and len(solved) == len(set(solved))
 
 
-def test_sigma_p_takes_log_one_plus_p_once_per_precision(monkeypatch):
-    logs = []
-    padic_log = frobenius.padic_log
-
-    def counted_log(u, p, N):
-        logs.append((u, N))
-        return padic_log(u, p, N)
-
-    monkeypatch.setattr(frobenius, "padic_log", counted_log)
-    frobenius._gamma_log_inverse.cache_clear()
-    field = FieldSpec(3, 19)
-    primes = [q for q in range(5, 400) if is_prime(q) and field.f % q]
-    nontrivial = 0
-    for chi in class_representatives(enumerate_characters(field), field.p):
-        for q in primes:
-            value = sigma_p_value(chi, q)
-            assert value == sigma_p_value_oracle(chi, q)
-            nontrivial += not value.is_one
-    # one log of q^(p-1) per nontrivial value, and one log(1 + p) per precision
-    precisions = frobenius._gamma_log_inverse.cache_info().currsize
-    assert 2 <= precisions <= 4 and nontrivial > 10 * precisions
-    assert len(logs) == nontrivial + precisions
-    assert {N for u, N in logs if u == 1 + field.p} == {N for u, N in logs}
-
-
 def test_splitting_count_examples():
     assert splitting_count(FieldSpec(3, 1), 7, 1) == (3, 2, 2)
     assert splitting_count(FieldSpec(3, 1), 19, 2) == (3, 6, 3)
