@@ -279,12 +279,14 @@ def omega(p: int) -> DirichletCharacter:
 
 
 def compose(chi: DirichletCharacter, psi: DirichletCharacter, e1: int, e2: int) -> DirichletCharacter:
-    """The primitive character inducing chi^e1 * psi^e2."""
+    """The primitive character inducing chi^e1 * psi^e2.  At a generator g of
+    order n of the common modulus, chi(g) = zeta_ord^k is zeta_n^{k n / ord},
+    an integer exponent because chi(g)^n = 1."""
     if chi.p != psi.p:
         raise ValueError("characters live over different primes")
     units = unit_group(math.lcm(chi.modulus, psi.modulus))
     exponents = tuple(
-        ((chi.value(g) ** e1) * (psi.value(g) ** e2)).exponent_for(n)
+        (e1 * chi.exponent_at(g) * n // chi.order + e2 * psi.exponent_at(g) * n // psi.order) % n
         for g, n in zip(units.generators, units.orders)
     )
     return _primitive(chi.p, units, exponents)

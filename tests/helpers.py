@@ -4,8 +4,8 @@ Frobenius profile with its ramification test, the element-walk level group
 norm-reduction check of the residue modules, the dense chi-quotient
 presentation with the Smith reduction that counts it, the direct per-character Stickelberger buckets, the
 complex-embedding oracle for lcm degrees, the rational-tower prime count and
-rank, the two-level rank estimate, the RootOfUnity oracles of sigma0_ok
-and sigma_p_value, the search oracles for the unit behind
+rank, the two-level rank estimate, the RootOfUnity oracles of sigma0_ok,
+sigma_p_value and compose, the search oracles for the unit behind
 sigma_p and for the stabilization level, and a read-only loader for the
 benchmark's modules, and the conjugacy classes built through chi.power(t).
 Test modules import them as `from helpers import ...`."""
@@ -26,8 +26,9 @@ from tamerank.arith import (
     smallest_primitive_root,
     split_prime_part,
     teichmuller_residue,
+    unit_group,
 )
-from tamerank.characters import FieldSpec, omega
+from tamerank.characters import FieldSpec, _primitive, omega
 from tamerank.frobenius import (
     admissible,
     inertia_trivial,
@@ -335,6 +336,20 @@ def sigma_p_value_oracle(chi, q: int):
     if x_q % pm or x_q // pm % p == 0:
         raise InvariantViolationError(f"Gamma-component valuation != m_q = {m}")
     return zp ** pow(x_q // pm, -1, p ** a)
+
+
+def compose_oracle(chi, psi, e1: int, e2: int):
+    """Oracle for `tamerank.characters.compose`: the value of chi^e1 psi^e2
+    at each generator of the common modulus built as a product of
+    RootOfUnity powers, then read as that generator's exponent."""
+    if chi.p != psi.p:
+        raise ValueError("characters live over different primes")
+    units = unit_group(math.lcm(chi.modulus, psi.modulus))
+    exponents = tuple(
+        ((chi.value(g) ** e1) * (psi.value(g) ** e2)).exponent_for(n)
+        for g, n in zip(units.generators, units.orders)
+    )
+    return _primitive(chi.p, units, exponents)
 
 
 def gamma_unit_by_search(p: int, q: int, a: int) -> int:

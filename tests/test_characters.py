@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import conjugacy_classes_by_power
+from helpers import compose_oracle, conjugacy_classes_by_power
 from tamerank import characters
 from tamerank.arith import UnitGroupStructure, teichmuller_residue, unit_group
 from tamerank.characters import (
@@ -215,6 +215,36 @@ def _fields(draw):
 @given(_fields())
 def test_classes_match_power_orbits_on_drawn_fields(field):
     assert_classes_match_power_orbits(field)
+
+
+@st.composite
+def _compositions(draw):
+    """(chi, psi, e1, e2) with chi and psi drawn from the dual of a drawn field."""
+    chars = enumerate_characters(draw(_fields()))
+    exponent = st.integers(min_value=-30, max_value=30)
+    return draw(st.sampled_from(chars)), draw(st.sampled_from(chars)), draw(exponent), draw(exponent)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_compositions())
+def test_compose_matches_the_root_of_unity_oracle(case):
+    # the integer exponents k n / ord give the character the RootOfUnity
+    # products give, and compose builds no RootOfUnity
+    chi, psi, e1, e2 = case
+    built = []
+    post_init = characters.RootOfUnity.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    characters.RootOfUnity.__post_init__ = counted
+    try:
+        got = compose(chi, psi, e1, e2)
+    finally:
+        characters.RootOfUnity.__post_init__ = post_init
+    assert built == []
+    assert got == compose_oracle(chi, psi, e1, e2)
 
 
 def test_classifying_builds_no_character(monkeypatch):

@@ -275,6 +275,52 @@ def test_count_reduction_premise_on_oracle_grid(monkeypatch):
                     doc, m.q, chi.label())
 
 
+def test_oracle_grid_takes_each_valuation_once_per_forest(monkeypatch):
+    # every chi_quotient_order call of the oracle-grid jobs at seed 0, and
+    # both parities: a module's characters share its forests' valuations, so
+    # it takes at most one per distinct (m, u, b) that a forest meets
+    calls = []
+    valuation = localring.LocalCoefficientRing.valuation
+
+    def counted(self, vec):
+        calls.append(vec)
+        return valuation(self, vec)
+
+    monkeypatch.setattr(localring.LocalCoefficientRing, "valuation", counted)
+    for doc, reps, modules in _oracle_grid_modules(monkeypatch):
+        for m in modules:
+            calls.clear()
+            for part in PARTS:
+                for chi in reps:
+                    chi_quotient_order(m, chi, part)
+            keys = set()
+            for part, forest in m.forests.items():
+                for chi in reps:
+                    a = chi.exponents_at(forest.points)
+                    keys |= {(part, chi.order, u, sum(x * y for x, y in zip(n, a)) % chi.order)
+                             for relations, _ in forest.orbits for u, n in relations}
+            where = (doc, m.q, m.level)
+            assert len(calls) <= len(keys), where
+            assert len(calls) == sum(len(forest.valuations) for forest in m.forests.values()), where
+
+
+def test_twists_follow_the_walk_not_the_residue_degree():
+    # 3 has residue degree 85683 at level 4 over Q(mu_13), and the module 4
+    # cosets: the forest takes q^{-t} only for the t its walk meets
+    field = FieldSpec(13, 1)
+    reps = class_representatives(enumerate_characters(field), 13)
+    m = residue_module(field, 3, 4)
+    tracemalloc.start()
+    try:
+        got = [chi_quotient_order(m, chi) for chi in reps]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.residue_degree == 85683 and m.num_cosets == 4
+    assert peak < 10 ** 6
+    assert got == [dense_chi_quotient_order(m, chi) for chi in reps]
+
+
 @st.composite
 def _small_modules(draw):
     p = draw(st.sampled_from([3, 5]))
