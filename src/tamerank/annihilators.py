@@ -8,26 +8,25 @@ materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
-from .characters import DirichletCharacter, RootOfUnity
+from .characters import DirichletCharacter, FrozenValue, RootOfUnity
 from .frobenius import admissible, m_index, sigma_p_value
 
 
-@dataclass(frozen=True)
-class AnnihilatorPoly:
+class AnnihilatorPoly(FrozenValue):
     """(1+T)^{p^m} - zeta * kappa0^{p^m} with zeta of p-power order."""
 
-    p: int
-    m: int
-    zeta: RootOfUnity
+    __slots__ = _fields = ("p", "m", "zeta")
 
-    def __post_init__(self):
-        if self.m < 0:
+    def __init__(self, p: int, m: int, zeta: RootOfUnity):
+        if m < 0:
             raise ValueError("m must be nonnegative")
-        if not self.zeta.order_is_p_power(self.p):
+        if not zeta.order_is_p_power(p):
             raise ValueError("zeta must have p-power order")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "zeta", zeta)
 
     @property
     def degree(self) -> int:

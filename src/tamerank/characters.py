@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .arith import (
@@ -32,17 +31,47 @@ from .arith import (
 from .errors import InvariantViolationError
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
+class FrozenValue:
+    """An immutable value with two or more fields, named in `_fields`, which
+    its `__init__` sets once through object.__setattr__.  Equality and hash
+    are those of the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the tuple of an instance's fields (of one name, an attrgetter would
+        # give the bare value); it is no method, so it is called with the instance
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{type(self).__name__}({fields})"
+
+
+class RootOfUnity(FrozenValue):
     """zeta_order^k, held in lowest terms with 0 <= k < order."""
 
-    k: int
-    order: int
+    __slots__ = _fields = ("k", "order")
 
-    def __post_init__(self):
-        g = math.gcd(self.k, self.order)
-        object.__setattr__(self, "k", self.k % self.order // g)
-        object.__setattr__(self, "order", self.order // g)
+    def __init__(self, k: int, order: int):
+        g = math.gcd(k, order)
+        object.__setattr__(self, "k", k % order // g)
+        object.__setattr__(self, "order", order // g)
 
     @property
     def is_one(self) -> bool:
@@ -292,31 +321,31 @@ def compose(chi: DirichletCharacter, psi: DirichletCharacter, e1: int, e2: int) 
     return _primitive(chi.p, units, exponents)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(FrozenValue):
     """K = F(mu_p) for F the subfield of Q(mu_f) fixed by H <= (Z/f)^x.
 
     gcd(f, p) = 1, so K/Q is ramified at p exactly through mu_p.  The level-n
-    layer K_n sits inside Q(mu_{f p^{n+1}}).
+    layer K_n sits inside Q(mu_{f p^{n+1}}).  The subgroup is held as its
+    sorted distinct generators other than 1, reduced mod f.
     """
 
-    p: int
-    f: int = 1
-    subgroup: tuple = ()
+    _fields = ("p", "f", "subgroup")  # no __slots__: the cached properties need a __dict__
 
-    def __post_init__(self):
-        _check_odd_prime(self.p)
-        if self.f < 1:
+    def __init__(self, p: int, f: int = 1, subgroup: tuple = ()):
+        _check_odd_prime(p)
+        if f < 1:
             raise ValueError("f must be a positive integer")
-        if math.gcd(self.f, self.p) != 1:
+        if math.gcd(f, p) != 1:
             raise ValueError("f must be prime to p")
         gens = []
-        for h in self.subgroup:
-            h %= self.f
-            if math.gcd(h, self.f) != 1:
-                raise ValueError(f"subgroup generator {h} is not a unit mod {self.f}")
-            if h != 1 % self.f:
+        for h in subgroup:
+            h %= f
+            if math.gcd(h, f) != 1:
+                raise ValueError(f"subgroup generator {h} is not a unit mod {f}")
+            if h != 1 % f:
                 gens.append(h)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "f", f)
         object.__setattr__(self, "subgroup", tuple(sorted(set(gens))))
 
     @cached_property

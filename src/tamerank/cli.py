@@ -25,7 +25,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import List, Optional
 
@@ -68,16 +67,17 @@ _LAMBDA_MODES = {
 }
 
 
-@dataclass
 class JobConfig:
     """A validated job; main() applies the command-line flags to it."""
 
-    p: int
-    f: int = 1
-    subgroup: tuple = ()
-    S: tuple = ()
-    provider: LambdaProvider = dataclass_field(default_factory=LambdaProvider)
-    oracle_levels: Optional[tuple] = None
+    def __init__(self, p: int, f: int = 1, subgroup: tuple = (), S: tuple = (),
+                 provider: Optional[LambdaProvider] = None, oracle_levels: Optional[tuple] = None):
+        self.p = p
+        self.f = f
+        self.subgroup = subgroup
+        self.S = S
+        self.provider = LambdaProvider() if provider is None else provider
+        self.oracle_levels = oracle_levels
 
     @cached_property
     def field(self) -> FieldSpec:

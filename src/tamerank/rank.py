@@ -16,11 +16,10 @@ Greenberg's conjecture as an explicitly flagged conditional zero for even chi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Iterable, List, Optional
 
 from .annihilators import admissible_annihilator, lcm_degree
-from .characters import DirichletCharacter, FieldSpec, field_characters, omega
+from .characters import DirichletCharacter, FieldSpec, FrozenValue, field_characters, omega
 from .errors import ConfigError, InvariantViolationError, LambdaUnavailableError
 from .frobenius import admissible, m_index
 from .stickelberger import lambda_minus
@@ -31,10 +30,12 @@ PROVENANCE_STICKELBERGER = "stickelberger-computed"
 PROVENANCE_ZERO = "unconditional-zero"
 
 
-@dataclass(frozen=True)
-class LambdaValue:
-    value: int
-    provenance: str
+class LambdaValue(FrozenValue):
+    __slots__ = _fields = ("value", "provenance")
+
+    def __init__(self, value: int, provenance: str):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "provenance", provenance)
 
     @property
     def conjectural(self) -> bool:
@@ -48,7 +49,6 @@ class LambdaValue:
         }
 
 
-@dataclass
 class LambdaProvider:
     """Resolution order: trivial character (always 0) > explicit table >
     Stickelberger (odd chi != omega) > Greenberg flag (even chi) > error.
@@ -57,9 +57,13 @@ class LambdaProvider:
     Stickelberger path therefore multiplies its Weierstrass degree by d_chi.
     """
 
-    table: Dict[str, int] = dataclass_field(default_factory=dict)
-    allow_greenberg: bool = False
-    allow_stickelberger: bool = False
+    __slots__ = ("table", "allow_greenberg", "allow_stickelberger")
+
+    def __init__(self, table: Optional[Dict[str, int]] = None, allow_greenberg: bool = False,
+                 allow_stickelberger: bool = False):
+        self.table = {} if table is None else table
+        self.allow_greenberg = allow_greenberg
+        self.allow_stickelberger = allow_stickelberger
 
     def resolve(self, chi: DirichletCharacter) -> LambdaValue:
         if chi.is_trivial:
@@ -89,17 +93,20 @@ def s_chi(chi: DirichletCharacter, S: Iterable[int]) -> list:
     return [q for q in _validate_s(S, chi.p) if admissible(chi, q)]
 
 
-@dataclass
 class RankRecord:
-    character: str
-    d_chi: int
-    parity: int
-    s_chi: list
-    m_map: dict
-    deg_f: Optional[int]
-    p_chi: Optional[int]
-    lam: LambdaValue
-    rank: int
+    __slots__ = ("character", "d_chi", "parity", "s_chi", "m_map", "deg_f", "p_chi", "lam", "rank")
+
+    def __init__(self, character: str, d_chi: int, parity: int, s_chi: list, m_map: dict,
+                 deg_f: Optional[int], p_chi: Optional[int], lam: LambdaValue, rank: int):
+        self.character = character
+        self.d_chi = d_chi
+        self.parity = parity
+        self.s_chi = s_chi
+        self.m_map = m_map
+        self.deg_f = deg_f
+        self.p_chi = p_chi
+        self.lam = lam
+        self.rank = rank
 
     @property
     def conjectural(self) -> bool:
@@ -144,12 +151,14 @@ def rank_chi(
     return RankRecord(chi.label(), chi.d_chi, chi.parity, list(m_map), m_map, deg_f, p_chi, lam, rank)
 
 
-@dataclass
 class RankReport:
-    field: FieldSpec
-    S: list
-    records: List[RankRecord]
-    total: int
+    __slots__ = ("field", "S", "records", "total")
+
+    def __init__(self, field: FieldSpec, S: list, records: List[RankRecord], total: int):
+        self.field = field
+        self.S = S
+        self.records = records
+        self.total = total
 
     @property
     def conjectural(self) -> bool:
@@ -167,7 +176,7 @@ def rank_total(
     if unknown:
         raise ConfigError(
             f"lambda table label {label!r} is neither 'all' nor a class representative"
-            f" of {field}"
+            f" of the field p = {field.p}, f = {field.f}, H = {list(field.subgroup)}"
             for label in sorted(unknown)
         )
     records = [rank_chi(chi, S, provider) for chi in reps]

@@ -42,7 +42,6 @@ rate is the Z_p-rank of the limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 from .arith import teichmuller_residue, unit_group
@@ -56,7 +55,6 @@ from .localring import local_ring
 SNF_GUARD_DIGITS = 4
 
 
-@dataclass
 class ResidueModule:
     """Induced module (Z/p^{e_n})^{r_n} with its Galois action tables.
 
@@ -69,15 +67,20 @@ class ResidueModule:
     `chi_quotient_order` per part, built on first use.
     """
 
-    field: FieldSpec
-    q: int
-    level: int
-    residue_degree: int
-    e_exp: int
-    cosets: list
-    gen_actions: list  # [(chi_point, [(j, t)] per coset)]
-    j_action: list  # [(j, t)] per coset for complex conjugation
-    forests: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("field", "q", "level", "residue_degree", "e_exp", "cosets", "gen_actions", "j_action",
+                 "forests")
+
+    def __init__(self, field: FieldSpec, q: int, level: int, residue_degree: int, e_exp: int,
+                 cosets: list, gen_actions: list, j_action: list):
+        self.field = field
+        self.q = q
+        self.level = level
+        self.residue_degree = residue_degree
+        self.e_exp = e_exp
+        self.cosets = cosets
+        self.gen_actions = gen_actions  # [(chi_point, [(j, t)] per coset)]
+        self.j_action = j_action  # [(j, t)] per coset for complex conjugation
+        self.forests = {}
 
     @property
     def num_cosets(self) -> int:

@@ -56,14 +56,13 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import ClassVar, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .arith import split_prime_part, teichmuller_residue, unit_group
-from .characters import DirichletCharacter, omega
+from .characters import DirichletCharacter, FrozenValue, omega
 from .errors import InvariantViolationError, PrecisionError
 from .localring import _pdivmod_exact, cyclotomic_poly, local_ring
 
@@ -245,17 +244,18 @@ def _projection(chi: DirichletCharacter, n: int) -> tuple:
     return tuple(quotients), table.words
 
 
-@dataclass
 class StickelbergerSeries:
     """Level-n series with coefficients as O_chi coordinate vectors mod p^N,
     held packed: coordinate i of bucket j is slot j of quotients[i], reduced
     mod p^N, with slots `words` 64-bit words wide."""
 
-    precision: ClassVar[int] = DEFAULT_PRECISION
-    chi: DirichletCharacter
-    level: int
-    quotients: tuple  # one packed int per coordinate
-    words: int
+    precision = DEFAULT_PRECISION
+
+    def __init__(self, chi: DirichletCharacter, level: int, quotients: tuple, words: int):
+        self.chi = chi
+        self.level = level
+        self.quotients = quotients  # one packed int per coordinate
+        self.words = words
 
     @property
     def length(self) -> int:
@@ -311,11 +311,13 @@ def stickelberger_series(chi: DirichletCharacter, n: int) -> StickelbergerSeries
     return StickelbergerSeries(chi, n, *_projection(chi, n))
 
 
-@dataclass(frozen=True)
-class LambdaResult:
-    lambda_: int
-    mu_zero: bool
-    levels_used: Tuple[int, int]
+class LambdaResult(FrozenValue):
+    __slots__ = _fields = ("lambda_", "mu_zero", "levels_used")
+
+    def __init__(self, lambda_: int, mu_zero: bool, levels_used: Tuple[int, int]):
+        object.__setattr__(self, "lambda_", lambda_)
+        object.__setattr__(self, "mu_zero", mu_zero)
+        object.__setattr__(self, "levels_used", levels_used)
 
 
 def lambda_minus(chi: DirichletCharacter) -> LambdaResult:
@@ -346,8 +348,7 @@ def lambda_minus(chi: DirichletCharacter) -> LambdaResult:
     )
 
 
-@dataclass(frozen=True)
-class BernoulliB1:
+class BernoulliB1(FrozenValue):
     """Exact generalized Bernoulli number B_{1,chi} in Q(zeta_ord(chi)).
 
     Stored as Fractions on the power basis of the full cyclotomic polynomial;
@@ -355,8 +356,11 @@ class BernoulliB1:
     machinery uses (integer floor in the ramified case).
     """
 
-    chi: DirichletCharacter
-    coordinates: tuple
+    __slots__ = _fields = ("chi", "coordinates")
+
+    def __init__(self, chi: DirichletCharacter, coordinates: tuple):
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "coordinates", coordinates)
 
     @property
     def rational(self) -> Fraction:

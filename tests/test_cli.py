@@ -313,6 +313,17 @@ def test_main_rejects_unknown_table_labels(tmp_path, capsys, table):
     assert "'bogus'" in capsys.readouterr().err
 
 
+def test_main_unknown_table_label_names_the_field(tmp_path, capsys):
+    doc = {"p": 5, "f": 11, "H": [14], "S": [7]}
+    cfg = write_config(tmp_path, doc)
+    tbl = write_config(tmp_path, {"omega^9": 1, "all": 0}, "table.json")
+    assert main(["rank", "--config", cfg, "--lambda-table", tbl]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == (
+        "config error: lambda table label 'omega^9' is neither 'all' nor a class"
+        " representative of the field p = 5, f = 11, H = [3]"
+    )
+
+
 def test_main_unwritable_out_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, EXAMPLE_6_5)
     out = str(tmp_path / "missing" / "report.json")

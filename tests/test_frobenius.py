@@ -158,10 +158,10 @@ def test_rank_chain_evaluates_sigma0_in_integers(monkeypatch):
     chain = [[2], [2, 11], [2, 11, 29], [2, 11, 29, 53], [2, 11, 29, 53, 79, 131]]
     inside, calls, roots, solved = [False], [], [], []
 
-    post_init = RootOfUnity.__post_init__
-    def counted_root(self):
+    init = RootOfUnity.__init__
+    def counted_root(self, k, order):
         roots.append(inside[0])
-        post_init(self)
+        init(self, k, order)
 
     sigma0 = frobenius.sigma0_ok
     def flagged_sigma0(chi, q):
@@ -177,7 +177,7 @@ def test_rank_chain_evaluates_sigma0_in_integers(monkeypatch):
         solved.append((self.modulus, a))
         return dlog(self, a)
 
-    monkeypatch.setattr(RootOfUnity, "__post_init__", counted_root)
+    monkeypatch.setattr(RootOfUnity, "__init__", counted_root)
     monkeypatch.setattr(frobenius, "sigma0_ok", flagged_sigma0)
     monkeypatch.setattr(arith.UnitGroupStructure, "dlog", counted_dlog)
     field_characters.cache_clear()

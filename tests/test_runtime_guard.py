@@ -1,12 +1,16 @@
 """The runtime is exact and standard-library only: every module of the package
 is parsed, and no float literal, true division, float() call or cmath import
 may appear, nor any absolute import outside a fixed standard-library list.
-Only the job layer (cli.py and rank.py) raises ConfigError.  Every
-module-level function and class is exported or used by the package itself,
-save a named few that a caller outside it keeps."""
+Importing the package loads no dataclass machinery.  Only the job layer
+(cli.py and rank.py) raises ConfigError.  Every module-level function and
+class is exported or used by the package itself, save a named few that a
+caller outside it keeps."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +22,7 @@ SOURCES = sorted((ROOT / "src" / "tamerank").glob("*.py"))
 SOURCES_BY_NAME = {path.name: path for path in SOURCES}
 
 STDLIB_ALLOWED = {
-    "__future__", "argparse", "array", "dataclasses", "fractions", "functools",
+    "__future__", "argparse", "array", "fractions", "functools",
     "itertools", "json", "math", "operator", "sys", "typing",
 }
 
@@ -68,6 +72,21 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_module_is_float_free_and_stdlib_only(path):
     assert offences(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+# `dataclasses` loads inspect, which loads ast, dis and tokenize: a cost paid
+# at every worker's start, before any decorator runs
+IMPORT_FORBIDDEN = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_import_loads_no_dataclass_machinery():
+    code = "import sys, tamerank, tamerank.cli; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    loaded = set(done.stdout.split())
+    assert "tamerank.cli" in loaded
+    assert loaded & IMPORT_FORBIDDEN == set()
 
 
 def test_guard_catches_each_offence():
