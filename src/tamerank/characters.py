@@ -326,7 +326,9 @@ class FieldSpec(FrozenValue):
 
     gcd(f, p) = 1, so K/Q is ramified at p exactly through mu_p.  The level-n
     layer K_n sits inside Q(mu_{f p^{n+1}}).  The subgroup is held as its
-    sorted distinct generators other than 1, reduced mod f.
+    canonical generators: the least element of H outside the span of those
+    before it, taken in turn until they span H, so every spelling of one H
+    gives one FieldSpec.
     """
 
     _fields = ("p", "f", "subgroup")  # no __slots__: the cached properties need a __dict__
@@ -344,13 +346,16 @@ class FieldSpec(FrozenValue):
                 raise ValueError(f"subgroup generator {h} is not a unit mod {f}")
             if h != 1 % f:
                 gens.append(h)
+        elements = frozenset(_generated_subgroup(gens, f))
+        gens, span = [], {1}
+        for h in sorted(elements - span):
+            if h not in span:
+                gens.append(h)
+                span = set(_generated_subgroup(gens, f))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "subgroup", tuple(sorted(set(gens))))
-
-    @cached_property
-    def subgroup_elements(self) -> frozenset:
-        return frozenset(_generated_subgroup(self.subgroup, self.f))
+        object.__setattr__(self, "subgroup", tuple(gens))
+        object.__setattr__(self, "subgroup_elements", elements)
 
     @cached_property
     def group_order(self) -> int:

@@ -216,7 +216,7 @@ def validate_rank_report(report: dict) -> None:
 
 def run_rank(job: JobConfig) -> dict:
     """rank records and total for a job"""
-    result = rank_total(job.field, list(job.S), job.provider)
+    result = rank_total(job.field, list(job.S), job.provider, job.subgroup)
     report = _report(job, "rank", S=list(result.S), records=[r.to_dict() for r in result.records],
                      total=result.total, conjectural=result.conjectural)
     validate_rank_report(report)

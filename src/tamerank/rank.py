@@ -166,17 +166,22 @@ class RankReport:
 
 
 def rank_total(
-    field: FieldSpec, S: Iterable[int], provider: LambdaProvider
+    field: FieldSpec, S: Iterable[int], provider: LambdaProvider,
+    subgroup: Optional[Iterable[int]] = None,
 ) -> RankReport:
     """One record per conjugacy class representative; the total is their sum
-    (d_chi already accounts for the class size)."""
+    (d_chi already accounts for the class size).  A lambda table label that
+    names no representative is a ConfigError naming H by `subgroup`, the
+    generators as the job spelt them, or by the field's own if it is None."""
     S = _validate_s(S, field.p)
     reps = [cl[0] for cl in field_characters(field)[1]]
     unknown = set(provider.table) - {"all"} - {chi.label() for chi in reps}
     if unknown:
+        spelt = field.subgroup if subgroup is None else subgroup
+        H = sorted({h % field.f for h in spelt} - {1 % field.f})  # reduced as FieldSpec reads it
         raise ConfigError(
             f"lambda table label {label!r} is neither 'all' nor a class representative"
-            f" of the field p = {field.p}, f = {field.f}, H = {list(field.subgroup)}"
+            f" of the field p = {field.p}, f = {field.f}, H = {H}"
             for label in sorted(unknown)
         )
     records = [rank_chi(chi, S, provider) for chi in reps]

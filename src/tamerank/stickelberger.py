@@ -19,17 +19,21 @@ chi^{-1}(a) to its bucket, so the table keeps only the r below f'p/2.
 
 The table is stored by column: the column of r is one int that holds
 2(M_n - a) for each j in a fixed-width slot of its own (Kronecker
-substitution).  A character is then a projection of the table: coordinate i
-of every bucket at once is the multiply-accumulate, over r, of coordinate i
-of chi^{-1}(r) times the column of r, which Python's big-int arithmetic runs
-in C.  Tables are shared by every character of one prime and dropped when a
-character of another prime asks.
+substitution).  A column is built whole, from one packed int of the steps
+(1+p)^j, and reduced mod 2M_n in every slot at once with Barrett's exact
+quotient (P. Barrett, CRYPTO '86).  A character is then a projection of the
+table: coordinate i of every bucket at once is the multiply-accumulate, over
+r, of coordinate i of chi^{-1}(r) times the column of r, which Python's
+big-int arithmetic runs in C.  Tables are shared by every character of one
+prime and dropped when a character of another prime asks.
 
 The projection stays one int x per coordinate.  One multiple of ONES (a 1
 in every slot) turns every slot into the numerator of its bucket sum, mod
 p^w with w = N + n + 3 working digits, and x is then divided by P = p^{n+1}
 as a whole: q, r = divmod(x, P).
-A slot is S = 64 words bits wide and kept below 2^{S-1}, so every slot is
+A slot is S = 32 words bits wide (WORD_BITS, the width of an array("I")
+cell), as few words as hold it and the Barrett products of the table's
+build, and kept below 2^{S-1}, so every slot is
 divisible by P exactly when r = 0 and the top b = bit_length(P) bits of
 every slot of q are 0.  If every slot x_j is y_j P, then y_j < 2^{S-1} /
 2^{b-1} = 2^k with k = S - b.  Conversely, if r = 0 and every y_j < 2^k,
@@ -68,6 +72,7 @@ from .localring import _pdivmod_exact, cyclotomic_poly, local_ring
 
 DEFAULT_PRECISION = 8  # digits of every series coefficient
 MAX_LEVEL = 4  # the highest level lambda_minus builds
+WORD_BITS = 32  # a slot is a whole number of these words, array("I") cells
 
 
 def _work_digits(n: int) -> int:
@@ -76,48 +81,59 @@ def _work_digits(n: int) -> int:
     return DEFAULT_PRECISION + n + 3
 
 
+def _barrett(M: int, p: int, n: int) -> tuple:
+    """(k, m, top) of Barrett's reduction mod 2M of the slots x <= x_max =
+    (2M - 1) p^{n+1} of an unreduced column: with k = bits(x_max) + bits(2M)
+    and m = ceil(2^k / 2M), floor(x m / 2^k) = floor(x / 2M), and every
+    product x m is at most top = x_max m."""
+    x_max = (2 * M - 1) * p ** (n + 1)
+    k = x_max.bit_length() + (2 * M).bit_length()
+    m = -(-(1 << k) // (2 * M))
+    return k, m, x_max * m
+
+
 def _slot_words(count: int, M: int, p: int, n: int) -> int:
-    """64-bit words per slot that hold, with the top bit spare, any sum of
-    `count` products c v and one shift c, with 0 <= c < p^{_work_digits(n)}
-    and 0 <= v <= 2M - 1."""
+    """The fewest WORD_BITS-bit words per slot that hold, with the top bit
+    spare, any sum of `count` products c v and one shift c, with 0 <= c <
+    p^{_work_digits(n)} and 0 <= v <= 2M - 1, and that hold the largest
+    product of the table's Barrett reduction."""
     bound = (count * (2 * M - 1) + 1) * (p ** _work_digits(n) - 1)
-    return -(-(bound.bit_length() + 1) // 64)
+    bits = max(bound.bit_length() + 1, _barrett(M, p, n)[2].bit_length())
+    return -(-bits // WORD_BITS)
 
 
 def _pack(values, words: int) -> int:
-    """The int whose slot j, bits [64 words j, 64 words (j+1)), holds
-    values[j]; a value of 2^64 or more raises OverflowError."""
-    cells = array("Q", bytes(8 * words * len(values)))
-    cells[::words] = array("Q", values)
-    if sys.byteorder == "big":
-        cells.byteswap()
-    return int.from_bytes(cells.tobytes(), "little")
+    """The int whose slot j, bits [S j, S (j+1)) with S = WORD_BITS words,
+    holds values[j]; a value of 2^S or more raises OverflowError."""
+    width = WORD_BITS // 8 * words
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
 
 
 def _unpack(x: int, count: int, words: int) -> list:
     """The first `count` slots of x >= 0, as _pack lays them out.  A slot
-    value of 2^{64 words} or more carries into the next slot; only the last
-    slot raises OverflowError."""
-    cells = array("Q", x.to_bytes(8 * words * count, "little"))
+    value of 2^{WORD_BITS words} or more carries into the next slot; only the
+    last slot raises OverflowError."""
+    cells = array("I", x.to_bytes(WORD_BITS // 8 * words * count, "little"))
     if sys.byteorder == "big":
         cells.byteswap()
     slots = cells[words - 1::words].tolist()
     for k in range(words - 2, -1, -1):
-        slots = [high << 64 | low for high, low in zip(slots, cells[k::words])]
+        slots = [high << WORD_BITS | low for high, low in zip(slots, cells[k::words])]
     return slots
 
 
 def _ones(count: int, words: int) -> int:
     """The int with 1 in each of its first `count` slots."""
-    return int.from_bytes((b"\1" + bytes(8 * words - 1)) * count, "little")
+    return int.from_bytes((b"\1" + bytes(WORD_BITS // 8 * words - 1)) * count, "little")
 
 
 def _exact_quotient(x: int, divisor: int, ones: int, words: int) -> int:
-    """x / divisor slot by slot, for slots below 2^{64 words - 1} laid out as
-    ones has them; InvariantViolationError unless every slot is divisible."""
+    """x / divisor slot by slot, for slots below 2^{S-1}, S = WORD_BITS words,
+    laid out as ones has them; InvariantViolationError unless all divide."""
     q, r = divmod(x, divisor)
-    k = 64 * words - divisor.bit_length()
-    if r or q & ((1 << 64 * words) - (1 << k)) * ones:
+    S = WORD_BITS * words
+    k = S - divisor.bit_length()
+    if r or q & ((1 << S) - (1 << k)) * ones:
         raise InvariantViolationError(
             "Stickelberger coefficient is not p-integral; "
             "this construction only applies to odd characters != omega"
@@ -127,9 +143,9 @@ def _exact_quotient(x: int, divisor: int, ones: int, words: int) -> int:
 
 def _fold(x: int, count: int, words: int, size: int) -> int:
     """The sum of the count / size blocks of `size` slots of x; the caller
-    keeps the sum of every slot below 2^{64 words}."""
-    data = memoryview(x.to_bytes(8 * words * count, "little"))
-    width = 8 * words * size
+    keeps the sum of every slot below 2^{WORD_BITS words}."""
+    data = memoryview(x.to_bytes(WORD_BITS // 8 * words * count, "little"))
+    width = WORD_BITS // 8 * words * size
     return sum(int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width))
 
 
@@ -137,9 +153,9 @@ class ResidueTable(NamedTuple):
     """Half the units a mod M = f' p^{n+1}, one packed column per unit r =
     _table_units(f', p)[s] below f'p/2: slot j of columns[s] holds 2(M - a)
     for the a with c_n(a) = j and a = r mod f'p.  The other half of row j is
-    M - a, at -r mod f'p.  A slot is `words` 64-bit words wide, enough for
-    any sum over s of c_s columns[s], plus one c, with 0 <= c, c_s <
-    p^{_work_digits(n)}, and a spare top bit."""
+    M - a, at -r mod f'p.  A slot is `words` WORD_BITS-bit words wide,
+    enough for any sum over s of c_s columns[s], plus one c, with 0 <= c, c_s
+    < p^{_work_digits(n)}, and a spare top bit."""
 
     columns: tuple  # one packed int per unit
     words: int
@@ -151,23 +167,35 @@ def _table_units(fprime: int, p: int) -> tuple:
 
 
 def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
-    """One walk over the table's units mod M = f' p^{n+1}, built cell by
-    cell by CRT: a = r mod f' and a = omega(r) (1+p)^j mod p^{n+1}."""
+    """Each column as a whole int.  By CRT, a = (r mod f') e_f + omega(r) u_j
+    e_p mod M = f' p^{n+1}, with u_j = (1+p)^j mod p^{n+1}, and a is never 0,
+    so 2(M - a) = -2a mod 2M: the column of r is X = B ONES + T U reduced mod
+    2M slot by slot, with B = -2 (r mod f') e_f and T = -2 omega(r) e_p mod
+    2M and U the packed u_j.  Every slot x of X is at most x_max = (2M - 1)
+    p^{n+1}, so _barrett's quotient floor(x m / 2^k) is exactly floor(x /
+    2M), and _slot_words keeps x_max m below 2^S, so it sits in the low S - k
+    bits of slot j of X m / 2^k."""
     pn1 = p ** (n + 1)
     M = fprime * pn1
+    M2 = 2 * M
     units = _table_units(fprime, p)
     words = _slot_words(len(units), M, p, n)
-    e_f = pn1 * pow(pn1, -1, fprime) % M  # 1 mod f', 0 mod p^{n+1}
-    e_p = fprime * pow(fprime, -1, pn1) % M  # 0 mod f', 1 mod p^{n+1}
-    teich = [0] + [teichmuller_residue(t, p, n + 1) * e_p for t in range(1, p)]
-    steps = [1]  # (1+p)^j mod p^{n+1}, j in Z/p^n
+    k, m, top = _barrett(M, p, n)
+    if top >> WORD_BITS * words:
+        raise InvariantViolationError(f"({fprime}, {p}, {n}) residue table: x_max m overflows a slot")
+    e_f = 2 * pn1 * pow(pn1, -1, fprime)  # twice the idempotent: 2 mod f', 0 mod p^{n+1}
+    e_p = 2 * fprime * pow(fprime, -1, pn1)  # 0 mod f', 2 mod p^{n+1}
+    # T of each r, by r mod p
+    teich = [0] + [-teichmuller_residue(t, p, n + 1) * e_p % M2 for t in range(1, p)]
+    steps = [1]  # u_j, j in Z/p^n
     for _ in range(p ** n - 1):
         steps.append(steps[-1] * (1 + p) % pn1)
+    steps, ones = _pack(steps, words), _ones(p ** n, words)
+    mask = ((1 << WORD_BITS * words - k) - 1) * ones
     columns = []
     for r in units:
-        # a = (r mod f') e_f + omega(r) e_p u mod M is never 0, so 2(M - a) = -2a mod 2M
-        b, t = -2 * (r % fprime) * e_f, 2 * teich[r % p]
-        columns.append(_pack([(b - t * u) % (2 * M) for u in steps], words))
+        x = -(r % fprime) * e_f % M2 * ones + teich[r % p] * steps
+        columns.append(x - M2 * (x * m >> k & mask))
     return ResidueTable(tuple(columns), words)
 
 
@@ -247,7 +275,7 @@ def _projection(chi: DirichletCharacter, n: int) -> tuple:
 class StickelbergerSeries:
     """Level-n series with coefficients as O_chi coordinate vectors mod p^N,
     held packed: coordinate i of bucket j is slot j of quotients[i], reduced
-    mod p^N, with slots `words` 64-bit words wide."""
+    mod p^N, with slots `words` WORD_BITS-bit words wide."""
 
     precision = DEFAULT_PRECISION
 

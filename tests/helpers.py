@@ -7,7 +7,8 @@ complex-embedding oracle for lcm degrees, the rational-tower prime count and
 rank, the two-level rank estimate, the RootOfUnity oracles of sigma0_ok,
 sigma_p_value and compose, the search oracles for the unit behind
 sigma_p and for the stabilization level, and a read-only loader for the
-benchmark's modules, and the conjugacy classes built through chi.power(t).
+benchmark's modules, the conjugacy classes built through chi.power(t), and
+the Stickelberger residue table built cell by cell.
 Test modules import them as `from helpers import ...`."""
 
 import cmath
@@ -40,6 +41,7 @@ from tamerank.errors import InvariantViolationError
 from tamerank.localring import local_ring
 from tamerank.rank import _validate_s
 from tamerank.residue import SNF_GUARD_DIGITS, quotient_growth, residue_module
+from tamerank.stickelberger import ResidueTable, _pack, _slot_words, _table_units
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -482,6 +484,28 @@ def direct_bucket_vectors(chi, n: int, N: int) -> tuple:
             out.append((w // pdivisor) % p ** N)
         vectors.append(out)
     return vectors, local_ring(m, p, N)
+
+
+def residue_table_by_cells(fprime: int, p: int, n: int) -> ResidueTable:
+    """The oracle for `tamerank.stickelberger._residue_table`: the same table
+    built cell by cell by CRT, a = r mod f' and a = omega(r) (1+p)^j mod
+    p^{n+1}, with one (b - t u) % 2M per cell."""
+    pn1 = p ** (n + 1)
+    M = fprime * pn1
+    units = _table_units(fprime, p)
+    words = _slot_words(len(units), M, p, n)
+    e_f = pn1 * pow(pn1, -1, fprime) % M  # 1 mod f', 0 mod p^{n+1}
+    e_p = fprime * pow(fprime, -1, pn1) % M  # 0 mod f', 1 mod p^{n+1}
+    teich = [0] + [teichmuller_residue(t, p, n + 1) * e_p for t in range(1, p)]
+    steps = [1]  # (1+p)^j mod p^{n+1}, j in Z/p^n
+    for _ in range(p ** n - 1):
+        steps.append(steps[-1] * (1 + p) % pn1)
+    columns = []
+    for r in units:
+        # a = (r mod f') e_f + omega(r) e_p u mod M is never 0, so 2(M - a) = -2a mod 2M
+        b, t = -2 * (r % fprime) * e_f, 2 * teich[r % p]
+        columns.append(_pack([(b - t * u) % (2 * M) for u in steps], words))
+    return ResidueTable(tuple(columns), words)
 
 
 _K0 = 1.337  # any fixed real > 1; stands in for kappa0 = 1 + p

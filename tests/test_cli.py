@@ -324,6 +324,14 @@ def test_main_unknown_table_label_names_the_field(tmp_path, capsys):
     )
 
 
+def test_main_unknown_table_label_names_h_as_the_job_spelt_it(tmp_path, capsys):
+    # H = {1, 3, 9} mod 13 spelt by 9, not by its least generator 3
+    cfg = write_config(tmp_path, {"p": 5, "f": 13, "H": [9], "S": [7]})
+    tbl = write_config(tmp_path, {"omega^9": 1, "all": 0}, "table.json")
+    assert main(["rank", "--config", cfg, "--lambda-table", tbl]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().endswith("of the field p = 5, f = 13, H = [9]")
+
+
 def test_main_unwritable_out_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, EXAMPLE_6_5)
     out = str(tmp_path / "missing" / "report.json")

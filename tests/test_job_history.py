@@ -35,8 +35,8 @@ def _report(command: str, doc: dict) -> str:
     return json.dumps(cli.run(cli.parse_config(json.dumps(doc)), command), indent=2)
 
 
-def _field(doc: dict) -> tuple:
-    return doc["p"], doc.get("f", 1), tuple(doc.get("H", []))
+def _field(doc: dict):
+    return cli.parse_config(json.dumps(doc)).field
 
 
 def test_reports_do_not_depend_on_earlier_jobs():
@@ -50,6 +50,7 @@ def test_reports_do_not_depend_on_earlier_jobs():
         # class members are the enumerated objects, so they share labels and memos
         assert {id(m) for cl in classes for m in cl} == {id(c) for c in chars}
     runs = sum(1 for i in range(len(JOBS)) if i == 0 or _field(JOBS[i - 1][1]) != _field(JOBS[i][1]))
+    assert runs == 3  # A, B, then A spelt two ways: one field, so one run
     info = field_characters.cache_info()
     assert (info.misses, info.maxsize, info.currsize) == (runs, 1, 1)
     for (command, doc), text in zip(JOBS, in_sequence):

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from array import array
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import direct_bucket_vectors, load_benchmark_module
+from helpers import direct_bucket_vectors, load_benchmark_module, residue_table_by_cells
 from tamerank import stickelberger
 from tamerank.arith import is_prime, smallest_primitive_root, split_prime_part
 from tamerank.characters import FieldSpec, enumerate_characters, omega
@@ -245,8 +247,9 @@ def test_t_coefficient_matches_pascal_expansion():
 
 
 SHARED_TABLE_FIELDS = [(5, 1), (7, 13), (11, 7), (13, 5), (3, 8), (5, 21)]
-# f' = 1 fields of the size the lambda-minus workload runs: two-word slots
+# f' = 1 fields of the size the lambda-minus workload runs: three-word slots
 WIDE_SLOT_FIELDS = [(23, 1), (29, 1)]
+W = stickelberger.WORD_BITS
 
 
 def test_shared_table_matches_direct_build():
@@ -265,50 +268,105 @@ def test_shared_table_matches_direct_build():
             for n in ns:
                 direct, ring = direct_bucket_vectors(chi, n, DEFAULT_PRECISION)
                 assert stickelberger_series(chi, n).bucket_coefficients == direct, (chi.label(), n)
-                seen.add(("words", min(stickelberger._TABLES.get(fprime, p, n).words, 2)))
+                seen.add(("words", min(stickelberger._TABLES.get(fprime, p, n).words, 3)))
             seen.add(("f' > 1", fprime > 1))
             seen.add(("p | conductor", chi.conductor % p == 0))
             seen.add(("dim", ring.dim))
     assert {("f' > 1", True), ("p | conductor", True), ("p | conductor", False), ("dim", 2),
-            ("words", 1), ("words", 2)} <= seen
+            ("words", 1), ("words", 2), ("words", 3)} <= seen
+
+
+# (f', p, n) tables whose slot width is set by the Barrett product x_max m
+# of their build, not by their sum bound
+BARRETT_WIDTH_TABLES = [(4, 7, 4), (6, 7, 4), (168, 5, 4), (34580, 3, 4)]
 
 
 def slot_tables(monkeypatch):
-    """(p, n, words, bound) for every table, up to MAX_LEVEL, of the
-    lambda-minus fields, the fields above and the f = 1 census p <= 157;
-    bound = (U (2M - 1) + 1) (p^{N+n+3} - 1) is the largest slot before the
-    exact division."""
+    """(f', p, n, words, bound) for every table, up to MAX_LEVEL, of the
+    lambda-minus fields, the fields above and the f = 1 census p < 400, and
+    for BARRETT_WIDTH_TABLES; bound = (U (2M - 1) + 1) (p^{N+n+3} - 1) is
+    the largest slot before the exact division."""
     workloads = load_benchmark_module("workloads", monkeypatch)
     fields = [field[:2] for field in workloads.LAMBDA_FIELDS + workloads.LAMBDA_RANK_FIELDS]
     fields += SHARED_TABLE_FIELDS + WIDE_SLOT_FIELDS
-    fields += [(p, 1) for p in range(3, 158) if is_prime(p)]
-    for p, f in fields:
-        for fprime in (d for d in range(1, f + 1) if f % d == 0 and d % p):
-            units = sum(1 for r in range(1, (fprime * p + 1) // 2) if math.gcd(r, fprime * p) == 1)
-            for n in range(MAX_LEVEL + 1):
-                M = fprime * p ** (n + 1)
-                bound = (units * (2 * M - 1) + 1) * (p ** (DEFAULT_PRECISION + n + 3) - 1)
-                yield p, n, stickelberger._slot_words(units, M, p, n), bound
+    fields += [(p, 1) for p in range(3, 400) if is_prime(p)]
+    tables = [(fprime, p, n) for p, f in fields
+              for fprime in range(1, f + 1) if f % fprime == 0 and fprime % p
+              for n in range(MAX_LEVEL + 1)]
+    for fprime, p, n in tables + BARRETT_WIDTH_TABLES:
+        units = sum(1 for r in range(1, (fprime * p + 1) // 2) if math.gcd(r, fprime * p) == 1)
+        M = fprime * p ** (n + 1)
+        bound = (units * (2 * M - 1) + 1) * (p ** (DEFAULT_PRECISION + n + 3) - 1)
+        yield fprime, p, n, stickelberger._slot_words(units, M, p, n), bound
 
 
 def test_slot_width_bound(monkeypatch):
     # a slot holds any sum of U products c * 2(M - a) and the shift c, with c
-    # < p^{N+n+3}, and keeps its top bit spare for the integrality check
-    for p, n, words, bound in slot_tables(monkeypatch):
-        assert 2 * bound < 2 ** (64 * words), (p, n)
+    # < p^{N+n+3}, keeps its top bit spare for the integrality check, and
+    # holds the Barrett product x_max m of the table's build; it is the
+    # fewest W-bit words that do
+    for fprime, p, n, words, bound in slot_tables(monkeypatch):
+        top = stickelberger._barrett(fprime * p ** (n + 1), p, n)[2]
+        assert 2 * bound < 2 ** (W * words), (fprime, p, n)
+        assert top < 2 ** (W * words), (fprime, p, n)
+        assert max(2 * bound, top) >= 2 ** (W * (words - 1)), (fprime, p, n)
+
+
+def test_barrett_quotient_is_exact(monkeypatch):
+    # every slot x of a column before its reduction mod 2M is at most x_max
+    # = (2M - 1) p^{n+1}; the quotient floor(x m / 2^k) is floor(x / 2M) at
+    # x_max and just below its multiple of 2M, where it errs first
+    tables = set()
+    for fprime, p, n, _, _ in slot_tables(monkeypatch):
+        M = fprime * p ** (n + 1)
+        k, m, top = stickelberger._barrett(M, p, n)
+        x_max = (2 * M - 1) * p ** (n + 1)
+        assert top == x_max * m
+        for x in (x_max, x_max - x_max % (2 * M) - 1):
+            assert x * m >> k == x // (2 * M), (fprime, p, n, x)
+        tables.add((fprime, p, n))
+    assert len(tables) == 454
+
+
+@pytest.mark.parametrize("fprime, p, n", BARRETT_WIDTH_TABLES)
+def test_table_widens_its_slot_for_the_barrett_product(fprime, p, n):
+    # the sum bound alone fits one word fewer than x_max m needs; the table
+    # builds, wider, and equals the cell-by-cell build
+    table = stickelberger._residue_table(fprime, p, n)
+    units = len(stickelberger._table_units(fprime, p))
+    M = fprime * p ** (n + 1)
+    bound = (units * (2 * M - 1) + 1) * (p ** (DEFAULT_PRECISION + n + 3) - 1)
+    assert 2 * bound < 2 ** (W * (table.words - 1))
+    assert table == residue_table_by_cells(fprime, p, n)
+
+
+def test_table_refuses_a_slot_too_narrow_for_its_reduction(monkeypatch):
+    # with one-word slots the (1, 23, 2) table's x_max m needs 58 bits: the
+    # build raises rather than reduce with a wrong quotient
+    monkeypatch.setattr(stickelberger, "_slot_words", lambda count, M, p, n: 1)
+    with pytest.raises(InvariantViolationError, match=r"\(1, 23, 2\) residue table"):
+        stickelberger._residue_table(1, 23, 2)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from([3, 5, 7, 11, 13, 23]), st.integers(1, 40), st.integers(0, 2))
+def test_residue_table_matches_cell_by_cell_build(p, fprime, n):
+    # the whole-column build equals the cell-by-cell one, columns and width
+    assume(math.gcd(fprime, p) == 1 and fprime * p ** (n + 1) <= 30000)
+    assert stickelberger._residue_table(fprime, p, n) == residue_table_by_cells(fprime, p, n)
 
 
 def test_fold_never_carries(monkeypatch):
-    # a quotient slot is below 2^k, k = 64 words - bit_length(p^{n+1}), so
-    # p^{n-l} of them sum below 2^{64 words}, for every level l < n
-    for p, n, words, bound in slot_tables(monkeypatch):
-        k = 64 * words - (p ** (n + 1)).bit_length()
+    # a quotient slot is below 2^k, k = W words - bit_length(p^{n+1}), so
+    # p^{n-l} of them sum below 2^{W words}, for every level l < n
+    for _, p, n, words, bound in slot_tables(monkeypatch):
+        k = W * words - (p ** (n + 1)).bit_length()
         assert bound // p ** (n + 1) < 2 ** k, (p, n)
         for lower in range(n):
-            assert p ** (n - lower) * (2 ** k - 1) < 2 ** (64 * words), (p, n, lower)
+            assert p ** (n - lower) * (2 ** k - 1) < 2 ** (W * words), (p, n, lower)
     # and the fold adds full slots block by block, with no carry between them
     for p, n, words in [(3, 3, 1), (5, 2, 1), (7, 2, 2), (3, 2, 3)]:
-        k = 64 * words - (p ** (n + 1)).bit_length()
+        k = W * words - (p ** (n + 1)).bit_length()
         full = stickelberger._ones(p ** n, words) * (2 ** k - 1)
         for lower in range(n):
             folded = stickelberger._fold(full, p ** n, words, p ** lower)
@@ -319,9 +377,10 @@ def test_fold_never_carries(monkeypatch):
 def test_integrality_is_checked_slot_by_slot():
     # slot 0 = P - (2^S mod P) and slot 1 = 1: the whole int is P + 2^S - (2^S
     # mod P), a multiple of P, but slot 0 is not; the quotient is 1 + floor(2^S
-    # / P), at least 2^k, so it sets a high bit of slot 0
-    for p, n, words in [(5, 1, 1), (23, 2, 2), (157, 4, 3)]:
-        P, S = p ** (n + 1), 64 * words
+    # / P), at least 2^k, so it sets a high bit of slot 0.  The widths are
+    # those of the tables, in W-bit words
+    for p, n, words in [(5, 0, 1), (5, 1, 2), (23, 2, 3), (157, 4, 5)]:
+        P, S = p ** (n + 1), W * words
         ones = stickelberger._ones(2, words)
         crafted = P - 2 ** S % P + (1 << S)
         assert crafted % P == 0
@@ -334,19 +393,36 @@ def test_integrality_is_checked_slot_by_slot():
 
 def test_pack_round_trip():
     # slot j of the packed int is values[j] on any host byte order, and the
-    # slots read back; (2^64 - 1) * sum_k 2^{64k} fills a slot to its top
+    # slots read back; (2^W - 1) * sum_k 2^{W k} fills a slot to its top
+    assert array("I").itemsize * 8 == W
     pack, unpack = stickelberger._pack, stickelberger._unpack
-    values = [0, 1, 2**63, 2**64 - 1, 12345]
+    values = [0, 1, 2 ** (W - 1), 2 ** W - 1, 12345]
     for words in (1, 2, 3):
         packed = pack(values, words)
-        assert packed == sum(v << (64 * words * j) for j, v in enumerate(values))
+        assert packed == sum(v << (W * words * j) for j, v in enumerate(values))
         assert unpack(packed, len(values), words) == values
-        top = pack([2**64 - 1] * 4, words) * sum(1 << (64 * k) for k in range(words))
-        assert unpack(top, 4, words) == [2 ** (64 * words) - 1] * 4
+        top = pack([2 ** W - 1] * 4, words) * sum(1 << (W * k) for k in range(words))
+        assert unpack(top, 4, words) == [2 ** (W * words) - 1] * 4
+        assert pack([2 ** (W * words) - 1] * 4, words) == top
     with pytest.raises(OverflowError):
-        pack([2**64], 1)
+        pack([2 ** W], 1)
     with pytest.raises(OverflowError):
-        unpack(2 ** (64 * 2 * 3), 3, 2)
+        pack([2 ** (W * 3)], 3)
+    with pytest.raises(OverflowError):
+        unpack(2 ** (W * 2 * 3), 3, 2)
+
+
+@pytest.mark.parametrize("p", [89, 157])
+def test_pack_takes_steps_wider_than_a_word(p):
+    # at level 4 the steps (1+p)^j mod p^5 of every p >= 89 pass 2^W; the
+    # table's slots hold them whole
+    n, pn1 = 4, p ** 5
+    words = stickelberger._slot_words(len(stickelberger._table_units(1, p)), pn1, p, n)
+    steps = [pow(1 + p, j, pn1) for j in range(0, p ** n, 99991)] + [pn1 - p + 1]
+    assert max(steps) >= 2 ** W and words > 1
+    packed = stickelberger._pack(steps, words)
+    assert packed == sum(u << (W * words * j) for j, u in enumerate(steps))
+    assert stickelberger._unpack(packed, len(steps), words) == steps
 
 
 def test_lambda_job_builds_each_table_once(monkeypatch):

@@ -5,7 +5,7 @@ defaults are fresh per instance, and the cache keys are immutable."""
 import pytest
 
 from tamerank.annihilators import AnnihilatorPoly
-from tamerank.characters import FieldSpec, RootOfUnity
+from tamerank.characters import FieldSpec, RootOfUnity, field_characters
 from tamerank.cli import JobConfig
 from tamerank.rank import PROVENANCE_TABLE, LambdaProvider, LambdaValue
 from tamerank.stickelberger import LambdaResult
@@ -67,3 +67,16 @@ def test_field_properties_are_cached_on_a_frozen_field():
     assert field.subgroup_elements == {1, 3, 9}
     assert field.group_order == 4 * 6
     assert field.subgroup_elements is field.subgroup_elements
+
+
+def test_every_spelling_of_a_subgroup_is_one_field():
+    # H = {1, 2, 4} mod 7 spelt by either generator is one FieldSpec, so
+    # field_characters enumerates it once
+    first, second = FieldSpec(5, 7, (2,)), FieldSpec(5, 7, (4,))
+    assert first == second and hash(first) == hash(second) and second.subgroup == (2,)
+    assert field_characters(first) is field_characters(second)
+    # the non-cyclic H = {1, 27, 64, 90} mod 91, spelt four ways
+    field = FieldSpec(5, 91, (90, 64))
+    assert field.subgroup == (27, 64) and field.subgroup_elements == {1, 27, 64, 90}
+    for spelling in ((27, 90), (64, 27, 1), (90, 64, 27, 1)):
+        assert FieldSpec(5, 91, spelling) == field
