@@ -127,13 +127,16 @@ def crt(a1: int, m1: int, a2: int, m2: int) -> int:
 
 
 def smallest_primitive_root(q: int) -> int:
-    """Smallest primitive root mod the odd prime power q."""
+    """Smallest primitive root mod the odd prime power q: the least unit g
+    with g^(phi/r) != 1 for every prime r dividing phi = phi(q), so that phi
+    is factored once, not once per candidate."""
     fac = factorize(q)
     if len(fac) != 1 or 2 in fac:
         raise ValueError(f"{q} is not an odd prime power")
     phi = euler_phi(q)
+    primes = factorize(phi)
     for g in range(2, q):
-        if math.gcd(g, q) == 1 and mul_order(g, q) == phi:
+        if math.gcd(g, q) == 1 and all(pow(g, phi // r, q) != 1 for r in primes):
             return g
     raise InvariantViolationError(f"no primitive root found mod {q}")
 
@@ -146,11 +149,10 @@ def _ilog(n: int, p: int) -> int:
     return k
 
 
-def _try_dlog_in_cyclic(target: int, g: int, order: int, q: int) -> Optional[int]:
-    """Discrete log of target in the cyclic subgroup <g> of (Z/q)^x, or None
-    when target lies outside it.  Baby-step/giant-step with a brute-force
-    path for tiny orders."""
-    target %= q
+def _log_of_order(target: int, g: int, order: int, q: int) -> Optional[int]:
+    """k with g^k = target mod q and 0 <= k < order = ord g, or None: brute
+    force for order <= 60, baby-step giant-step above, where Pohlig-Hellman
+    calls it only for one prime-order digit."""
     if order <= 60:
         x = 1
         for k in range(order):
@@ -173,8 +175,42 @@ def _try_dlog_in_cyclic(target: int, g: int, order: int, q: int) -> Optional[int
     return None
 
 
-def _dlog_in_cyclic(target: int, g: int, order: int, q: int) -> int:
-    out = _try_dlog_in_cyclic(target, g, order, q)
+def _try_dlog_in_cyclic(target: int, g: int, order: int, q: int, factors: tuple) -> Optional[int]:
+    """Discrete log of target in the cyclic subgroup <g> of (Z/q)^x, of the
+    given order with `factors` its (prime, exponent) pairs, or None when
+    target lies outside it.  Brute force for order <= 60; above that
+    Pohlig-Hellman (Cohen, A Course in Computational Algebraic Number Theory,
+    1.4): for each r^e of the order the log mod r^e is read one base-r digit
+    at a time, each digit a log in the subgroup of order r, and the parts
+    are joined by CRT.  When every digit has a log, target^(order / r^e) =
+    g^(x order / r^e) for each r, so target = g^x; a target outside <g>
+    leaves some digit without one."""
+    target %= q
+    if order <= 60:
+        return _log_of_order(target, g, order, q)
+    x, mod = 0, 1
+    for r, e in factors:
+        part = r ** e
+        cof = order // part
+        h = pow(target, cof, q)  # in <g^cof>, of order r^e, when target is in <g>
+        step = pow(g, -cof, q)  # (g^cof)^(-r^k) at digit k
+        root = pow(g, order // r, q)  # of order r
+        xr = 0
+        for k in range(e):
+            if h == 1:  # every digit left is 0
+                break
+            d = _log_of_order(pow(h, r ** (e - 1 - k), q), root, r, q)
+            if d is None:
+                return None
+            xr += d * r ** k
+            h = h * pow(step, d, q) % q
+            step = pow(step, r, q)
+        x, mod = crt(x, mod, xr, part), mod * part
+    return x
+
+
+def _dlog_in_cyclic(target: int, g: int, order: int, q: int, factors: tuple) -> int:
+    out = _try_dlog_in_cyclic(target, g, order, q, factors)
     if out is None:
         raise InvariantViolationError("dlog target outside the subgroup")
     return out
@@ -185,8 +221,11 @@ class UnitGroupStructure:
 
     Factor order is fixed: prime-power blocks ascending by prime, the odd
     blocks generated by their smallest primitive root, the 2-part (when
-    2^e with e >= 3) contributing the pair (-1 mod 2^e, 3).  Instances are
-    immutable and safe for concurrent reads.
+    2^e with e >= 3) contributing the pair (-1 mod 2^e, 3).  A block is
+    (kind, q, g, n, factors): the prime power q, the generator g mod q of
+    its cyclic part, of order n, and the (prime, exponent) pairs of n, which
+    the discrete log reads.  Instances are immutable and safe for concurrent
+    reads.
     """
 
     __slots__ = ("modulus", "generators", "orders", "_blocks", "minus_one")
@@ -211,17 +250,15 @@ class UnitGroupStructure:
         if math.gcd(a, M) != 1:
             raise ValueError(f"{a} is not a unit mod {M}")
         out = []
-        for kind, q, data in self._blocks:
+        for kind, q, g, n, factors in self._blocks:
             local = a % q
             if kind == "cyclic":
-                g, n = data
-                out.append(_dlog_in_cyclic(local, g, n, q))
+                out.append(_dlog_in_cyclic(local, g, n, q, factors))
             else:  # two-generator 2-part: a = (-1)^s * 3^y, -1 not in <3>
-                n3 = data
-                y = _try_dlog_in_cyclic(local, 3, n3, q)
+                y = _try_dlog_in_cyclic(local, g, n, q, factors)
                 if y is None:
                     s = 1
-                    y = _dlog_in_cyclic((q - local) % q, 3, n3, q)
+                    y = _dlog_in_cyclic(q - local, g, n, q, factors)
                 else:
                     s = 0
                 out.append(s)
@@ -236,16 +273,15 @@ class UnitGroupStructure:
         character factors through (Z/4)^x iff it is trivial on 5 = -(3^a), a odd."""
         d = 1
         i = 0
-        for kind, q, data in self._blocks:
+        for kind, q, _, n, _ in self._blocks:
             if kind == "cyclic":
-                n = self.orders[i]
                 order = n // math.gcd(exponents[i], n)
                 i += 1
                 if order > 1:
                     d *= q // math.gcd(q, n) * math.gcd(order, q)
             else:
                 s = exponents[i] % 2
-                order3 = data // math.gcd(exponents[i + 1], data)
+                order3 = n // math.gcd(exponents[i + 1], n)
                 i += 2
                 if order3 <= 2 and s == order3 - 1:
                     d *= 4 if s else 1
@@ -274,18 +310,18 @@ def unit_group(M: int) -> UnitGroupStructure:
             if e == 2:
                 gens.append(crt(1, cof, 3, q) if cof > 1 else 3)
                 orders.append(2)
-                blocks.append(("cyclic", q, (3, 2)))
+                blocks.append(("cyclic", q, 3, 2, ((2, 1),)))
             else:
                 for g_local, n in ((q - 1, 2), (3, q // 4)):
                     gens.append(crt(1, cof, g_local, q) if cof > 1 else g_local)
                     orders.append(n)
-                blocks.append(("two", q, q // 4))
+                blocks.append(("two", q, 3, q // 4, ((2, e - 2),)))
         else:
             g_local = smallest_primitive_root(q)
             n = euler_phi(q)
             gens.append(crt(1, cof, g_local, q) if cof > 1 else g_local)
             orders.append(n)
-            blocks.append(("cyclic", q, (g_local, n)))
+            blocks.append(("cyclic", q, g_local, n, tuple(sorted(factorize(n).items()))))
     ug = UnitGroupStructure(M, gens, orders, blocks)
     if ug.phi != euler_phi(M):
         raise InvariantViolationError("unit group order mismatch")

@@ -328,7 +328,9 @@ class FieldSpec(FrozenValue):
     layer K_n sits inside Q(mu_{f p^{n+1}}).  The subgroup is held as its
     canonical generators: the least element of H outside the span of those
     before it, taken in turn until they span H, so every spelling of one H
-    gives one FieldSpec.
+    gives one FieldSpec.  `tame_records` maps each tame prime q that has
+    been asked about to its `frobenius.TameData`, built on first use; it is
+    not a field, and each instance starts with none.
     """
 
     _fields = ("p", "f", "subgroup")  # no __slots__: the cached properties need a __dict__
@@ -356,6 +358,7 @@ class FieldSpec(FrozenValue):
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "subgroup", tuple(gens))
         object.__setattr__(self, "subgroup_elements", elements)
+        object.__setattr__(self, "tame_records", {})
 
     @cached_property
     def group_order(self) -> int:

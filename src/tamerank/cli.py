@@ -8,9 +8,11 @@ Exit codes:
      S entry at or above psi_12 = 318665857834031151167461 (the primality
      test is exact only below it), an oracle job with an empty S, an oracle
      level n0 below the stabilization level of a prime in S, an oracle level
-     n1 whose level group for some q in S has more than
-     ORACLE_ORDER_BOUND = 100000 elements, an unwritable --out, or a closed
-     standard output
+     n1 whose module for some q in S holds more than ORACLE_MODULE_BOUND =
+     100000 digits (r_n1 d columns of e_n1 + SNF_GUARD_DIGITS digits) or
+     reads more than ORACLE_DIGIT_BOUND = 200 digits per column, an oracle
+     job on a field of more than ORACLE_CHARACTER_BOUND = 20000 characters,
+     an unwritable --out, or a closed standard output
   3  lambda unavailable for a required character
   4  oracle inconsistency: the brute-force module contradicts the theory,
      or an oracle row disagrees with the rank formula
@@ -28,8 +30,8 @@ import sys
 from functools import cached_property
 from typing import List, Optional
 
-from .arith import PRIME_BOUND, is_prime
-from .characters import FieldSpec, field_characters, omega
+from .arith import PRIME_BOUND, is_prime, unit_group
+from .characters import FieldSpec, _local_degree, field_characters, omega
 from .errors import (
     ConfigError,
     InvariantViolationError,
@@ -38,9 +40,9 @@ from .errors import (
     PrecisionError,
     TameRankError,
 )
-from .frobenius import admissible, m_index, stabilization_level
+from .frobenius import admissible, m_index, splitting_count, stabilization_level
 from .rank import LambdaProvider, rank_total
-from .residue import quotient_growth, residue_module
+from .residue import SNF_GUARD_DIGITS, quotient_growth, residue_module
 from .stickelberger import lambda_minus
 
 SCHEMA_VERSION = "1"
@@ -52,12 +54,23 @@ EXIT_INCONSISTENT = 4
 EXIT_PRECISION = 5
 EXIT_INVARIANT = 6
 
-# The level group of q at n1 is A x B, A = (Z/f_q)^x / H_q and B the cyclic
-# (Z/p^(n1+1))^x.  Its order caps each size the oracle's module is built from:
-# the r_n cosets, the |A| classes, the baby-step giant-step discrete logs in B
-# (about sqrt|B| steps each) and e_n.  The largest group of a benchmark or
-# test job has 75000 elements (p = 5, f = 7, q = 11 at n1 = 5).
-ORACLE_ORDER_BOUND = 100_000
+# The oracle's level-n1 module for q has r_n1 cosets, and a character's
+# presentation on it r_n1 d columns, d = dim O_chi, each read mod
+# p^(e_n1 + SNF_GUARD_DIGITS).  Its size, columns times digits, bounds the work
+# of the coset tables, the walk and the relations.  The digits also have a
+# bound of their own: the discrete logs in (Z/p^(n1+1))^x and the Teichmueller
+# lifts take time near their square.  d is taken as the dimension for the
+# exponent of (Z/fp)^x, which no character of the field exceeds.  The largest
+# module of a benchmark or test job has 624*4 columns of 7 digits (p = 13,
+# f = 385, q = 677 at n1 = 2), and the most digits are 19 (p = 3, q = 7 at
+# n1 = 14).
+ORACLE_MODULE_BOUND = 100_000
+ORACLE_DIGIT_BOUND = 200
+# The oracle evaluates every class of the field's |G| characters on every
+# module, and a module of few cosets does not bound |G| (p = 20011, S = [2]
+# takes 1.8 s and 90 MB for its 20010 rows); the largest field of a
+# benchmark or test job has 2880 characters (p = 13, f = 385).
+ORACLE_CHARACTER_BOUND = 20_000
 
 _LAMBDA_MODES = {
     "table": (False, False),
@@ -224,28 +237,35 @@ def run_rank(job: JobConfig) -> dict:
 
 
 def _oversized(field: FieldSpec, q: int, n: int) -> Optional[str]:
-    """Why the level-n group for q is too large for the oracle, or None.  It
-    has (tame degree of the q-quotient) (p - 1) p^n elements; as p^n >= 2^n,
-    an n past the bound's bit length is over it, and p^n is not computed."""
-    head = field.tame_quotient(q).tame_degree() * (field.p - 1)
-    if n >= ORACLE_ORDER_BOUND.bit_length():
-        order = f"{head}*{field.p}^{n}"
-    elif head * field.p ** n > ORACLE_ORDER_BOUND:
-        order = str(head * field.p ** n)
-    else:
-        return None
-    return f"oracle level n1 = {n} for q = {q}: the level group has {order} elements, above {ORACLE_ORDER_BOUND}"
+    """Why the oracle's level-n module for q is too large to build, or None.
+    As e_n > n, an n with n + 1 + SNF_GUARD_DIGITS digits over the digit
+    bound is refused before p^n is formed."""
+    where = f"oracle level n1 = {n} for q = {q}: the module"
+    if n + 1 + SNF_GUARD_DIGITS > ORACLE_DIGIT_BOUND:
+        return f"{where} needs at least {n + 1 + SNF_GUARD_DIGITS} digits, above {ORACLE_DIGIT_BOUND}"
+    data = splitting_count(field, q, n)
+    digits = data.p_exponent + SNF_GUARD_DIGITS
+    if digits > ORACLE_DIGIT_BOUND:
+        return f"{where} needs {digits} digits, above {ORACLE_DIGIT_BOUND}"
+    d = _local_degree(math.lcm(*unit_group(field.f * field.p).orders), field.p)
+    if data.prime_count * d * digits > ORACLE_MODULE_BOUND:
+        return (f"{where} has {data.prime_count}*{d} columns of {digits} digits, "
+                f"above {ORACLE_MODULE_BOUND} digits")
+    return None
 
 
 def run_oracle(job: JobConfig) -> dict:
     """brute-force verification grid"""
     field = job.field
     given = job.oracle_levels
+    violations = [] if job.S else ["oracle needs at least one prime in S"]
+    if field.group_order > ORACLE_CHARACTER_BOUND:  # refused before any level is read
+        raise ConfigError(violations + [
+            f"oracle on a field of {field.group_order} characters, above {ORACLE_CHARACTER_BOUND}"])
     # below its stabilization level a prime still splits between levels, and
     # chi-quotient growth there does not measure the rank
     stable = {q: stabilization_level(field, q) for q in sorted(job.S)}
     levels = {q: given or (s, s + 1) for q, s in stable.items()}
-    violations = [] if job.S else ["oracle needs at least one prime in S"]
     violations += [f"oracle level n0 = {n0} is below the stabilization level {stable[q]} of q = {q}"
                    for q, (n0, _) in levels.items() if n0 < stable[q]]
     violations += [v for q, (_, n1) in levels.items() if (v := _oversized(field, q, n1))]

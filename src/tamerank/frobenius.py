@@ -131,25 +131,55 @@ def _order_in_tame_quotient(a: int, quotient: FieldSpec) -> int:
     raise InvariantViolationError("order search fell through")
 
 
+class TameData:
+    """What a field's q-level groups share at every level: the tame quotient
+    A = (Z/f_q)^x / H_q with inertia at q removed, its order `degree`, and
+    the `order` of q in it.  `levels` keeps each level's SplittingData, and
+    `orbits` is residue's partition of A into <q>-orbits, None until a
+    residue module has built and checked it."""
+
+    __slots__ = ("quotient", "degree", "order", "levels", "orbits")
+
+    def __init__(self, quotient: FieldSpec, q: int):
+        self.quotient = quotient
+        self.degree = quotient.tame_degree()
+        self.order = _order_in_tame_quotient(q, quotient)
+        self.levels = {}
+        self.orbits = None
+
+
+def tame_data(field: FieldSpec, q: int) -> TameData:
+    """q's TameData, built on the field's first request and kept on it, so
+    the oracle's bound, the stabilization level and both levels' splitting
+    counts and residue modules read one record."""
+    record = field.tame_records.get(q)
+    if record is None:
+        record = field.tame_records[q] = TameData(field.tame_quotient(q), q)
+    return record
+
+
 def splitting_count(field: FieldSpec, q: int, n: int) -> SplittingData:
     """(f_n, r_n, e_n) for q at level n, computed in the inertia quotient:
     residue degree, number of primes, and the exponent of the p-part of the
-    residue field's unit group."""
+    residue field's unit group.  Kept on q's tame record, so the oracle's
+    bound and its module read one answer."""
     p = field.p
     m = m_index(q, p)
-    quotient = field.tame_quotient(q)
+    tame = tame_data(field, q)
+    if n in tame.levels:
+        return tame.levels[n]
     pn1 = p ** (n + 1)
-    e_tame = _order_in_tame_quotient(q, quotient)
     e_wild = mul_order(q, pn1)
-    f_n = math.lcm(e_tame, e_wild)
-    group_order = quotient.tame_degree() * euler_phi(pn1)
+    f_n = math.lcm(tame.order, e_wild)
+    group_order = tame.degree * euler_phi(pn1)
     if group_order % f_n:
         raise InvariantViolationError("residue degree does not divide group order")
     r_n = group_order // f_n
     # v_p(q^{f_n} - 1) via lifting the exponent: the prime-to-p part of f_n
     # contributes v_p(q^{d} - 1) = m_q + 1, the p-part adds v_p(f_n).
     e_n = m + 1 + split_prime_part(f_n, p)[0]
-    return SplittingData(f_n, r_n, e_n)
+    tame.levels[n] = data = SplittingData(f_n, r_n, e_n)
+    return data
 
 
 def stabilization_level(field: FieldSpec, q: int) -> int:
@@ -159,5 +189,4 @@ def stabilization_level(field: FieldSpec, q: int) -> int:
     By lifting the exponent, ord(q mod p^{n+1}) = ord(q mod p) p^{max(0, n - m_q)},
     so the p-part of f_n is p^{max(v_p(e), n - m_q)} with e the order of q in
     the tame quotient, and f_{n+1} = p f_n exactly when n >= m_q + v_p(e)."""
-    m = m_index(q, field.p)
-    return m + split_prime_part(_order_in_tame_quotient(q, field.tame_quotient(q)), field.p)[0]
+    return m_index(q, field.p) + split_prime_part(tame_data(field, q).order, field.p)[0]

@@ -42,12 +42,13 @@ rate is the Z_p-rank of the limit.
 from __future__ import annotations
 
 import math
+from operator import mod, mul, sub
 from typing import Optional
 
 from .arith import teichmuller_residue, unit_group
 from .characters import DirichletCharacter, FieldSpec
 from .errors import InvariantViolationError, OracleInconsistencyError
-from .frobenius import splitting_count
+from .frobenius import splitting_count, tame_data
 from .localring import local_ring
 
 # chi-quotients are read mod p^(e_n + SNF_GUARD_DIGITS): a valuation below
@@ -99,20 +100,11 @@ def _least_in_class(quotient: FieldSpec) -> list:
     return least
 
 
-def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
-    """Build the level-n module for q from the structure of its group.
-
-    Modulo inertia at q the level group is A x B, with A = (Z/fq)^x / H_q
-    and B = (Z/p^{n+1})^x cyclic on g of order nB, and Frobenius is
-    (a_q, g^kq).  The <a_q>-orbits of A all have one length e, and each class
-    is a = head_i a_q^t0.  The element (a, g^k) is c_j Frob^t exactly when
-    t = t0 + e s and K = k - t0 kq = k' + s e kq mod nB, where c_j is
-    (head_i, g^k').  So with w = gcd(e kq, nB) the cosets are (head_i, g^k')
-    for 0 <= k' < w, and (a, g^k) lies in the one with k' = K mod w, at
-    s = (K div w) (e kq / w)^{-1} mod nB / w.  The identity's coset is first."""
-    p = field.p
-    data = splitting_count(field, q, n)
-    quotient = field.tame_quotient(q)
+def _frobenius_orbits(quotient: FieldSpec, q: int) -> tuple:
+    """(where, heads, e): the <a_q>-orbits of A = (Z/fq)^x / H_q, all of one
+    length e, with where[a] = (i, t0) for each unit a mod fq whose class is
+    heads[i] a_q^t0 (None for a non-unit).  Raises InvariantViolationError
+    when an orbit does not close or the lengths differ."""
     fq = quotient.f
     least = _least_in_class(quotient)
     heads, place = [], {}  # class a -> (i, t0) with a = heads[i] a_q^t0
@@ -127,6 +119,29 @@ def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
             raise InvariantViolationError("an <a_q>-orbit in A does not close")
         heads.append(a)
         e = t
+    return [place.get(c) for c in least], heads, e
+
+
+def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
+    """Build the level-n module for q from the structure of its group.
+
+    Modulo inertia at q the level group is A x B, with A = (Z/fq)^x / H_q
+    and B = (Z/p^{n+1})^x cyclic on g of order nB, and Frobenius is
+    (a_q, g^kq).  The <a_q>-orbits of A all have one length e, and each class
+    is a = head_i a_q^t0.  The element (a, g^k) is c_j Frob^t exactly when
+    t = t0 + e s and K = k - t0 kq = k' + s e kq mod nB, where c_j is
+    (head_i, g^k').  So with w = gcd(e kq, nB) the cosets are (head_i, g^k')
+    for 0 <= k' < w, and (a, g^k) lies in the one with k' = K mod w, at
+    s = (K div w) (e kq / w)^{-1} mod nB / w.  The identity's coset is first.
+    The orbits of A do not depend on n: they are kept on q's tame record once
+    their walk has closed, so the modules of both oracle levels share them."""
+    p = field.p
+    data = splitting_count(field, q, n)
+    tame = tame_data(field, q)
+    if tame.orbits is None:
+        tame.orbits = _frobenius_orbits(tame.quotient, q)
+    where, heads, e = tame.orbits
+    fq = tame.quotient.f
 
     pmod = p ** (n + 1)
     B = unit_group(pmod)
@@ -142,7 +157,7 @@ def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
 
     def locate(a: int, k: int) -> tuple:
         """(j, t) with (a, g^k) = c_j Frob^t."""
-        i, t0 = place[least[a % fq]]
+        i, t0 = where[a % fq]
         K = (k - t0 * kq) % nB
         return i * w + K % w, t0 + e * (K // w * inv % (nB // w))
 
@@ -171,17 +186,19 @@ class _Forest:
     number of coset orbits that have it; n counts each generator's edges mod
     its order, since chi(point_g)^{ord_g} = 1.  `valuations` maps each
     (m, u, b) that a character has read to v_pi(1 - u zeta_m^b) in the ring
-    of order m, so characters of one module share it."""
+    of order m, and `rings` each character order m to that ring, so
+    characters of one module share both."""
 
-    __slots__ = ("points", "orders", "orbits", "valuations")
+    __slots__ = ("points", "orders", "orbits", "valuations", "rings")
 
     def __init__(self, module: ResidueModule, part: Optional[str]):
         p = module.field.p
-        mod = p ** (module.e_exp + SNF_GUARD_DIGITS)
+        modulus = p ** (module.e_exp + SNF_GUARD_DIGITS)
         self.points = tuple(point for point, _ in module.gen_actions)
-        self.orders = unit_group(module.field.f * p).orders
+        self.orders = orders = unit_group(module.field.f * p).orders
         self.valuations = {}
-        qinv = pow(module.q, -1, mod)
+        self.rings = {}
+        qinv = pow(module.q, -1, modulus)
         # t -> q^{-t} for the t the walk meets, at most one per edge: the
         # residue degree that bounds t grows like p^n, the module does not
         twist = {}
@@ -192,15 +209,16 @@ class _Forest:
         if part is not None:
             sign = -1 if part == "plus" else 1
             # kill the image of (1 -+ J): relations x_i -+ q^t x_{jJ}
-            edges.append((-sign % mod, None, module.j_action))
+            edges.append((-sign % modulus, None, module.j_action))
 
         zero = (0,) * len(self.points)
-        tree = [None] * module.num_cosets  # coset j -> (c_j, c_j^{-1}, n_j)
+        # coset j -> [c_j, c_j^{-1} once a non-tree edge needs it, n_j]
+        tree = [None] * module.num_cosets
         orbits = {}  # relation set -> number of orbits with it
         for root in range(module.num_cosets):
             if tree[root] is not None:
                 continue
-            tree[root] = (1, 1, zero)
+            tree[root] = [1, 1, zero]
             orbit = [root]
             relations = set()
             for i in orbit:  # breadth first: the orbit grows while it is walked
@@ -209,16 +227,18 @@ class _Forest:
                     j, t = table[i]
                     qt = twist.get(t)
                     if qt is None:
-                        qt = twist[t] = pow(qinv, t, mod)
-                    cj = c * s * qt % mod
-                    nj = n if g is None else n[:g] + ((n[g] + 1) % self.orders[g],) + n[g + 1:]
-                    if tree[j] is None:
-                        tree[j] = (cj, pow(cj, -1, mod), nj)
+                        qt = twist[t] = pow(qinv, t, modulus)
+                    cj = c * s * qt % modulus
+                    nj = n if g is None else n[:g] + ((n[g] + 1) % orders[g],) + n[g + 1:]
+                    node = tree[j]
+                    if node is None:
+                        tree[j] = [cj, None, nj]
                         orbit.append(j)
                     else:
-                        _, c0inv, n0 = tree[j]
-                        relations.add((cj * c0inv % mod,
-                                       tuple((x - y) % o for x, y, o in zip(nj, n0, self.orders))))
+                        if node[1] is None:
+                            node[1] = pow(node[0], -1, modulus)
+                        relations.add((cj * node[1] % modulus,
+                                       tuple(map(mod, map(sub, nj, node[2]), orders))))
             relations.discard((1, zero))
             key = frozenset(relations)
             orbits[key] = orbits.get(key, 0) + 1
@@ -262,9 +282,10 @@ def chi_quotient_order(
     forest = module.forests.get(part)
     if forest is None:
         forest = module.forests[part] = _Forest(module, part)
-    p = module.field.p
     e = module.e_exp
-    ring = local_ring(chi.order, p, e + SNF_GUARD_DIGITS)
+    ring = forest.rings.get(chi.order)
+    if ring is None:
+        ring = forest.rings[chi.order] = local_ring(chi.order, module.field.p, e + SNF_GUARD_DIGITS)
     d, m = ring.dim, ring.m
     a = chi.exponents_at(forest.points)  # chi(point_g) = zeta_m^{a_g}, as m = chi.order
 
@@ -273,7 +294,7 @@ def chi_quotient_order(
     for relations, count in forest.orbits:
         v = ring.w * e  # v_pi(p^e)
         for u, n in relations:
-            b = sum(x * y for x, y in zip(n, a)) % m
+            b = sum(map(mul, n, a)) % m
             x = memo.get((m, u, b))
             if x is None:
                 x = memo[m, u, b] = ring.valuation(

@@ -166,15 +166,42 @@ def _table_units(fprime: int, p: int) -> tuple:
     return tuple(r for r in range(1, (fprime * p + 1) // 2) if math.gcd(r, fprime * p) == 1)
 
 
+def _step_words(p: int, n: int) -> int:
+    """The fewest WORD_BITS-bit words that hold a residue mod p^{n+1}."""
+    return -(-(p ** (n + 1) - 1).bit_length() // WORD_BITS)
+
+
+def _packed_steps(p: int, n: int) -> int:
+    """The steps u_j = (1+p)^j mod p^{n+1}, j in Z/p^n, packed in slots of
+    _step_words(p, n) words."""
+    pn1 = p ** (n + 1)
+    steps = [1]
+    for _ in range(p ** n - 1):
+        steps.append(steps[-1] * (1 + p) % pn1)
+    return _pack(steps, _step_words(p, n))
+
+
+def _widen(x: int, count: int, words: int, wider: int) -> int:
+    """x, packed in `count` slots of `words` words, repacked in slots of
+    `wider` >= words words: byte b of each slot moves as one strided slice."""
+    if wider == words:
+        return x
+    narrow, wide = WORD_BITS // 8 * words, WORD_BITS // 8 * wider
+    data, out = x.to_bytes(narrow * count, "little"), bytearray(wide * count)
+    for b in range(narrow):
+        out[b::wide] = data[b::narrow]
+    return int.from_bytes(out, "little")
+
+
 def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
     """Each column as a whole int.  By CRT, a = (r mod f') e_f + omega(r) u_j
     e_p mod M = f' p^{n+1}, with u_j = (1+p)^j mod p^{n+1}, and a is never 0,
     so 2(M - a) = -2a mod 2M: the column of r is X = B ONES + T U reduced mod
     2M slot by slot, with B = -2 (r mod f') e_f and T = -2 omega(r) e_p mod
-    2M and U the packed u_j.  Every slot x of X is at most x_max = (2M - 1)
-    p^{n+1}, so _barrett's quotient floor(x m / 2^k) is exactly floor(x /
-    2M), and _slot_words keeps x_max m below 2^S, so it sits in the low S - k
-    bits of slot j of X m / 2^k."""
+    2M and U the packed u_j, which the tables of every f' share.  Every slot
+    x of X is at most x_max = (2M - 1) p^{n+1}, so _barrett's quotient
+    floor(x m / 2^k) is exactly floor(x / 2M), and _slot_words keeps x_max m
+    below 2^S, so it sits in the low S - k bits of slot j of X m / 2^k."""
     pn1 = p ** (n + 1)
     M = fprime * pn1
     M2 = 2 * M
@@ -187,10 +214,8 @@ def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
     e_p = 2 * fprime * pow(fprime, -1, pn1)  # 0 mod f', 2 mod p^{n+1}
     # T of each r, by r mod p
     teich = [0] + [-teichmuller_residue(t, p, n + 1) * e_p % M2 for t in range(1, p)]
-    steps = [1]  # u_j, j in Z/p^n
-    for _ in range(p ** n - 1):
-        steps.append(steps[-1] * (1 + p) % pn1)
-    steps, ones = _pack(steps, words), _ones(p ** n, words)
+    steps = _widen(_TABLES.steps(p, n), p ** n, _step_words(p, n), words)
+    ones = _ones(p ** n, words)
     mask = ((1 << WORD_BITS * words - k) - 1) * ones
     columns = []
     for r in units:
@@ -200,10 +225,10 @@ def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
 
 
 class _TableCache:
-    """Residue tables, binomial rows and the table units' discrete logs of
-    one prime, each built on first use.  Every character of a field shares
-    its p, so a request for another prime starts a new working set and drops
-    the old one."""
+    """Residue tables, their packed steps, binomial rows, the table units'
+    discrete logs and the scaled zeta vectors of one prime, each built on
+    first use.  Every character of a field shares its p, so a request for
+    another prime starts a new working set and drops the old one."""
 
     def __init__(self):
         self.p = None
@@ -218,6 +243,15 @@ class _TableCache:
 
     def get(self, fprime: int, p: int, n: int) -> ResidueTable:
         return self._entry(p, ("table", fprime, n), lambda: _residue_table(fprime, p, n))
+
+    def steps(self, p: int, n: int) -> int:
+        """_packed_steps(p, n), shared by the level-n tables of every f'."""
+        return self._entry(p, ("steps", n), lambda: _packed_steps(p, n))
+
+    def scaled_zeta(self, order: int, fprime: int, p: int, digits: int) -> dict:
+        """k -> zeta_order^k / f' mod p^digits as a coordinate vector, filled
+        by _character_columns for the k its characters read."""
+        return self._entry(p, ("zeta", order, fprime, digits), dict)
 
     def unit_logs(self, conductor: int, fprime: int, p: int) -> tuple:
         """unit_group(conductor).dlog of each table unit of (f', p)."""
@@ -239,13 +273,16 @@ _TABLES = _TableCache()
 def _character_columns(chi: DirichletCharacter, digits: int) -> tuple:
     """Column c holds coordinate c of chi^{-1}(r) / f' mod p^digits over the
     table units r.  Every level of one lambda_minus call shares them, each
-    reduced to its own working digits."""
+    reduced to its own working digits, and characters of one order share
+    their vectors."""
     p, cond = chi.p, chi.conductor
     fprime = split_prime_part(cond, p)[1]
     ring = local_ring(chi.order, p, digits)
     inv_f = pow(fprime, -1, ring.mod)
     exponents = [-chi._exponent_at(logs) % chi.order for logs in _TABLES.unit_logs(cond, fprime, p)]
-    vectors = {k: [c * inv_f % ring.mod for c in ring.zeta_vector(k)] for k in set(exponents)}
+    vectors = _TABLES.scaled_zeta(chi.order, fprime, p, digits)
+    for k in set(exponents).difference(vectors):
+        vectors[k] = [c * inv_f % ring.mod for c in ring.zeta_vector(k)]
     return tuple(zip(*(vectors[k] for k in exponents)))
 
 

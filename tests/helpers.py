@@ -6,9 +6,10 @@ presentation with the Smith reduction that counts it, the direct per-character S
 complex-embedding oracle for lcm degrees, the rational-tower prime count and
 rank, the two-level rank estimate, the RootOfUnity oracles of sigma0_ok,
 sigma_p_value and compose, the search oracles for the unit behind
-sigma_p and for the stabilization level, and a read-only loader for the
-benchmark's modules, the conjugacy classes built through chi.power(t), and
-the Stickelberger residue table built cell by cell.
+sigma_p and for the stabilization level, the discrete log by trying every
+power, and a read-only loader for the benchmark's modules, the conjugacy
+classes built through chi.power(t), and the Stickelberger residue table
+built cell by cell.
 Test modules import them as `from helpers import ...`."""
 
 import cmath
@@ -366,6 +367,18 @@ def gamma_unit_by_search(p: int, q: int, a: int) -> int:
     if len(found) != 1:
         raise InvariantViolationError(f"{len(found)} units u for q = {q}, p = {p}, a = {a}")
     return found[0]
+
+
+def log_by_search(target: int, g: int, order: int, q: int):
+    """Oracle for the discrete logs of `tamerank.arith`: the least k below
+    `order` with g^k = target mod q, found by trying every power of g in
+    turn, or None when no power of g is target."""
+    x, target = 1 % q, target % q
+    for k in range(order):
+        if x == target:
+            return k
+        x = x * g % q
+    return None
 
 
 SEARCH_BOUND = 16  # stabilization_level_by_search looks at levels below it

@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import tamerank.arith as arith
+from helpers import log_by_search
 from tamerank.arith import (
     PRIME_BOUND,
+    _try_dlog_in_cyclic,
     crt,
+    factorize,
     is_prime,
     mul_order,
     padic_log,
@@ -148,6 +151,53 @@ def test_unit_group_roundtrip(M):
         assert unit_from_exponents(ug, vec) == a % M
         for e, n in zip(vec, ug.orders):
             assert 0 <= e < n
+
+
+# odd p and n <= 12 with p^{n+1} <= 3^13, so that the search oracle tries at
+# most 3^12 * 2 powers; 67 and 101 have a prime-order digit above 60, which
+# the baby-step giant-step log reads
+LOG_PRIMES = [3, 5, 7, 13, 67, 101]
+LOG_MODULUS_BOUND = 3 ** 13
+
+
+@st.composite
+def _prime_power_moduli(draw):
+    p = draw(st.sampled_from(LOG_PRIMES))
+    n = draw(st.integers(0, 12).filter(lambda n: p ** (n + 1) <= LOG_MODULUS_BOUND))
+    return p ** (n + 1)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.one_of(_prime_power_moduli(), st.integers(3, 20).map(lambda e: 2 ** e)), st.data())
+def test_dlog_matches_the_search_oracle(q, data):
+    # B = (Z/p^{n+1})^x on its primitive root, and the 2-part pair (-1, 3):
+    # a = (-1)^s 3^y, with s = 1 exactly when a is no power of 3
+    a = data.draw(st.integers(1, q - 1).filter(lambda a: math.gcd(a, q) == 1))
+    ug = unit_group(q)
+    if q % 2:
+        [g], [order] = ug.generators, ug.orders
+        assert ug.dlog(a) == (log_by_search(a, g, order, q),)
+    else:
+        y = log_by_search(a, 3, q // 4, q)
+        assert ug.dlog(a) == ((0, y) if y is not None else (1, log_by_search(-a, 3, q // 4, q)))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.one_of(_prime_power_moduli(), st.integers(3, 20).map(lambda e: 2 ** e)), st.data())
+def test_cyclic_log_gives_none_outside_the_subgroup(q, data):
+    # <h> = <g^c> for a divisor c of ord g, and a target g^k, in <h> exactly
+    # when c divides k; for q = 2^e, the targets a with a = 5, 7 mod 8 are
+    # not in <3>
+    if q % 2:
+        [g], [phi] = unit_group(q).generators, unit_group(q).orders
+        c = data.draw(st.sampled_from([c for c in range(1, phi + 1) if phi % c == 0]))
+        h, order = pow(g, c, q), phi // c
+        target = pow(g, data.draw(st.integers(0, phi - 1)), q)
+    else:
+        h, order = 3, q // 4
+        target = data.draw(st.integers(1, q - 1).filter(lambda a: a % 2))
+    factors = tuple(sorted(factorize(order).items()))
+    assert _try_dlog_in_cyclic(target, h, order, q, factors) == log_by_search(target, h, order, q)
 
 
 def test_smallest_primitive_root():

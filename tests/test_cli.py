@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from tamerank.errors import (
 from tamerank.stickelberger import StickelbergerSeries
 
 from helpers import load_benchmark_module
+from tamerank.arith import unit_group
 from tamerank.characters import FieldSpec
 from tamerank.frobenius import stabilization_level
 
@@ -542,15 +544,16 @@ def test_precision_key_is_ignored(tmp_path, command, doc, precision):
 
 
 def test_oracle_prime_beyond_the_stabilization_bound(tmp_path, capsys):
-    # m_q = 16 for q = 258280327 at p = 3, so its levels are (16, 17) and the
-    # order bound rejects n1 = 17; the rank formula needs no level
+    # m_q = 16 for q = 258280327 at p = 3, so its levels are (16, 17), where
+    # it splits into 2 * 3^16 primes: the size bound refuses that module; the
+    # rank formula needs no level
     cfg = write_config(tmp_path, {"p": 3, "S": [258280327], "lambda": {"table": {"all": 0}}})
     t0 = time.monotonic()
     assert main(["oracle", "--config", cfg]) == EXIT_CONFIG
     assert time.monotonic() - t0 < 1.0
     assert capsys.readouterr().err.strip() == (
-        "config error: oracle level n1 = 17 for q = 258280327: the level group has 2*3^17 elements,"
-        " above 100000"
+        "config error: oracle level n1 = 17 for q = 258280327: the module has 86093442*1 columns of 22 digits,"
+        " above 100000 digits"
     )
     assert main(["rank", "--config", cfg]) == EXIT_OK
     capsys.readouterr()
@@ -566,18 +569,17 @@ def test_oracle_with_an_empty_s_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "doc, flags, expected",
     [
-        ({"p": 3, "S": [7], "oracle_levels": [1, 14]}, [],
-         ["oracle level n1 = 14 for q = 7: the level group has 9565938 elements, above 100000"]),
+        # e_n > n, so n1 = 196 needs at least 201 digits, the first level past
+        # the digit bound; n1 = 10^9 is refused without forming p^n1
+        ({"p": 3, "S": [7], "oracle_levels": [1, 196]}, [],
+         ["oracle level n1 = 196 for q = 7: the module needs at least 201 digits, above 200"]),
         ({"p": 3, "S": [7]}, ["--levels", "1,1000000000"],
-         ["oracle level n1 = 1000000000 for q = 7: the level group has 2*3^1000000000 elements, "
-          "above 100000"]),
-        # on (5, 21; H = <8>) the q-quotient has tame degree 6 for q = 2 and 1
-        # for q = 7, so the level-11 groups have 6 * 4 * 5^11 and 4 * 5^11
-        # elements; every violation is named
-        ({"p": 5, "f": 21, "H": [8], "S": [2, 7], "oracle_levels": [0, 11]}, [],
+         ["oracle level n1 = 1000000000 for q = 7: the module needs at least 1000000005 digits, above 200"]),
+        # every violation is named
+        ({"p": 5, "f": 21, "H": [8], "S": [2, 7], "oracle_levels": [0, 196]}, [],
          ["oracle level n0 = 0 is below the stabilization level 1 of q = 7",
-          "oracle level n1 = 11 for q = 2: the level group has 1171875000 elements, above 100000",
-          "oracle level n1 = 11 for q = 7: the level group has 195312500 elements, above 100000"]),
+          "oracle level n1 = 196 for q = 2: the module needs at least 201 digits, above 200",
+          "oracle level n1 = 196 for q = 7: the module needs at least 201 digits, above 200"]),
     ],
 )
 def test_oracle_levels_are_bounded_before_a_module_is_built(tmp_path, capsys, doc, flags, expected):
@@ -588,13 +590,70 @@ def test_oracle_levels_are_bounded_before_a_module_is_built(tmp_path, capsys, do
     assert capsys.readouterr().err.splitlines() == [f"config error: {v}" for v in expected]
 
 
+def test_oracle_digit_bound_reads_the_exponent_below_stabilization(monkeypatch):
+    # below its stabilization level 16, q = 258280327 has e_10 = 17 > 10 + 1:
+    # the lower bound n1 + 1 passes a digit bound of 20, its exact 21 digits not
+    monkeypatch.setattr(tamerank.cli, "ORACLE_DIGIT_BOUND", 20)
+    assert _oversized(FieldSpec(3, 1), 258280327, 10) == (
+        "oracle level n1 = 10 for q = 258280327: the module needs 21 digits, above 20")
+
+
+@pytest.mark.parametrize(
+    "doc, flags, rows",
+    [
+        # each of these level groups has more elements than the 100000 of the
+        # order bound this module bound replaced: 9565938, 6 * 4 * 5^11 and
+        # 4 * 5^11, 12 * 13^10, and 486720 for q = 677 at its n1 = 2
+        ({"p": 3, "S": [7], "oracle_levels": [1, 14]}, [], 2),
+        ({"p": 5, "f": 21, "H": [8], "S": [2, 7], "oracle_levels": [1, 11]}, [], 32),
+        ({"p": 13, "S": [3]}, ["--levels", "1,10"], 12),
+        ({"p": 13, "f": 385, "S": [677]}, [], 1152),
+    ],
+)
+def test_oracle_answers_past_its_level_group(tmp_path, doc, flags, rows):
+    code, text = outcome(tmp_path, "oracle", {**doc, "lambda": {"table": {"all": 0}}}, flags, "oracle")
+    assert code == EXIT_OK
+    report = json.loads(text)
+    assert len(report["rows"]) == rows and all(row["pass"] for row in report["rows"])
+
+
+def test_oracle_ten_levels_up_is_small():
+    # 13^10 levels up the module still has 4 cosets; the cold unit group of
+    # (Z/13^11)^x is built inside the bound, its discrete logs included
+    unit_group.cache_clear()
+    tracemalloc.start()
+    t0 = time.monotonic()
+    try:
+        report = run(parse_config('{"p": 13, "S": [3], "oracle_levels": [1, 10]}'), "oracle")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - t0 < 1.0 and peak < 50 * 2 ** 20
+    assert report["all_pass"] and len(report["rows"]) == 12
+
+
+@pytest.mark.parametrize("S, expected", [
+    ([2], ["oracle on a field of 20010 characters, above 20000"]),
+    ([], ["oracle needs at least one prime in S", "oracle on a field of 20010 characters, above 20000"]),
+])
+def test_oracle_refuses_a_field_of_too_many_characters(tmp_path, capsys, S, expected):
+    # (Z/20011)^x has 20010 characters, and q = 2 splits into 3 primes at
+    # level 1: a module of 3 cosets, which does not bound the 20010 rows
+    cfg = write_config(tmp_path, {"p": 20011, "S": S})
+    t0 = time.monotonic()
+    assert main(["oracle", "--config", cfg]) == EXIT_CONFIG
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err.splitlines() == [f"config error: {v}" for v in expected]
+
+
 def test_oracle_bound_admits_the_benchmark_and_test_jobs(monkeypatch):
-    # the largest level group of an oracle-grid job (any seed gives the same
-    # groups) and the largest the fuzz test of main can draw: p = 7, f = 11,
-    # q = 19 at its default n1 = 3, 10 * 6 * 7^3 = 20580 elements
+    # the oracle-grid jobs (any seed gives the same modules) and the largest
+    # module the fuzz test of main can draw: p = 7, f = 11, q = 19 at its
+    # default n1 = 3, 98 * 4 columns of 8 digits
     workloads = load_benchmark_module("workloads", monkeypatch)
     for _, doc in workloads.generate("oracle-grid", 0):
         job = parse_config(doc)
+        assert job.field.group_order <= tamerank.cli.ORACLE_CHARACTER_BOUND
         for q in job.S:
             n1 = job.oracle_levels[1] if job.oracle_levels else stabilization_level(job.field, q) + 1
             assert _oversized(job.field, q, n1) is None, doc

@@ -23,6 +23,7 @@ from tamerank.characters import (
     FieldSpec,
     class_representatives,
     enumerate_characters,
+    field_characters,
     omega,
     trivial_character,
 )
@@ -33,10 +34,11 @@ from tamerank.frobenius import (
     splitting_count,
     stabilization_level,
 )
+import tamerank.frobenius as frobenius
 import tamerank.localring as localring
 import tamerank.residue as residue
 from tamerank.arith import smallest_primitive_root, split_prime_part, teichmuller_residue, unit_group
-from tamerank.cli import parse_config
+from tamerank.cli import parse_config, run
 from tamerank.errors import InvariantViolationError
 from tamerank.localring import cyclotomic_poly, local_ring
 from tamerank.residue import (
@@ -426,17 +428,50 @@ def test_structural_cosets_match_the_element_walk_on_oracle_grid(monkeypatch):
                 _assert_matches_element_walk(m)
 
 
-@pytest.mark.parametrize("n", [10, 12])
-def test_module_work_follows_its_cosets_not_its_group(n):
-    # the level group has 2 * 3^n elements (118098 at n = 10), the module 2 cosets
-    unit_group(3 ** (n + 1))
+@pytest.mark.parametrize("p, q, n, cosets", [
+    pytest.param(3, 7, 10, 2, id="10"),
+    pytest.param(3, 7, 12, 2, id="12"),
+    pytest.param(13, 3, 10, 4, id="13-3-10"),
+])
+def test_module_work_follows_its_cosets_not_its_group(p, q, n, cosets):
+    # the level group has (p - 1) p^n elements (118098 for p = 3 at n = 10,
+    # 12 * 13^10 for p = 13), the module 2 or 4 cosets; the unit group of
+    # (Z/p^{n+1})^x starts cold, so the bound covers its discrete logs
+    unit_group.cache_clear()
     tracemalloc.start()
     try:
-        m = residue_module(FieldSpec(3, 1), 7, n)
+        m = residue_module(FieldSpec(p, 1), q, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert m.num_cosets == 2 and peak < 2 ** 20
+    assert m.num_cosets == cosets and peak < 2 ** 20
+
+
+def test_oracle_builds_each_tame_record_once(monkeypatch):
+    # two primes at two levels each: each q's tame quotient, its order of q
+    # and its class table are built once, for the bound check, the
+    # stabilization level and both levels' splitting counts and modules;
+    # each forest looks up one local ring per character order
+    counts = {"quotient": 0, "order": 0, "least": 0, "rings": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(FieldSpec, "tame_quotient", counted("quotient", FieldSpec.tame_quotient))
+    monkeypatch.setattr(frobenius, "_order_in_tame_quotient",
+                        counted("order", frobenius._order_in_tame_quotient))
+    monkeypatch.setattr(residue, "_least_in_class", counted("least", residue._least_in_class))
+    monkeypatch.setattr(residue, "local_ring", counted("rings", residue.local_ring))
+    job = parse_config('{"p": 5, "f": 7, "S": [2, 3], "lambda": {"table": {"all": 0}}}')
+    report = run(job, "oracle")
+    reps = [cl[0] for cl in field_characters(job.field)[1]]
+    assert report["all_pass"] and {row["q"] for row in report["rows"]} == {2, 3}
+    orders = len({chi.order for chi in reps})
+    assert orders < len(reps)
+    assert counts == {"quotient": 2, "order": 2, "least": 2, "rings": 2 * 2 * orders}
 
 
 def test_structural_checks_raise_on_corrupted_inputs(monkeypatch):

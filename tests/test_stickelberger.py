@@ -440,6 +440,31 @@ def test_lambda_job_builds_each_table_once(monkeypatch):
     assert sorted(built) == [(1, 7, 1), (1, 7, 2), (13, 7, 1), (13, 7, 2)]
 
 
+def test_lambda_job_packs_each_levels_steps_once(monkeypatch):
+    # the tables of f' = 1 and f' = 13 share the steps (1+7)^j of a level;
+    # each table widens them to its own slots, (13, 7, 2) to two words from one
+    packed = []
+
+    def counted(p, n):
+        packed.append((p, n))
+        return pack(p, n)
+
+    pack = stickelberger._packed_steps
+    monkeypatch.setattr(stickelberger, "_packed_steps", counted)
+    monkeypatch.setattr(stickelberger, "_TABLES", stickelberger._TableCache())
+    run(parse_config('{"p": 7, "f": 13}'), "lambda")
+    assert sorted(packed) == [(7, 1), (7, 2)]
+    assert stickelberger._TABLES.get(13, 7, 2) == residue_table_by_cells(13, 7, 2)
+
+
+def test_widen_moves_every_slot_whole():
+    values = [0, 1, 2 ** W - 1, 2 ** (2 * W) - 1, 12345]
+    for words, wider in [(1, 1), (1, 3), (2, 3), (2, 5)]:
+        narrow = stickelberger._pack([v % 2 ** (W * words) for v in values], words)
+        assert stickelberger._widen(narrow, len(values), words, wider) == stickelberger._pack(
+            [v % 2 ** (W * words) for v in values], wider)
+
+
 def test_series_builds_only_its_own_level(monkeypatch):
     # the character side takes its units from _table_units, not from a table
     built = []
