@@ -73,10 +73,6 @@ class RootOfUnity(FrozenValue):
         object.__setattr__(self, "k", k % order // g)
         object.__setattr__(self, "order", order // g)
 
-    @property
-    def is_one(self) -> bool:
-        return self.k == 0
-
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         n = math.lcm(self.order, other.order)
         return RootOfUnity(self.k * (n // self.order) + other.k * (n // other.order), n)
@@ -92,13 +88,6 @@ class RootOfUnity(FrozenValue):
         if order % self.order:
             raise ValueError(f"order {self.order} does not divide {order}")
         return self.k * (order // self.order)
-
-    def p_power_part(self, p: int) -> "RootOfUnity":
-        a, n = split_prime_part(self.order, p)
-        if a == 0:
-            return ONE
-        # CRT split of the exponent: kill the prime-to-p component
-        return self ** (n * pow(n, -1, p ** a))
 
     def order_is_p_power(self, p: int) -> bool:
         return split_prime_part(self.order, p)[1] == 1

@@ -9,7 +9,7 @@ Exit codes:
      test is exact only below it), an oracle job with an empty S, an oracle
      level n0 below the stabilization level of a prime in S, an oracle level
      n1 whose module for some q in S holds more than ORACLE_MODULE_BOUND =
-     100000 digits (r_n1 d columns of e_n1 + SNF_GUARD_DIGITS digits) or
+     100000 digits (r_n1 d columns of e_n1 + VALUATION_GUARD_DIGITS digits) or
      reads more than ORACLE_DIGIT_BOUND = 200 digits per column, an oracle
      job on a field of more than ORACLE_CHARACTER_BOUND = 20000 characters,
      an unwritable --out, or a closed standard output
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .frobenius import admissible, m_index, splitting_count, stabilization_level
 from .rank import LambdaProvider, rank_total
-from .residue import SNF_GUARD_DIGITS, quotient_growth, residue_module
+from .residue import VALUATION_GUARD_DIGITS, quotient_growth, residue_module
 from .stickelberger import lambda_minus
 
 SCHEMA_VERSION = "1"
@@ -56,14 +56,14 @@ EXIT_INVARIANT = 6
 
 # The oracle's level-n1 module for q has r_n1 cosets, and a character's
 # presentation on it r_n1 d columns, d = dim O_chi, each read mod
-# p^(e_n1 + SNF_GUARD_DIGITS).  Its size, columns times digits, bounds the work
-# of the coset tables, the walk and the relations.  The digits also have a
-# bound of their own: the discrete logs in (Z/p^(n1+1))^x and the Teichmueller
-# lifts take time near their square.  d is taken as the dimension for the
-# exponent of (Z/fp)^x, which no character of the field exceeds.  The largest
-# module of a benchmark or test job has 624*4 columns of 7 digits (p = 13,
-# f = 385, q = 677 at n1 = 2), and the most digits are 19 (p = 3, q = 7 at
-# n1 = 14).
+# p^(e_n1 + VALUATION_GUARD_DIGITS).  Its size, columns times digits, bounds
+# the work of the coset tables, the walk and the relations.  The digits also
+# have a bound of their own: the discrete logs in (Z/p^(n1+1))^x and the
+# Teichmueller lifts take time near their square.  d is taken as the dimension
+# for the exponent of (Z/fp)^x, which no character of the field exceeds.  The
+# largest module of a benchmark or test job has 624*4 columns of 7 digits
+# (p = 13, f = 385, q = 677 at n1 = 2), and the most digits are 19 (p = 3,
+# q = 7 at n1 = 14).
 ORACLE_MODULE_BOUND = 100_000
 ORACLE_DIGIT_BOUND = 200
 # The oracle evaluates every class of the field's |G| characters on every
@@ -238,13 +238,13 @@ def run_rank(job: JobConfig) -> dict:
 
 def _oversized(field: FieldSpec, q: int, n: int) -> Optional[str]:
     """Why the oracle's level-n module for q is too large to build, or None.
-    As e_n > n, an n with n + 1 + SNF_GUARD_DIGITS digits over the digit
+    As e_n > n, an n with n + 1 + VALUATION_GUARD_DIGITS digits over the digit
     bound is refused before p^n is formed."""
     where = f"oracle level n1 = {n} for q = {q}: the module"
-    if n + 1 + SNF_GUARD_DIGITS > ORACLE_DIGIT_BOUND:
-        return f"{where} needs at least {n + 1 + SNF_GUARD_DIGITS} digits, above {ORACLE_DIGIT_BOUND}"
+    if n + 1 + VALUATION_GUARD_DIGITS > ORACLE_DIGIT_BOUND:
+        return f"{where} needs at least {n + 1 + VALUATION_GUARD_DIGITS} digits, above {ORACLE_DIGIT_BOUND}"
     data = splitting_count(field, q, n)
-    digits = data.p_exponent + SNF_GUARD_DIGITS
+    digits = data.p_exponent + VALUATION_GUARD_DIGITS
     if digits > ORACLE_DIGIT_BOUND:
         return f"{where} needs {digits} digits, above {ORACLE_DIGIT_BOUND}"
     d = _local_degree(math.lcm(*unit_group(field.f * field.p).orders), field.p)

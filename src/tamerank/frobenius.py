@@ -134,23 +134,21 @@ def _order_in_tame_quotient(a: int, quotient: FieldSpec) -> int:
 class TameData:
     """What a field's q-level groups share at every level: the tame quotient
     A = (Z/f_q)^x / H_q with inertia at q removed, its order `degree`, and
-    the `order` of q in it.  `levels` keeps each level's SplittingData, and
-    `orbits` is residue's partition of A into <q>-orbits, None until a
-    residue module has built and checked it."""
+    the `order` of q in it.  `orbits` is residue's partition of A into
+    <q>-orbits, None until a residue module has built and checked it."""
 
-    __slots__ = ("quotient", "degree", "order", "levels", "orbits")
+    __slots__ = ("quotient", "degree", "order", "orbits")
 
     def __init__(self, quotient: FieldSpec, q: int):
         self.quotient = quotient
         self.degree = quotient.tame_degree()
         self.order = _order_in_tame_quotient(q, quotient)
-        self.levels = {}
         self.orbits = None
 
 
 def tame_data(field: FieldSpec, q: int) -> TameData:
     """q's TameData, built on the field's first request and kept on it, so
-    the oracle's bound, the stabilization level and both levels' splitting
+    the oracle's bound, the stabilization level and every level's splitting
     counts and residue modules read one record."""
     record = field.tame_records.get(q)
     if record is None:
@@ -161,13 +159,10 @@ def tame_data(field: FieldSpec, q: int) -> TameData:
 def splitting_count(field: FieldSpec, q: int, n: int) -> SplittingData:
     """(f_n, r_n, e_n) for q at level n, computed in the inertia quotient:
     residue degree, number of primes, and the exponent of the p-part of the
-    residue field's unit group.  Kept on q's tame record, so the oracle's
-    bound and its module read one answer."""
+    residue field's unit group, from q's tame record."""
     p = field.p
     m = m_index(q, p)
     tame = tame_data(field, q)
-    if n in tame.levels:
-        return tame.levels[n]
     pn1 = p ** (n + 1)
     e_wild = mul_order(q, pn1)
     f_n = math.lcm(tame.order, e_wild)
@@ -178,8 +173,7 @@ def splitting_count(field: FieldSpec, q: int, n: int) -> SplittingData:
     # v_p(q^{f_n} - 1) via lifting the exponent: the prime-to-p part of f_n
     # contributes v_p(q^{d} - 1) = m_q + 1, the p-part adds v_p(f_n).
     e_n = m + 1 + split_prime_part(f_n, p)[0]
-    tame.levels[n] = data = SplittingData(f_n, r_n, e_n)
-    return data
+    return SplittingData(f_n, r_n, e_n)
 
 
 def stabilization_level(field: FieldSpec, q: int) -> int:

@@ -291,7 +291,6 @@ class LocalCoefficientRing:
         self.dim = self.d0 * self.w
         self._xpow = [(1,) + (0,) * (self.d0 - 1)]
         self._ypow = [[1] + [0] * (self.w - 1)]
-        self._cache = {}
 
     def _factor_powers(self, k: int) -> tuple:
         """(zeta_{n0}^k, y^k) as vectors, appending to the contiguous memos."""
@@ -304,15 +303,12 @@ class LocalCoefficientRing:
         return xs[i], ys[j]
 
     def zeta_matrix(self, k: int) -> list:
-        """Multiplication by zeta_m^k on the basis.  It and `root_matrix`
-        serve the tests' dense chi-quotient presentation, and
+        """Multiplication by zeta_m^k on the basis, built on each call.  It and
+        `root_matrix` serve the tests' dense chi-quotient presentation, and
         `benchmarks/tracer.py` counts `root_matrix` calls."""
-        k %= self.m
-        if k not in self._cache:
-            xv, yv = self._factor_powers(k)
-            self._cache[k] = _kron(_multiplication_matrix(xv, self._g, self.mod),
-                                   _multiplication_matrix(yv, self._phi, self.mod), self.mod)
-        return self._cache[k]
+        xv, yv = self._factor_powers(k % self.m)
+        return _kron(_multiplication_matrix(xv, self._g, self.mod),
+                     _multiplication_matrix(yv, self._phi, self.mod), self.mod)
 
     def root_matrix(self, root: RootOfUnity) -> list:
         if self.m % root.order:

@@ -51,9 +51,9 @@ from .errors import InvariantViolationError, OracleInconsistencyError
 from .frobenius import splitting_count, tame_data
 from .localring import local_ring
 
-# chi-quotients are read mod p^(e_n + SNF_GUARD_DIGITS): a valuation below
-# w (e_n + 4) is exact there, and an orbit reads at most w e_n
-SNF_GUARD_DIGITS = 4
+# chi-quotients are read mod p^(e_n + VALUATION_GUARD_DIGITS): a valuation
+# below w (e_n + 4) is exact there, and an orbit reads at most w e_n
+VALUATION_GUARD_DIGITS = 4
 
 
 class ResidueModule:
@@ -186,18 +186,16 @@ class _Forest:
     number of coset orbits that have it; n counts each generator's edges mod
     its order, since chi(point_g)^{ord_g} = 1.  `valuations` maps each
     (m, u, b) that a character has read to v_pi(1 - u zeta_m^b) in the ring
-    of order m, and `rings` each character order m to that ring, so
-    characters of one module share both."""
+    of order m, so characters of one module share them."""
 
-    __slots__ = ("points", "orders", "orbits", "valuations", "rings")
+    __slots__ = ("points", "orders", "orbits", "valuations")
 
     def __init__(self, module: ResidueModule, part: Optional[str]):
         p = module.field.p
-        modulus = p ** (module.e_exp + SNF_GUARD_DIGITS)
+        modulus = p ** (module.e_exp + VALUATION_GUARD_DIGITS)
         self.points = tuple(point for point, _ in module.gen_actions)
         self.orders = orders = unit_group(module.field.f * p).orders
         self.valuations = {}
-        self.rings = {}
         qinv = pow(module.q, -1, modulus)
         # t -> q^{-t} for the t the walk meets, at most one per edge: the
         # residue degree that bounds t grows like p^n, the module does not
@@ -283,9 +281,7 @@ def chi_quotient_order(
     if forest is None:
         forest = module.forests[part] = _Forest(module, part)
     e = module.e_exp
-    ring = forest.rings.get(chi.order)
-    if ring is None:
-        ring = forest.rings[chi.order] = local_ring(chi.order, module.field.p, e + SNF_GUARD_DIGITS)
+    ring = local_ring(chi.order, module.field.p, e + VALUATION_GUARD_DIGITS)
     d, m = ring.dim, ring.m
     a = chi.exponents_at(forest.points)  # chi(point_g) = zeta_m^{a_g}, as m = chi.order
 

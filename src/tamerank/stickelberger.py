@@ -60,7 +60,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import NamedTuple, Optional, Tuple
@@ -166,42 +165,15 @@ def _table_units(fprime: int, p: int) -> tuple:
     return tuple(r for r in range(1, (fprime * p + 1) // 2) if math.gcd(r, fprime * p) == 1)
 
 
-def _step_words(p: int, n: int) -> int:
-    """The fewest WORD_BITS-bit words that hold a residue mod p^{n+1}."""
-    return -(-(p ** (n + 1) - 1).bit_length() // WORD_BITS)
-
-
-def _packed_steps(p: int, n: int) -> int:
-    """The steps u_j = (1+p)^j mod p^{n+1}, j in Z/p^n, packed in slots of
-    _step_words(p, n) words."""
-    pn1 = p ** (n + 1)
-    steps = [1]
-    for _ in range(p ** n - 1):
-        steps.append(steps[-1] * (1 + p) % pn1)
-    return _pack(steps, _step_words(p, n))
-
-
-def _widen(x: int, count: int, words: int, wider: int) -> int:
-    """x, packed in `count` slots of `words` words, repacked in slots of
-    `wider` >= words words: byte b of each slot moves as one strided slice."""
-    if wider == words:
-        return x
-    narrow, wide = WORD_BITS // 8 * words, WORD_BITS // 8 * wider
-    data, out = x.to_bytes(narrow * count, "little"), bytearray(wide * count)
-    for b in range(narrow):
-        out[b::wide] = data[b::narrow]
-    return int.from_bytes(out, "little")
-
-
 def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
     """Each column as a whole int.  By CRT, a = (r mod f') e_f + omega(r) u_j
     e_p mod M = f' p^{n+1}, with u_j = (1+p)^j mod p^{n+1}, and a is never 0,
     so 2(M - a) = -2a mod 2M: the column of r is X = B ONES + T U reduced mod
     2M slot by slot, with B = -2 (r mod f') e_f and T = -2 omega(r) e_p mod
-    2M and U the packed u_j, which the tables of every f' share.  Every slot
-    x of X is at most x_max = (2M - 1) p^{n+1}, so _barrett's quotient
-    floor(x m / 2^k) is exactly floor(x / 2M), and _slot_words keeps x_max m
-    below 2^S, so it sits in the low S - k bits of slot j of X m / 2^k."""
+    2M and U the packed u_j.  Every slot x of X is at most x_max = (2M - 1)
+    p^{n+1}, so _barrett's quotient floor(x m / 2^k) is exactly floor(x /
+    2M), and _slot_words keeps x_max m below 2^S, so it sits in the low S - k
+    bits of slot j of X m / 2^k."""
     pn1 = p ** (n + 1)
     M = fprime * pn1
     M2 = 2 * M
@@ -214,8 +186,10 @@ def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
     e_p = 2 * fprime * pow(fprime, -1, pn1)  # 0 mod f', 2 mod p^{n+1}
     # T of each r, by r mod p
     teich = [0] + [-teichmuller_residue(t, p, n + 1) * e_p % M2 for t in range(1, p)]
-    steps = _widen(_TABLES.steps(p, n), p ** n, _step_words(p, n), words)
-    ones = _ones(p ** n, words)
+    steps = [1]  # u_j, j in Z/p^n
+    for _ in range(p ** n - 1):
+        steps.append(steps[-1] * (1 + p) % pn1)
+    steps, ones = _pack(steps, words), _ones(p ** n, words)
     mask = ((1 << WORD_BITS * words - k) - 1) * ones
     columns = []
     for r in units:
@@ -225,10 +199,10 @@ def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
 
 
 class _TableCache:
-    """Residue tables, their packed steps, binomial rows, the table units'
-    discrete logs and the scaled zeta vectors of one prime, each built on
-    first use.  Every character of a field shares its p, so a request for
-    another prime starts a new working set and drops the old one."""
+    """Residue tables, the table units' discrete logs and the scaled zeta
+    vectors of one prime, each built on first use.  Every character of a
+    field shares its p, so a request for another prime starts a new working
+    set and drops the old one."""
 
     def __init__(self):
         self.p = None
@@ -244,10 +218,6 @@ class _TableCache:
     def get(self, fprime: int, p: int, n: int) -> ResidueTable:
         return self._entry(p, ("table", fprime, n), lambda: _residue_table(fprime, p, n))
 
-    def steps(self, p: int, n: int) -> int:
-        """_packed_steps(p, n), shared by the level-n tables of every f'."""
-        return self._entry(p, ("steps", n), lambda: _packed_steps(p, n))
-
     def scaled_zeta(self, order: int, fprime: int, p: int, digits: int) -> dict:
         """k -> zeta_order^k / f' mod p^digits as a coordinate vector, filled
         by _character_columns for the k its characters read."""
@@ -258,12 +228,6 @@ class _TableCache:
         dlog = unit_group(conductor).dlog
         return self._entry(p, ("logs", conductor, fprime),
                            lambda: tuple(dlog(r % conductor) for r in _table_units(fprime, p)))
-
-    def binomials(self, p: int, n: int, i: int) -> list:
-        """binom(j, i) mod p^DEFAULT_PRECISION for j in Z/p^n."""
-        modN = p ** DEFAULT_PRECISION
-        return self._entry(p, ("binomials", n, i),
-                           lambda: [math.comb(j, i) % modN for j in range(p ** n)])
 
 
 _TABLES = _TableCache()
@@ -344,7 +308,7 @@ class StickelbergerSeries:
         """Coefficient of T^i: sum_j binom(j, i) * bucket_j, column by column
         (binom(j, i) = 0 for j < i, so i >= length gives the zero vector)."""
         modN = self.chi.p ** self.precision
-        combs = _TABLES.binomials(self.chi.p, self.level, i)
+        combs = [math.comb(j, i) % modN for j in range(self.length)]
         return [sum(map(mul, combs, col)) % modN for col in self.bucket_columns]
 
     def is_unit_coefficient(self, i: int) -> bool:
@@ -416,9 +380,10 @@ def lambda_minus(chi: DirichletCharacter) -> LambdaResult:
 class BernoulliB1(FrozenValue):
     """Exact generalized Bernoulli number B_{1,chi} in Q(zeta_ord(chi)).
 
-    Stored as Fractions on the power basis of the full cyclotomic polynomial;
-    p-adic valuation is read in the same pinned local ring the series
-    machinery uses (integer floor in the ramified case).
+    Stored as integer coordinates on the power basis of the full cyclotomic
+    polynomial, over the denominator f = chi.conductor; p-adic valuation is
+    read in the same pinned local ring the series machinery uses (integer
+    floor in the ramified case).
     """
 
     __slots__ = _fields = ("chi", "coordinates")
@@ -427,33 +392,24 @@ class BernoulliB1(FrozenValue):
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "coordinates", coordinates)
 
-    @property
-    def rational(self) -> Fraction:
-        if len(self.coordinates) != 1:
-            raise ValueError("value is not rational")
-        return self.coordinates[0]
-
     def p_valuation(self) -> int:
+        """The least v_p of the coordinates of f B_{1,chi}, less v_p(f).  The
+        coordinates are read mod p^K with K = 12 + v_p(f), so a B_{1,chi} of
+        valuation 12 or more raises PrecisionError."""
         p = self.chi.p
-        den = 1
-        for c in self.coordinates:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        vden, d = split_prime_part(den, p)
-        K = 12 + vden
+        vf = split_prime_part(self.chi.conductor, p)[0]
+        K = 12 + vf
         ring = local_ring(self.chi.order, p, K)
         modK = ring.mod
-        inv_prime_part = pow(d, -1, modK)
         img = [0] * ring.dim
         for i, c in enumerate(self.coordinates):
-            num = c.numerator * (den // c.denominator)
-            scaled = num * inv_prime_part % modK
             zv = ring.zeta_vector(i)
             for t in range(ring.dim):
-                img[t] = (img[t] + scaled * zv[t]) % modK
+                img[t] = (img[t] + c * zv[t]) % modK
         vnum = min(K if k == 0 else split_prime_part(k, p)[0] for k in img)
         if vnum >= K:
             raise PrecisionError("B1 vanished to working precision")
-        return vnum - vden
+        return vnum - vf
 
 
 def bernoulli_b1(chi: DirichletCharacter) -> BernoulliB1:
@@ -461,10 +417,10 @@ def bernoulli_b1(chi: DirichletCharacter) -> BernoulliB1:
 
     The independent check of lambda_minus: for odd chi != omega, lambda >= 1
     exactly when p divides B_{1,chi^{-1}}.  It builds no series: it sums
-    over one period of chi."""
+    over one period of chi, and keeps the sum's remainder mod Phi_m, whose
+    integer coordinates are f B_{1,chi}."""
     if not chi.is_odd:
         raise ValueError("B_{1,chi} vanishes for even chi; rejected")
-    f = chi.conductor
     m = chi.order
     buckets = [0] * m
     for a, k in enumerate(chi.value_exponents()):
@@ -473,6 +429,4 @@ def bernoulli_b1(chi: DirichletCharacter) -> BernoulliB1:
     phi_m = list(cyclotomic_poly(m))
     _, rem = _pdivmod_exact(buckets, phi_m)
     width = len(phi_m) - 1
-    rem = rem + [0] * (width - len(rem))
-    coords = tuple(Fraction(c, f) for c in rem)
-    return BernoulliB1(chi, coords)
+    return BernoulliB1(chi, tuple(rem + [0] * (width - len(rem))))

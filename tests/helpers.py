@@ -4,7 +4,8 @@ Frobenius profile with its ramification test, the element-walk level group
 norm-reduction check of the residue modules, the dense chi-quotient
 presentation with the Smith reduction that counts it, the direct per-character Stickelberger buckets, the
 complex-embedding oracle for lcm degrees, the rational-tower prime count and
-rank, the two-level rank estimate, the RootOfUnity oracles of sigma0_ok,
+rank, the two-level rank estimate, the RootOfUnity predicate `is_one` and
+p-part `p_power_part`, the RootOfUnity oracles of sigma0_ok,
 sigma_p_value and compose, the search oracles for the unit behind
 sigma_p and for the stabilization level, the discrete log by trying every
 power, and a read-only loader for the benchmark's modules, the conjugacy
@@ -30,7 +31,7 @@ from tamerank.arith import (
     teichmuller_residue,
     unit_group,
 )
-from tamerank.characters import FieldSpec, _primitive, omega
+from tamerank.characters import ONE, FieldSpec, RootOfUnity, _primitive, omega
 from tamerank.frobenius import (
     admissible,
     inertia_trivial,
@@ -41,7 +42,7 @@ from tamerank.frobenius import (
 from tamerank.errors import InvariantViolationError
 from tamerank.localring import local_ring
 from tamerank.rank import _validate_s
-from tamerank.residue import SNF_GUARD_DIGITS, quotient_growth, residue_module
+from tamerank.residue import VALUATION_GUARD_DIGITS, quotient_growth, residue_module
 from tamerank.stickelberger import ResidueTable, _pack, _slot_words, _table_units
 
 
@@ -55,6 +56,19 @@ def load_benchmark_module(name: str, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def is_one(z: RootOfUnity) -> bool:
+    return z.k == 0
+
+
+def p_power_part(z: RootOfUnity, p: int) -> RootOfUnity:
+    """The p-power-order part of z: for z of order p^a n with p not dividing
+    n, the CRT split of the exponent kills the prime-to-p component."""
+    a, n = split_prime_part(z.order, p)
+    if a == 0:
+        return ONE
+    return z ** (n * pow(n, -1, p ** a))
 
 
 def random_prime_sets(p: int, count: int, seed: int, pool_bound: int = 200) -> list:
@@ -222,7 +236,7 @@ def dense_chi_quotient_order(module, chi, part=None) -> int:
     +-part if asked, and p^e on every column, reduced as one Smith block."""
     p = module.field.p
     e = module.e_exp
-    K = e + SNF_GUARD_DIGITS
+    K = e + VALUATION_GUARD_DIGITS
     mod = p ** K
     ring = local_ring(chi.order, p, K)
     d = ring.dim
@@ -320,8 +334,8 @@ def sigma_p_value_oracle(chi, q: int):
     p = chi.p
     if not inertia_trivial(chi, q):
         raise ValueError("chi is ramified at q")
-    zp = chi.value(q).inverse().p_power_part(p)
-    if zp.is_one:
+    zp = p_power_part(chi.value(q).inverse(), p)
+    if is_one(zp):
         return zp
     a = split_prime_part(zp.order, p)[0]
     m = m_index(q, p)

@@ -1,16 +1,17 @@
 """The runtime is exact and standard-library only: every module of the package
 is parsed, and no float literal, true division, float() call or cmath import
 may appear, nor any absolute import outside a fixed standard-library list.
-Importing the package loads no dataclass machinery.  Only the job layer
-(cli.py and rank.py) raises ConfigError.  Every module-level function and
-class is exported or used by the package itself, save a named few that a
-caller outside it keeps."""
+Importing the package loads no dataclass machinery and no fractions.  Only
+the job layer (cli.py and rank.py) raises ConfigError.  Every module-level
+function and class, and every method and property, is exported or used by
+the package itself, save a named few that a caller outside it keeps."""
 
 import ast
 import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ SOURCES = sorted((ROOT / "src" / "tamerank").glob("*.py"))
 SOURCES_BY_NAME = {path.name: path for path in SOURCES}
 
 STDLIB_ALLOWED = {
-    "__future__", "argparse", "array", "fractions", "functools",
+    "__future__", "argparse", "array", "functools",
     "itertools", "json", "math", "operator", "sys", "typing",
 }
 
@@ -74,9 +75,10 @@ def test_module_is_float_free_and_stdlib_only(path):
     assert offences(ast.parse(path.read_text(), filename=str(path))) == []
 
 
-# `dataclasses` loads inspect, which loads ast, dis and tokenize: a cost paid
-# at every worker's start, before any decorator runs
-IMPORT_FORBIDDEN = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# `dataclasses` loads inspect, which loads ast, dis and tokenize, and
+# `fractions` loads decimal: a cost paid at every start of the CLI, before
+# any job runs
+IMPORT_FORBIDDEN = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
 
 
 def test_import_loads_no_dataclass_machinery():
@@ -95,24 +97,44 @@ def test_guard_catches_each_offence():
     assert len(found) == 6, found
 
 
-# module-level functions and classes that the package neither exports nor
-# uses, each with the caller outside it that keeps it
-OUTSIDE_CALLERS = {"class_representatives": "benchmarks/checks.py"}
+# module-level functions and classes, methods and properties that the package
+# neither exports nor uses, each with the caller outside it that keeps it
+OUTSIDE_CALLERS = {
+    "class_representatives": "benchmarks/checks.py",
+    "inverse": "benchmarks/checks.py",
+    "p_valuation": "benchmarks/checks.py",
+    "root_matrix": "benchmarks/tracer.py",
+}
+
+
+def _uses(node: ast.AST) -> Counter:
+    """How often each name occurs in node, as a variable or an attribute."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
 
 
 def unused_definitions(trees: dict) -> set:
     """(module, name) of each module-level function or class of the modules
     (file name -> tree) that `__init__.py` does not export and that no other
-    top-level statement of the package names, as a variable or an attribute."""
+    top-level statement of the package names, as a variable or an attribute;
+    and of each method or property of a module-level class, dunders aside,
+    whose name nothing in the package names outside its own definition.
+
+    Both match by name, not by binding.  So the one entry `inverse` keeps
+    `DirichletCharacter.inverse`, which benchmarks/checks.py calls, and
+    `RootOfUnity.inverse` rides on it; a use of either would keep both."""
     exports = {alias.asname or alias.name for node in trees["__init__.py"].body
                if isinstance(node, ast.ImportFrom) for alias in node.names}
     statements = [stmt for tree in trees.values() for stmt in tree.body]
-    names = [{node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
-             | {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
-             for stmt in statements]
-    return {(module, stmt.name) for module, tree in trees.items() for stmt in tree.body
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in exports
-            and not any(stmt.name in used for other, used in zip(statements, names) if other is not stmt)}
+    names = [_uses(stmt) for stmt in statements]
+    unused = {(module, stmt.name) for module, tree in trees.items() for stmt in tree.body
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in exports
+              and not any(stmt.name in used for other, used in zip(statements, names) if other is not stmt)}
+    everywhere = sum(names, Counter())
+    return unused | {(module, method.name) for module, tree in trees.items() for stmt in tree.body
+                     if isinstance(stmt, ast.ClassDef) for method in stmt.body
+                     if isinstance(method, ast.FunctionDef) and not method.name.startswith("__")
+                     and everywhere[method.name] == _uses(method)[method.name]}
 
 
 def package_trees() -> dict:
@@ -131,6 +153,12 @@ def test_dead_code_guard_catches_unused_helpers():
 
     planted = appended("arith.py", "def _planted(n):\n    return _planted(n - 1) if n else 0\n")
     assert ("arith.py", "_planted") in unused_definitions(planted)
+    # a method that only calls itself, on a class the package uses
+    trees = package_trees()
+    ring = next(stmt for stmt in trees["localring.py"].body
+                if isinstance(stmt, ast.ClassDef) and stmt.name == "LocalCoefficientRing")
+    ring.body += ast.parse("def _planted(self, n):\n    return self._planted(n - 1) if n else 0\n").body
+    assert ("localring.py", "_planted") in unused_definitions(trees)
     # the Smith reduction that only the tests' dense oracle uses
     left = appended("residue.py", inspect.getsource(_snf_exponent))
     assert ("residue.py", "_snf_exponent") in unused_definitions(left)

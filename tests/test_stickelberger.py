@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 from array import array
@@ -83,7 +82,7 @@ def test_lambda_level_insensitive():
 def test_bernoulli_quadratic_conductor_3():
     chi = omega(3)  # the odd quadratic character mod 3
     b = bernoulli_b1(chi)
-    assert b.rational == Fraction(-1, 3)
+    assert b.coordinates == (-1,) and b.chi.conductor == 3  # B_{1,chi} = -1/3
     assert b.p_valuation() == -1
 
 
@@ -438,31 +437,9 @@ def test_lambda_job_builds_each_table_once(monkeypatch):
     job = parse_config('{"p": 7, "f": 13}')
     run(job, "lambda")
     assert sorted(built) == [(1, 7, 1), (1, 7, 2), (13, 7, 1), (13, 7, 2)]
-
-
-def test_lambda_job_packs_each_levels_steps_once(monkeypatch):
-    # the tables of f' = 1 and f' = 13 share the steps (1+7)^j of a level;
-    # each table widens them to its own slots, (13, 7, 2) to two words from one
-    packed = []
-
-    def counted(p, n):
-        packed.append((p, n))
-        return pack(p, n)
-
-    pack = stickelberger._packed_steps
-    monkeypatch.setattr(stickelberger, "_packed_steps", counted)
-    monkeypatch.setattr(stickelberger, "_TABLES", stickelberger._TableCache())
-    run(parse_config('{"p": 7, "f": 13}'), "lambda")
-    assert sorted(packed) == [(7, 1), (7, 2)]
-    assert stickelberger._TABLES.get(13, 7, 2) == residue_table_by_cells(13, 7, 2)
-
-
-def test_widen_moves_every_slot_whole():
-    values = [0, 1, 2 ** W - 1, 2 ** (2 * W) - 1, 12345]
-    for words, wider in [(1, 1), (1, 3), (2, 3), (2, 5)]:
-        narrow = stickelberger._pack([v % 2 ** (W * words) for v in values], words)
-        assert stickelberger._widen(narrow, len(values), words, wider) == stickelberger._pack(
-            [v % 2 ** (W * words) for v in values], wider)
+    # (13, 7, 2) has two-word slots, the others one
+    for key in built:
+        assert stickelberger._TABLES.get(*key) == residue_table_by_cells(*key)
 
 
 def test_series_builds_only_its_own_level(monkeypatch):

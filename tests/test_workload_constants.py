@@ -9,7 +9,7 @@ from tamerank.frobenius import m_index
 
 def test_guard_digits_match(monkeypatch):
     workloads = load_benchmark_module("workloads", monkeypatch)
-    assert workloads.SNF_GUARD_DIGITS == tamerank.residue.SNF_GUARD_DIGITS
+    assert workloads.SNF_GUARD_DIGITS == tamerank.residue.VALUATION_GUARD_DIGITS
 
 
 def test_m_index_matches(monkeypatch):
