@@ -23,7 +23,6 @@ Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -397,6 +396,7 @@ def _emit(report: dict, out: Optional[str]) -> None:
 
 
 def main(argv: Optional[list] = None) -> int:
+    import argparse  # here, so that workers and library users never load it
     parser = argparse.ArgumentParser(
         prog="tamerank",
         description="Ranks of chi-quotients of tamely ramified Iwasawa modules",

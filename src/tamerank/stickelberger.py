@@ -27,23 +27,24 @@ r, of coordinate i of chi^{-1}(r) times the column of r, which Python's
 big-int arithmetic runs in C.  Tables are shared by every character of one
 prime and dropped when a character of another prime asks.
 
-The projection stays one int x per coordinate.  One multiple of ONES (a 1
-in every slot) turns every slot into the numerator of its bucket sum, mod
-p^w with w = N + n + 3 working digits, and x is then divided by P = p^{n+1}
-as a whole: q, r = divmod(x, P).
-A slot is S = 32 words bits wide (WORD_BITS, the width of an array("I")
-cell), as few words as hold it and the Barrett products of the table's
-build, and kept below 2^{S-1}, so every slot is
-divisible by P exactly when r = 0 and the top b = bit_length(P) bits of
-every slot of q are 0.  If every slot x_j is y_j P, then y_j < 2^{S-1} /
-2^{b-1} = 2^k with k = S - b.  Conversely, if r = 0 and every y_j < 2^k,
-then every y_j P < 2^S, so these are the base-2^S digits of x: x_j = y_j P.
+The projection stays one int x per coordinate.  One multiple of the table's
+ONES (a 1 in every slot) turns every slot into the numerator of its bucket
+sum, mod p^w with w = N + n + 3 working digits, and x is then divided by P =
+p^{n+1} as a whole: q, r = divmod(x, P).  A slot is S = 32 words bits wide
+(WORD_BITS, the width of an array("I") cell), as few words as hold it and the
+Barrett products of the table's build, and kept below 2^{S-1}, so every slot
+is divisible by P exactly when r = 0 and the top b = bit_length(P) bits of
+every slot of q, the table's MASK, are 0.  If every slot x_j is y_j P, then
+y_j < 2^{S-1} / 2^{b-1} = 2^k with k = S - b.  Conversely, if r = 0 and
+every y_j < 2^k, then every y_j P < 2^S, so these are the base-2^S digits
+of x: x_j = y_j P.
 
 A level is folded onto a lower level l by adding the p^{n-l} blocks of p^l
-slots of q, as byte slices of one to_bytes, and only the p^l folded slots are
-unpacked.  The sum never carries: p^{n-l} (2^k - 1) < P 2^k < 2^S.  A level's
-own buckets are unpacked and reduced mod p^N only when its coefficients are
-read, so a character whose lambda is read at level 1 never unpacks level 2.
+slots of q, as byte slices of one to_bytes; the sum never carries: p^{n-l}
+(2^k - 1) < P 2^k < 2^S.  Only the p^l folded slots of each coordinate are
+unpacked, and compared with level l's unpacked column of that coordinate.  A
+level's own buckets are unpacked only when read, so a character whose lambda
+is read at level 1 never unpacks level 2.
 
 lambda is read once per level, from the first unit T-coefficient of the
 level-n series (see lambda_minus); mu = 0 is Ferrero-Washington, and no
@@ -126,13 +127,11 @@ def _ones(count: int, words: int) -> int:
     return int.from_bytes((b"\1" + bytes(WORD_BITS // 8 * words - 1)) * count, "little")
 
 
-def _exact_quotient(x: int, divisor: int, ones: int, words: int) -> int:
-    """x / divisor slot by slot, for slots below 2^{S-1}, S = WORD_BITS words,
-    laid out as ones has them; InvariantViolationError unless all divide."""
+def _exact_quotient(x: int, divisor: int, mask: int) -> int:
+    """x / divisor slot by slot, for slots below 2^{S-1} and mask the top
+    bit_length(divisor) bits of each; InvariantViolationError unless all divide."""
     q, r = divmod(x, divisor)
-    S = WORD_BITS * words
-    k = S - divisor.bit_length()
-    if r or q & ((1 << S) - (1 << k)) * ones:
+    if r or q & mask:
         raise InvariantViolationError(
             "Stickelberger coefficient is not p-integral; "
             "this construction only applies to odd characters != omega"
@@ -158,6 +157,8 @@ class ResidueTable(NamedTuple):
 
     columns: tuple  # one packed int per unit
     words: int
+    ones: int  # a 1 in every slot
+    mask: int  # the top bit_length(p^{n+1}) bits of every slot
 
 
 def _table_units(fprime: int, p: int) -> tuple:
@@ -189,13 +190,14 @@ def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
     steps = [1]  # u_j, j in Z/p^n
     for _ in range(p ** n - 1):
         steps.append(steps[-1] * (1 + p) % pn1)
+    S = WORD_BITS * words
     steps, ones = _pack(steps, words), _ones(p ** n, words)
-    mask = ((1 << WORD_BITS * words - k) - 1) * ones
+    low = ((1 << S - k) - 1) * ones
     columns = []
     for r in units:
         x = -(r % fprime) * e_f % M2 * ones + teich[r % p] * steps
-        columns.append(x - M2 * (x * m >> k & mask))
-    return ResidueTable(tuple(columns), words)
+        columns.append(x - M2 * (x * m >> k & low))
+    return ResidueTable(tuple(columns), words, ones, (ones << S) - (ones << S - pn1.bit_length()))
 
 
 class _TableCache:
@@ -224,10 +226,10 @@ class _TableCache:
         return self._entry(p, ("zeta", order, fprime, digits), dict)
 
     def unit_logs(self, conductor: int, fprime: int, p: int) -> tuple:
-        """unit_group(conductor).dlog of each table unit of (f', p)."""
+        """Tuple i holds log i, in unit_group(conductor), of each table unit."""
         dlog = unit_group(conductor).dlog
         return self._entry(p, ("logs", conductor, fprime),
-                           lambda: tuple(dlog(r % conductor) for r in _table_units(fprime, p)))
+                           lambda: tuple(zip(*map(dlog, _table_units(fprime, p)))))
 
 
 _TABLES = _TableCache()
@@ -236,15 +238,18 @@ _TABLES = _TableCache()
 @lru_cache(maxsize=1)
 def _character_columns(chi: DirichletCharacter, digits: int) -> tuple:
     """Column c holds coordinate c of chi^{-1}(r) / f' mod p^digits over the
-    table units r.  Every level of one lambda_minus call shares them, each
-    reduced to its own working digits, and characters of one order share
-    their vectors."""
-    p, cond = chi.p, chi.conductor
+    table units r, read one unit-group generator at a time.  Every level of
+    one lambda_minus call shares them, each reduced to its own working
+    digits, and characters of one order share their vectors."""
+    p, cond, order = chi.p, chi.conductor, chi.order
     fprime = split_prime_part(cond, p)[1]
-    ring = local_ring(chi.order, p, digits)
+    ring = local_ring(order, p, digits)
     inv_f = pow(fprime, -1, ring.mod)
-    exponents = [-chi._exponent_at(logs) % chi.order for logs in _TABLES.unit_logs(cond, fprime, p)]
-    vectors = _TABLES.scaled_zeta(chi.order, fprime, p, digits)
+    logs = _TABLES.unit_logs(cond, fprime, p)
+    exponents = [0] * len(logs[0])
+    for weight, column in zip(chi._weights, logs):
+        exponents = [(k - weight * x) % order for k, x in zip(exponents, column)]
+    vectors = _TABLES.scaled_zeta(order, fprime, p, digits)
     for k in set(exponents).difference(vectors):
         vectors[k] = [c * inv_f % ring.mod for c in ring.zeta_vector(k)]
     return tuple(zip(*(vectors[k] for k in exponents)))
@@ -258,7 +263,6 @@ def _projection(chi: DirichletCharacter, n: int) -> tuple:
     table = _TABLES.get(fprime, p, n)
     pn1 = p ** (n + 1)
     modw = p ** _work_digits(n)
-    ones = _ones(p ** n, table.words)
 
     # Slot j of sum_s c_s columns[s] is sum_r 2(M - a) c_r; less M sum c,
     # shifted in as its residue mod p^w, it is sum_r (M - 2a) c_r, which is
@@ -268,8 +272,8 @@ def _projection(chi: DirichletCharacter, n: int) -> tuple:
     for column in _character_columns(chi, _work_digits(max(n, MAX_LEVEL))):
         column = [c % modw for c in column]
         shift = -fprime * pn1 * sum(column) % modw
-        packed = sum(map(mul, column, table.columns)) + shift * ones
-        quotients.append(_exact_quotient(packed, pn1, ones, table.words))
+        packed = sum(map(mul, column, table.columns)) + shift * table.ones
+        quotients.append(_exact_quotient(packed, pn1, table.mask))
     return tuple(quotients), table.words
 
 
@@ -299,11 +303,6 @@ class StickelbergerSeries:
         """Coordinate i of every bucket, unpacked on first read."""
         return self._unpacked(self.quotients, self.length)
 
-    @property
-    def bucket_coefficients(self) -> list:
-        """The coefficients on the (1+T)^j basis, one vector per bucket."""
-        return [list(v) for v in zip(*self.bucket_columns)]
-
     def t_coefficient(self, i: int) -> list:
         """Coefficient of T^i: sum_j binom(j, i) * bucket_j, column by column
         (binom(j, i) = 0 for j < i, so i >= length gives the zero vector)."""
@@ -312,7 +311,8 @@ class StickelbergerSeries:
         return [sum(map(mul, combs, col)) % modN for col in self.bucket_columns]
 
     def is_unit_coefficient(self, i: int) -> bool:
-        return local_ring(self.chi.order, self.chi.p, self.precision).is_unit(self.t_coefficient(i))
+        # a unit mod p is one at any precision: read it in the ring of the character columns
+        return local_ring(self.chi.order, self.chi.p, _work_digits(MAX_LEVEL)).is_unit(self.t_coefficient(i))
 
     def first_unit_index(self) -> Optional[int]:
         for i in range(self.length):
@@ -320,13 +320,12 @@ class StickelbergerSeries:
                 return i
         return None
 
-    def folded_buckets(self, lower_level: int) -> list:
-        """Bucket coefficients reduced mod (1+T)^{p^lower_level} - 1: row r
-        sums the rows j = r mod p^lower_level.  Only the folded slots are
-        unpacked."""
+    def folded_columns(self, lower_level: int) -> list:
+        """bucket_columns reduced mod (1+T)^{p^lower_level} - 1 (slot r sums
+        the slots j = r mod p^lower_level); only the folded slots are unpacked."""
         size = self.chi.p ** lower_level
-        folded = tuple(_fold(q, self.length, self.words, size) for q in self.quotients)
-        return [list(v) for v in zip(*self._unpacked(folded, size))]
+        folded = [_fold(q, self.length, self.words, size) for q in self.quotients]
+        return self._unpacked(folded, size)
 
 
 def stickelberger_series(chi: DirichletCharacter, n: int) -> StickelbergerSeries:
@@ -363,7 +362,7 @@ def lambda_minus(chi: DirichletCharacter) -> LambdaResult:
     low = stickelberger_series(chi, 1)
     for n in range(1, MAX_LEVEL):
         high = stickelberger_series(chi, n + 1)
-        if high.folded_buckets(n) != low.bucket_coefficients:
+        if high.folded_columns(n) != low.bucket_columns:
             raise InvariantViolationError(
                 f"the level {n + 1} series of {chi.label()} does not fold onto level {n}"
             )

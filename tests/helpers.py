@@ -9,8 +9,8 @@ p-part `p_power_part`, the RootOfUnity oracles of sigma0_ok,
 sigma_p_value and compose, the search oracles for the unit behind
 sigma_p and for the stabilization level, the discrete log by trying every
 power, and a read-only loader for the benchmark's modules, the conjugacy
-classes built through chi.power(t), and the Stickelberger residue table
-built cell by cell.
+classes built through chi.power(t), the Stickelberger residue table
+built cell by cell, and a series' buckets and folded buckets as rows.
 Test modules import them as `from helpers import ...`."""
 
 import cmath
@@ -43,7 +43,7 @@ from tamerank.errors import InvariantViolationError
 from tamerank.localring import local_ring
 from tamerank.rank import _validate_s
 from tamerank.residue import VALUATION_GUARD_DIGITS, quotient_growth, residue_module
-from tamerank.stickelberger import ResidueTable, _pack, _slot_words, _table_units
+from tamerank.stickelberger import WORD_BITS, ResidueTable, _pack, _slot_words, _table_units
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -516,7 +516,8 @@ def direct_bucket_vectors(chi, n: int, N: int) -> tuple:
 def residue_table_by_cells(fprime: int, p: int, n: int) -> ResidueTable:
     """The oracle for `tamerank.stickelberger._residue_table`: the same table
     built cell by cell by CRT, a = r mod f' and a = omega(r) (1+p)^j mod
-    p^{n+1}, with one (b - t u) % 2M per cell."""
+    p^{n+1}, with one (b - t u) % 2M per cell, and its ones and mask slot by
+    slot."""
     pn1 = p ** (n + 1)
     M = fprime * pn1
     units = _table_units(fprime, p)
@@ -532,7 +533,21 @@ def residue_table_by_cells(fprime: int, p: int, n: int) -> ResidueTable:
         # a = (r mod f') e_f + omega(r) e_p u mod M is never 0, so 2(M - a) = -2a mod 2M
         b, t = -2 * (r % fprime) * e_f, 2 * teich[r % p]
         columns.append(_pack([(b - t * u) % (2 * M) for u in steps], words))
-    return ResidueTable(tuple(columns), words)
+    S = WORD_BITS * words
+    top = (1 << S) - (1 << S - pn1.bit_length())  # the top bit_length(p^{n+1}) bits of a slot
+    return ResidueTable(tuple(columns), words, _pack([1] * len(steps), words),
+                        _pack([top] * len(steps), words))
+
+
+def bucket_coefficients(series) -> list:
+    """The series' coefficients on the (1+T)^j basis, one vector per bucket."""
+    return [list(v) for v in zip(*series.bucket_columns)]
+
+
+def folded_buckets(series, lower_level: int) -> list:
+    """The bucket coefficients reduced mod (1+T)^{p^lower_level} - 1, one
+    vector per folded bucket: row r sums the rows j = r mod p^lower_level."""
+    return [list(v) for v in zip(*series.folded_columns(lower_level))]
 
 
 _K0 = 1.337  # any fixed real > 1; stands in for kappa0 = 1 + p

@@ -509,14 +509,14 @@ def test_lambda_table_file_overrides_the_config_entry(tmp_path):
 
 
 def test_main_lambda_fold_mismatch_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
-    fold = StickelbergerSeries.folded_buckets
+    fold = StickelbergerSeries.folded_columns
 
     def perturbed(series, lower_level):
-        rows = fold(series, lower_level)
-        rows[0] = [rows[0][0] + 1] + rows[0][1:]
-        return rows
+        columns = fold(series, lower_level)
+        columns[0] = [columns[0][0] + 1] + columns[0][1:]
+        return columns
 
-    monkeypatch.setattr(StickelbergerSeries, "folded_buckets", perturbed)
+    monkeypatch.setattr(StickelbergerSeries, "folded_columns", perturbed)
     assert main(["lambda", "--config", write_config(tmp_path, {"p": 5})]) == EXIT_INVARIANT
     assert "series of omega^3 does not fold onto level 1" in capsys.readouterr().err
 

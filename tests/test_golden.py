@@ -1,12 +1,15 @@
 """Byte-exact CLI reports, pinned before characters moved to integer
-exponent vectors; any change to a label, a record or a number shows here."""
+exponent vectors, and the benchmark's seed-0 reports against the digests
+it pins; any change to a label, a record or a number shows here."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from tamerank.cli import EXIT_OK, main
+from helpers import BENCHMARKS, load_benchmark_module
+from tamerank.cli import EXIT_OK, main, parse_config, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,3 +55,20 @@ def test_golden_report(name, tmp_path):
     out = tmp_path / "report.json"
     assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("workload", ["rank-sweep", "lambda-minus", "oracle-grid", "chars-cyclic"])
+def test_benchmark_reports_match_their_pinned_digests(workload, monkeypatch):
+    # the seed-0 jobs of each benchmark workload, run as benchmarks/worker.py
+    # runs them (parse_config, run, json.dumps with indent 2), give the
+    # reports benchmarks/digests.json pins, under the worker's key (the first
+    # 24 hex digits of the SHA-256 of command, newline, document) and digest
+    # (the SHA-256 of the report text and a newline)
+    workloads = load_benchmark_module("workloads", monkeypatch)
+    pins = json.loads((BENCHMARKS / "digests.json").read_text())
+    assert workload in workloads.WORKLOADS and 0 in pins["seeds"]
+    pinned = pins["reports"][workload]
+    for command, doc in workloads.generate(workload, 0):
+        key = hashlib.sha256(f"{command}\n{doc}".encode()).hexdigest()[:24]
+        text = json.dumps(run(parse_config(doc), command), indent=2)
+        assert hashlib.sha256((text + "\n").encode()).hexdigest() == pinned[key], (command, doc)

@@ -75,10 +75,12 @@ def test_module_is_float_free_and_stdlib_only(path):
     assert offences(ast.parse(path.read_text(), filename=str(path))) == []
 
 
-# `dataclasses` loads inspect, which loads ast, dis and tokenize, and
-# `fractions` loads decimal: a cost paid at every start of the CLI, before
-# any job runs
-IMPORT_FORBIDDEN = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
+# `dataclasses` loads inspect, which loads ast, dis and tokenize,
+# `fractions` loads decimal, and `argparse` loads gettext: a cost paid at
+# every start of the CLI, before any job runs; only `cli.main` imports
+# argparse, when it parses argv
+IMPORT_FORBIDDEN = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal",
+                    "argparse", "gettext"}
 
 
 def test_import_loads_no_dataclass_machinery():

@@ -1,10 +1,17 @@
 import math
+import sys
 
 import pytest
 from array import array
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import direct_bucket_vectors, load_benchmark_module, residue_table_by_cells
+from helpers import (
+    bucket_coefficients,
+    direct_bucket_vectors,
+    folded_buckets,
+    load_benchmark_module,
+    residue_table_by_cells,
+)
 from tamerank import stickelberger
 from tamerank.arith import is_prime, smallest_primitive_root, split_prime_part
 from tamerank.characters import FieldSpec, enumerate_characters, omega
@@ -55,7 +62,28 @@ def test_series_level_stability():
     chi = omega(5).power(3)
     lo = stickelberger_series(chi, 1)
     hi = stickelberger_series(chi, 2)
-    assert hi.folded_buckets(1) == lo.bucket_coefficients
+    assert folded_buckets(hi, 1) == bucket_coefficients(lo)
+
+
+# (order, p) of coefficient rings: unramified of degree 1 and 2, and
+# ramified (p | order)
+UNIT_RINGS = [(2, 5), (4, 5), (12, 5), (4, 7), (6, 7), (21, 7), (6, 3), (18, 3), (22, 23), (4, 23)]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.sampled_from(UNIT_RINGS), st.data())
+def test_unit_test_does_not_depend_on_precision(ring_key, data):
+    # is_unit_coefficient reads its unit test in the ring of the character
+    # columns, mod p^15, for coefficients mod p^N: a unit mod p is a unit at
+    # either precision
+    m, p = ring_key
+    low = local_ring(m, p, DEFAULT_PRECISION)
+    high = local_ring(m, p, stickelberger._work_digits(MAX_LEVEL))
+    assert high.K == 15
+    entry = st.one_of(st.integers(0, p ** DEFAULT_PRECISION - 1),
+                      st.integers(0, p ** (DEFAULT_PRECISION - 1) - 1).map(p.__mul__))
+    vec = data.draw(st.lists(entry, min_size=low.dim, max_size=low.dim))
+    assert low.is_unit(vec) == high.is_unit(vec)
 
 
 def test_lambda_regular_primes():
@@ -234,10 +262,10 @@ def test_t_coefficient_matches_pascal_expansion():
     )
     for s in (stickelberger_series(omega(5).power(3), 1), stickelberger_series(chi12, 2)):
         modN = s.chi.p ** s.precision
-        dim = len(s.bucket_coefficients[0])
+        dim = len(bucket_coefficients(s)[0])
         poly = [[0] * dim for _ in range(s.length)]
         binomials = [1]
-        for b in s.bucket_coefficients:
+        for b in bucket_coefficients(s):
             for i, c in enumerate(binomials):
                 poly[i] = [(x + c * y) % modN for x, y in zip(poly[i], b)]
             binomials = [1] + [x + y for x, y in zip(binomials, binomials[1:])] + [1]
@@ -266,7 +294,7 @@ def test_shared_table_matches_direct_build():
             fprime = split_prime_part(chi.conductor, p)[1]
             for n in ns:
                 direct, ring = direct_bucket_vectors(chi, n, DEFAULT_PRECISION)
-                assert stickelberger_series(chi, n).bucket_coefficients == direct, (chi.label(), n)
+                assert bucket_coefficients(stickelberger_series(chi, n)) == direct, (chi.label(), n)
                 seen.add(("words", min(stickelberger._TABLES.get(fprime, p, n).words, 3)))
             seen.add(("f' > 1", fprime > 1))
             seen.add(("p | conductor", chi.conductor % p == 0))
@@ -355,6 +383,24 @@ def test_residue_table_matches_cell_by_cell_build(p, fprime, n):
     assert stickelberger._residue_table(fprime, p, n) == residue_table_by_cells(fprime, p, n)
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from([3, 5, 7, 11, 13, 23]), st.integers(1, 40), st.integers(0, 2))
+@example(7, 13, 2)  # two-word slots
+@example(7, 4, 4)
+@example(7, 6, 4)
+@example(5, 168, 4)
+@example(3, 34580, 4)
+def test_table_carries_its_ones_and_mask(p, fprime, n):
+    # ones has a 1 in each of the p^n slots and mask the top bit_length(p^{n+1})
+    # bits of each, on the hypothesis tables and every BARRETT_WIDTH_TABLES one
+    assume(math.gcd(fprime, p) == 1)
+    assume(fprime * p ** (n + 1) <= 30000 or (fprime, p, n) in BARRETT_WIDTH_TABLES)
+    table = stickelberger._residue_table(fprime, p, n)
+    S = W * table.words
+    assert table.ones == stickelberger._ones(p ** n, table.words)
+    assert table.mask == ((1 << S) - (1 << S - (p ** (n + 1)).bit_length())) * table.ones
+
+
 def test_fold_never_carries(monkeypatch):
     # a quotient slot is below 2^k, k = W words - bit_length(p^{n+1}), so
     # p^{n-l} of them sum below 2^{W words}, for every level l < n
@@ -380,14 +426,14 @@ def test_integrality_is_checked_slot_by_slot():
     # those of the tables, in W-bit words
     for p, n, words in [(5, 0, 1), (5, 1, 2), (23, 2, 3), (157, 4, 5)]:
         P, S = p ** (n + 1), W * words
-        ones = stickelberger._ones(2, words)
+        mask = ((1 << S) - (1 << S - P.bit_length())) * stickelberger._ones(2, words)
         crafted = P - 2 ** S % P + (1 << S)
         assert crafted % P == 0
         with pytest.raises(InvariantViolationError, match="not p-integral"):
-            stickelberger._exact_quotient(crafted, P, ones, words)
-        assert stickelberger._exact_quotient(P * 3 + (P * 7 << S), P, ones, words) == 3 + (7 << S)
+            stickelberger._exact_quotient(crafted, P, mask)
+        assert stickelberger._exact_quotient(P * 3 + (P * 7 << S), P, mask) == 3 + (7 << S)
         with pytest.raises(InvariantViolationError):
-            stickelberger._exact_quotient(P * 3 + 1 + (P << S), P, ones, words)
+            stickelberger._exact_quotient(P * 3 + 1 + (P << S), P, mask)
 
 
 def test_pack_round_trip():
@@ -425,18 +471,25 @@ def test_pack_takes_steps_wider_than_a_word(p):
 
 
 def test_lambda_job_builds_each_table_once(monkeypatch):
-    built = []
+    # and each table's ones once, with the table: no projection builds them
+    built, ones_callers = [], []
 
     def counted(fprime, p, n):
         built.append((fprime, p, n))
         return build(fprime, p, n)
 
-    build = stickelberger._residue_table
+    def counted_ones(count, words):
+        ones_callers.append(sys._getframe(1).f_code.co_name)
+        return ones(count, words)
+
+    build, ones = stickelberger._residue_table, stickelberger._ones
     monkeypatch.setattr(stickelberger, "_residue_table", counted)
+    monkeypatch.setattr(stickelberger, "_ones", counted_ones)
     monkeypatch.setattr(stickelberger, "_TABLES", stickelberger._TableCache())
     job = parse_config('{"p": 7, "f": 13}')
     run(job, "lambda")
     assert sorted(built) == [(1, 7, 1), (1, 7, 2), (13, 7, 1), (13, 7, 2)]
+    assert ones_callers == ["_residue_table"] * 4
     # (13, 7, 2) has two-word slots, the others one
     for key in built:
         assert stickelberger._TABLES.get(*key) == residue_table_by_cells(*key)
