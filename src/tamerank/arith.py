@@ -228,13 +228,13 @@ class UnitGroupStructure:
     reads.
     """
 
-    __slots__ = ("modulus", "generators", "orders", "_blocks", "minus_one")
+    __slots__ = ("modulus", "generators", "orders", "blocks", "minus_one")
 
     def __init__(self, modulus, generators, orders, blocks):
         self.modulus = modulus
         self.generators = tuple(generators)
         self.orders = tuple(orders)
-        self._blocks = tuple(blocks)
+        self.blocks = tuple(blocks)
         self.minus_one = self.dlog(-1)
 
     @property
@@ -250,7 +250,7 @@ class UnitGroupStructure:
         if math.gcd(a, M) != 1:
             raise ValueError(f"{a} is not a unit mod {M}")
         out = []
-        for kind, q, g, n, factors in self._blocks:
+        for kind, q, g, n, factors in self.blocks:
             local = a % q
             if kind == "cyclic":
                 out.append(_dlog_in_cyclic(local, g, n, q, factors))
@@ -273,7 +273,7 @@ class UnitGroupStructure:
         character factors through (Z/4)^x iff it is trivial on 5 = -(3^a), a odd."""
         d = 1
         i = 0
-        for kind, q, _, n, _ in self._blocks:
+        for kind, q, _, n, _ in self.blocks:
             if kind == "cyclic":
                 order = n // math.gcd(exponents[i], n)
                 i += 1

@@ -9,6 +9,15 @@ of unity is pinned once: zeta_{p-1} is the image of the smallest primitive
 root mod p under the Teichmueller character, and p-power roots stay formal.
 All predicates used downstream (triviality, parity, p-power order,
 conjugacy) are independent of that pinning.
+
+By CRT, (Z/M)^x is the product of its prime-power blocks, and a character
+mod M is the product of one character per block (Washington, Cyclotomic
+Fields, ch. 3).  So the dual of each block is tabulated once per unit group,
+one entry per local exponent: the block's conductor factor, the exponents on
+that factor's own generators, the local order and the local parity.  Every
+character of a field, and every power or product, is assembled from one
+entry per block: the modulus is the product of the factors, the exponents
+their concatenation, the order their lcm and the parity their product.
 """
 
 from __future__ import annotations
@@ -101,31 +110,38 @@ ONE = RootOfUnity(0, 1)
 
 class DirichletCharacter:
     """A primitive Dirichlet character attached to an ambient odd prime p,
-    held as one integer exponent per generator of unit_group(modulus)."""
+    held as one integer exponent per generator of unit_group(modulus).
+    Constructed directly, it checks its exponents and reads its conductor,
+    order and parity from them; the characters of a field, their powers and
+    their products are assembled from block entries by `_assembled`."""
 
     __slots__ = ("p", "modulus", "units", "exponents", "order", "_weights", "parity", "d_chi",
                  "_hash", "_label", "admissible_at", "_at_points")
 
-    def __init__(self, p: int, modulus: int, exponents: tuple, _conductor: int = None):
-        # `_primitive` passes the conductor it has just read; any other
-        # construction reads it here
-        self.p = p
-        self.modulus = modulus
-        self.units = units = unit_group(modulus)
+    def __init__(self, p: int, modulus: int, exponents: tuple):
+        units = unit_group(modulus)
         orders = units.orders
         if len(exponents) != len(orders):
             raise ValueError("one exponent per unit-group generator required")
-        self.exponents = exponents = tuple(map(operator.mod, exponents, orders))
-        if _conductor is None:
-            _conductor = units.conductor(exponents)
-        if _conductor != modulus:
+        exponents = tuple(map(operator.mod, exponents, orders))
+        if units.conductor(exponents) != modulus:
             raise ValueError(f"the exponents do not define a primitive character mod {modulus}")
-        self.order = order = math.lcm(*map(operator.floordiv, orders, map(math.gcd, exponents, orders)))
-        # chi(a) = zeta_order^k with k = sum_i w_i x_i for x = dlog(a), w_i = e_i order / n_i
-        self._weights = tuple(map(operator.floordiv, map(order.__mul__, exponents), orders))
-        self.parity = -1 if self._exponent_at(units.minus_one) else 1
+        order = math.lcm(*map(operator.floordiv, orders, map(math.gcd, exponents, orders)))
+        self._fill(p, units, exponents, order, 1)
+        if self._exponent_at(units.minus_one):
+            self.parity = -1
+
+    def _fill(self, p: int, units, exponents: tuple, order: int, parity: int) -> None:
+        """Set every slot from data the caller has checked."""
+        self.p = p
+        self.modulus = units.modulus
+        self.units = units
+        self.exponents = exponents
+        self.order = order
+        self._weights = None  # built by `weights` on first use
+        self.parity = parity
         self.d_chi = _local_degree(order, p)
-        self._hash = hash((p, modulus, exponents))
+        self._hash = hash((p, units.modulus, exponents))
         self._label = None
         # q -> whether q lies in S_chi, filled by frobenius.admissible; it
         # lives as long as the character, so as long as its field's entry
@@ -144,8 +160,17 @@ class DirichletCharacter:
     def is_odd(self) -> bool:
         return self.parity == -1
 
+    @property
+    def weights(self) -> tuple:
+        """chi(a) = zeta_order^k with k = sum_i w_i x_i for x = dlog(a), w_i =
+        e_i order / n_i; built on first use, as a `chars` job reads none."""
+        if self._weights is None:
+            self._weights = tuple(map(operator.floordiv, map(self.order.__mul__, self.exponents),
+                                      self.units.orders))
+        return self._weights
+
     def _exponent_at(self, logs) -> int:
-        return sum(map(operator.mul, self._weights, logs)) % self.order
+        return sum(map(operator.mul, self.weights, logs)) % self.order
 
     def exponent_at(self, a: int):
         """The k with chi(a) = zeta_order^k, or None when gcd(a, conductor) > 1.
@@ -179,7 +204,7 @@ class DirichletCharacter:
         at g."""
         M, order = self.modulus, self.order
         walk = [(1 % M, 0)]
-        for g, n, w in zip(self.units.generators, self.units.orders, self._weights):
+        for g, n, w in zip(self.units.generators, self.units.orders, self.weights):
             steps = [(pow(g, t, M), t * w) for t in range(n)]
             walk = [(a * h % M, (k + v) % order) for h, v in steps for a, k in walk]
         values = [None] * M
@@ -195,8 +220,7 @@ class DirichletCharacter:
 
     def _reduced(self) -> list:
         """Each generator's image as a reduced [numerator, denominator] in Q/Z."""
-        pairs = zip(self.exponents, self.units.orders)
-        return [[e // math.gcd(e, n), n // math.gcd(e, n)] for e, n in pairs]
+        return [[e // (g := math.gcd(e, n)), n // g] for e, n in zip(self.exponents, self.units.orders)]
 
     def label(self) -> str:
         if self._label is None:
@@ -215,7 +239,7 @@ class DirichletCharacter:
             "modulus": self.modulus,
             "generator_exponents": self._reduced(),
             "order": self.order,
-            "conductor": self.conductor,
+            "conductor": self.modulus,
             "parity": self.parity,
             "d_chi": self.d_chi,
             "label": self.label(),
@@ -254,34 +278,108 @@ def _local_degree(order: int, p: int) -> int:
     return euler_phi(p ** a) * (1 if n == 1 else mul_order(p, n))
 
 
-@lru_cache(maxsize=None)
-def _lift_logs(modulus: int, conductor: int) -> tuple:
-    """dlog mod `modulus` of a unit lift of each generator of (Z/conductor)^x."""
-    units = unit_group(modulus)
-    out = []
-    for g in unit_group(conductor).generators:
-        while math.gcd(g, modulus) != 1:
-            g += conductor
-        out.append(units.dlog(g))
-    return tuple(out)
+def _cyclic_dual(q: int, n: int) -> list:
+    """The characters of the cyclic block (Z/q)^x = <g> of even order n, q
+    an odd prime power or 4 and g the generator of unit_group(q), one entry
+    per exponent e with chi(g) = zeta_n^e, in order of e: (conductor factor
+    c, the exponents on the generator of (Z/c)^x, order, parity).  The order
+    is n / gcd(e, n), and c is ell^(1 + v_ell(order)) for q a power of ell,
+    or 1 for the trivial character.  The generator of (Z/c)^x is g^d in
+    (Z/q)^x, one lift log per c, and (Z/q)^x -> (Z/c)^x has the kernel
+    <g^(n_c)> of order r = n / n_c, so chi factors through (Z/c)^x with
+    exponent (e / r) d; chi(-1) = chi(g^(n/2)) = (-1)^e.  Each entry's
+    conductor is read once, on (Z/c)^x."""
+    units = unit_group(q)
+    ell = q // math.gcd(q, n)
+    lifts = {}  # order -> (c, unit_group(c), r, d, n_c)
+    entries = []
+    for e in range(n):
+        order = n // math.gcd(e, n)
+        lift = lifts.get(order)
+        if lift is None:
+            c = ell * math.gcd(order, q) if order > 1 else 1
+            cond = unit_group(c)
+            d = units.dlog(cond.generators[0])[0] if c > 1 else 0
+            lift = lifts[order] = (c, cond, n // cond.phi, d, cond.phi)
+        c, cond, r, d, n_c = lift
+        if e % r:
+            raise InvariantViolationError(f"a character mod {q} does not factor through its conductor {c}")
+        local = (e // r * d % n_c,) if c > 1 else ()
+        if cond.conductor(local) != c:
+            raise InvariantViolationError(f"a character mod {q} is not primitive mod its conductor {c}")
+        entries.append((c, local, order, -1 if e % 2 else 1))
+    return entries
+
+
+def _two_dual(q: int, n: int) -> list:
+    """The characters of (Z/q)^x = <-1> x <3>, q = 2^a with a >= 3 and n =
+    q / 4 the order of 3, one entry per exponent pair (s, y) with chi(-1) =
+    (-1)^s and chi(3) = zeta_n^y, in lexicographic order, laid out as in
+    `_cyclic_dual`.  The conductor c is read from (Z/q)^x.  At c = 4, chi(3)
+    = chi(-1): the exponent on the generator 3 of (Z/4)^x is s.  At c >= 8,
+    (Z/c)^x has the pair (-1, 3), and the exponents are (s, y / r) with r =
+    n / (c / 4) the order of the kernel of <3> -> (Z/c)^x."""
+    units = unit_group(q)
+    entries = []
+    for s, y in itertools.product(range(2), range(n)):
+        c = units.conductor((s, y))
+        cond = unit_group(c)
+        if c <= 4:
+            local = (s,) if c == 4 else ()
+        else:
+            r = n // cond.orders[1]
+            if y % r:
+                raise InvariantViolationError(f"a character mod {q} does not factor through its conductor {c}")
+            local = (s, y // r)
+        if cond.conductor(local) != c:
+            raise InvariantViolationError(f"a character mod {q} is not primitive mod its conductor {c}")
+        entries.append((c, local, max(s + 1, n // math.gcd(y, n)), -1 if s else 1))
+    return entries
+
+
+def _block_duals(units) -> tuple:
+    """For each block of `units`, the orders of its generators and its dual
+    (`_cyclic_dual`, `_two_dual`), whose entry for the local exponents
+    (e_1, ..., e_k) sits at their mixed-radix index."""
+    return tuple(((n,), _cyclic_dual(q, n)) if kind == "cyclic" else ((2, n), _two_dual(q, n))
+                 for kind, q, _, n, _ in units.blocks)
+
+
+# the duals `_primitive` read last; an enumeration's duals go with it
+_latest_block_duals = lru_cache(maxsize=1)(_block_duals)
+
+
+def _assembled(p: int, entries) -> DirichletCharacter:
+    """The character that is the given entry on each block (by CRT): its
+    modulus is the product of the conductor factors, its exponents their
+    concatenation, its order their lcm and its parity their product.  Each
+    entry is primitive mod its factor, so the character is primitive."""
+    if len(entries) == 1:
+        modulus, exponents, order, parity = entries[0]
+    else:
+        modulus, exponents, order, parity = 1, (), 1, 1
+        for c, local, o, s in entries:
+            modulus *= c
+            exponents += local
+            order = math.lcm(order, o)
+            parity *= s
+    chi = DirichletCharacter.__new__(DirichletCharacter)
+    chi._fill(p, unit_group(modulus), exponents, order, parity)
+    return chi
 
 
 def _primitive(p: int, units, exponents: tuple) -> DirichletCharacter:
-    """The primitive character inducing the character with these exponents on
-    the generators of `units`: each generator of the conductor's own unit
-    group is evaluated once through a lift."""
-    cond = units.conductor(exponents)
-    if cond == units.modulus:
-        return DirichletCharacter(p, cond, exponents, cond)
-    top = math.lcm(1, *units.orders)
-    weights = [e * (top // n) for e, n in zip(exponents, units.orders)]
-    out = []
-    for logs, n in zip(_lift_logs(units.modulus, cond), unit_group(cond).orders):
-        k = sum(w * x for w, x in zip(weights, logs)) * n
-        if k % top:
-            raise InvariantViolationError("value on a conductor generator has the wrong order")
-        out.append(k // top)
-    return DirichletCharacter(p, cond, tuple(out))
+    """The primitive character inducing the character with these exponents
+    on the generators of `units`, assembled from one entry per block."""
+    entries = []
+    i = 0
+    for orders, dual in _latest_block_duals(units):
+        k = 0
+        for n in orders:
+            k = k * n + exponents[i] % n
+            i += 1
+        entries.append(dual[k])
+    return _assembled(p, entries)
 
 
 def trivial_character(p: int) -> DirichletCharacter:
@@ -368,19 +466,23 @@ class FieldSpec(FrozenValue):
 
 def enumerate_characters(field: FieldSpec) -> list:
     """All characters of G = Gal(K/Q), primitive, in lexicographic exponent
-    order on the fixed generators of (Z/fp)^x."""
+    order on the fixed generators of (Z/fp)^x: each is assembled from one
+    entry of each block's dual, the entries taken in the blocks' order."""
     p, f = field.p, field.f
     units = unit_group(f * p)
-    top = math.lcm(1, *units.orders)
-    # chi is trivial on h iff sum_i e_i x_i / n_i is an integer, x = dlog(h)
-    h_weights = [
-        tuple(x * (top // n) for x, n in zip(units.dlog(crt(h, f, 1, p)), units.orders))
-        for h in field.subgroup
-    ]
-    expos = itertools.product(*(range(n) for n in units.orders))
-    if h_weights:
-        expos = (e for e in expos if all(sum(map(operator.mul, e, hw)) % top == 0 for hw in h_weights))
-    chars = [_primitive(p, units, expo) for expo in expos]
+    combos = itertools.product(*(dual for _, dual in _block_duals(units)))
+    if field.subgroup:
+        top = math.lcm(1, *units.orders)
+        # chi is trivial on h iff sum_i e_i x_i / n_i is an integer, x = dlog(h);
+        # the exponent vectors e come in the order of the combinations of entries
+        h_weights = [
+            tuple(x * (top // n) for x, n in zip(units.dlog(crt(h, f, 1, p)), units.orders))
+            for h in field.subgroup
+        ]
+        expos = itertools.product(*(range(n) for n in units.orders))
+        combos = (combo for combo, e in zip(combos, expos)
+                  if all(sum(map(operator.mul, e, hw)) % top == 0 for hw in h_weights))
+    chars = [_assembled(p, combo) for combo in combos]
     if len(chars) != field.group_order:
         raise InvariantViolationError(
             f"enumerated {len(chars)} characters, expected {field.group_order}"

@@ -12,7 +12,9 @@ Exit codes:
      100000 digits (r_n1 d columns of e_n1 + VALUATION_GUARD_DIGITS digits) or
      reads more than ORACLE_DIGIT_BOUND = 200 digits per column, an oracle
      job on a field of more than ORACLE_CHARACTER_BOUND = 20000 characters,
-     an unwritable --out, or a closed standard output
+     a job whose f*(p - 1) is above ENUMERATION_BOUND = 1000000 (it bounds
+     the characters every job enumerates), an unwritable --out, or a
+     closed standard output
   3  lambda unavailable for a required character
   4  oracle inconsistency: the brute-force module contradicts the theory,
      or an oracle row disagrees with the rank formula
@@ -70,6 +72,14 @@ ORACLE_DIGIT_BOUND = 200
 # takes 1.8 s and 90 MB for its 20010 rows); the largest field of a
 # benchmark or test job has 2880 characters (p = 13, f = 385).
 ORACLE_CHARACTER_BOUND = 20_000
+# Every job enumerates the field's characters, |G| <= phi(f p) <= f (p - 1)
+# of them, and factors f p to do so.  f (p - 1) is checked when the job is
+# parsed, before any factorization.  The largest benchmark or test job has
+# f (p - 1) = 20010 (oracle on p = 20011), far below the bound.  Work grows
+# with |G|: `chars` on p = 100003 runs in 0.85 s and 121 MB before its report
+# is written (in process, 2-vCPU host), and a field at the bound takes about
+# ten times that.
+ENUMERATION_BOUND = 10 ** 6
 
 _LAMBDA_MODES = {
     "table": (False, False),
@@ -145,6 +155,9 @@ def parse_config(text: str) -> JobConfig:
     if p_ok and math.gcd(f, p) != 1:
         violations.append("f must be prime to p")
         f = 1
+    if p_ok and f * (p - 1) > ENUMERATION_BOUND:
+        violations.append(f"the field may have up to f*(p - 1) = {f * (p - 1)} characters, "
+                          f"above {ENUMERATION_BOUND}")
     subgroup = raw.get("H", [])
     if not isinstance(subgroup, list) or not all(_is_int(h) for h in subgroup):
         violations.append("H must be a list of integers")

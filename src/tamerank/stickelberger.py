@@ -247,7 +247,7 @@ def _character_columns(chi: DirichletCharacter, digits: int) -> tuple:
     inv_f = pow(fprime, -1, ring.mod)
     logs = _TABLES.unit_logs(cond, fprime, p)
     exponents = [0] * len(logs[0])
-    for weight, column in zip(chi._weights, logs):
+    for weight, column in zip(chi.weights, logs):
         exponents = [(k - weight * x) % order for k, x in zip(exponents, column)]
     vectors = _TABLES.scaled_zeta(order, fprime, p, digits)
     for k in set(exponents).difference(vectors):

@@ -6,7 +6,8 @@ presentation with the Smith reduction that counts it, the direct per-character S
 complex-embedding oracle for lcm degrees, the rational-tower prime count and
 rank, the two-level rank estimate, the RootOfUnity predicate `is_one` and
 p-part `p_power_part`, the RootOfUnity oracles of sigma0_ok,
-sigma_p_value and compose, the search oracles for the unit behind
+sigma_p_value and compose, the one-at-a-time construction of a primitive
+character and of a field's characters, the search oracles for the unit behind
 sigma_p and for the stabilization level, the discrete log by trying every
 power, and a read-only loader for the benchmark's modules, the conjugacy
 classes built through chi.power(t), the Stickelberger residue table
@@ -15,6 +16,7 @@ Test modules import them as `from helpers import ...`."""
 
 import cmath
 import importlib.util
+import itertools
 import math
 import random
 import sys
@@ -31,7 +33,7 @@ from tamerank.arith import (
     teichmuller_residue,
     unit_group,
 )
-from tamerank.characters import ONE, FieldSpec, RootOfUnity, _primitive, omega
+from tamerank.characters import ONE, DirichletCharacter, FieldSpec, RootOfUnity, omega
 from tamerank.frobenius import (
     admissible,
     inertia_trivial,
@@ -355,6 +357,45 @@ def sigma_p_value_oracle(chi, q: int):
     return zp ** pow(x_q // pm, -1, p ** a)
 
 
+def primitive_oracle(p: int, units, exponents: tuple):
+    """Oracle for `tamerank.characters._primitive`: the primitive character
+    inducing the character with these exponents on the generators of
+    `units`, built one at a time.  The conductor is read from the whole
+    exponent vector; each generator of the conductor's unit group is lifted
+    to a unit mod the modulus and evaluated through its discrete log; and the
+    validating constructor reads the order, parity and primitivity."""
+    cond = units.conductor(exponents)
+    if cond == units.modulus:
+        return DirichletCharacter(p, cond, exponents)
+    top = math.lcm(1, *units.orders)
+    weights = [e * (top // n) for e, n in zip(exponents, units.orders)]
+    out = []
+    conductor_units = unit_group(cond)
+    for g, n in zip(conductor_units.generators, conductor_units.orders):
+        while math.gcd(g, units.modulus) != 1:
+            g += cond
+        k = sum(w * x for w, x in zip(weights, units.dlog(g))) * n
+        if k % top:
+            raise InvariantViolationError("value on a conductor generator has the wrong order")
+        out.append(k // top)
+    return DirichletCharacter(p, cond, tuple(out))
+
+
+def enumerate_characters_oracle(field: FieldSpec) -> list:
+    """Oracle for `tamerank.characters.enumerate_characters`: every exponent
+    vector on the generators of (Z/fp)^x in lexicographic order, kept when
+    the character is trivial on each generator of H, passed to
+    `primitive_oracle`."""
+    p, f = field.p, field.f
+    units = unit_group(f * p)
+    top = math.lcm(1, *units.orders)
+    h_weights = [[x * (top // n) for x, n in zip(units.dlog(crt(h, f, 1, p)), units.orders)]
+                 for h in field.subgroup]
+    return [primitive_oracle(p, units, e)
+            for e in itertools.product(*(range(n) for n in units.orders))
+            if all(sum(a * b for a, b in zip(e, hw)) % top == 0 for hw in h_weights)]
+
+
 def compose_oracle(chi, psi, e1: int, e2: int):
     """Oracle for `tamerank.characters.compose`: the value of chi^e1 psi^e2
     at each generator of the common modulus built as a product of
@@ -366,7 +407,7 @@ def compose_oracle(chi, psi, e1: int, e2: int):
         ((chi.value(g) ** e1) * (psi.value(g) ** e2)).exponent_for(n)
         for g, n in zip(units.generators, units.orders)
     )
-    return _primitive(chi.p, units, exponents)
+    return primitive_oracle(chi.p, units, exponents)
 
 
 def gamma_unit_by_search(p: int, q: int, a: int) -> int:

@@ -6,7 +6,14 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import compose_oracle, conjugacy_classes_by_power, is_one, p_power_part
+from helpers import (
+    compose_oracle,
+    conjugacy_classes_by_power,
+    enumerate_characters_oracle,
+    is_one,
+    p_power_part,
+    primitive_oracle,
+)
 from tamerank import characters
 from tamerank.arith import UnitGroupStructure, teichmuller_residue, unit_group
 from tamerank.characters import (
@@ -248,32 +255,50 @@ def test_compose_matches_the_root_of_unity_oracle(case):
 
 
 def test_classifying_builds_no_character(monkeypatch):
-    # enumeration builds |G| characters and classification none; the t-set
-    # cache misses once per distinct (order, p)
-    built = []
+    # enumeration builds one dual per block of (Z/fp)^x and assembles |G|
+    # characters, none through the validating constructor; classification
+    # builds no character, and the t-set cache misses once per distinct
+    # (order, p)
+    built, assembled, duals = [], [], []
     init = DirichletCharacter.__init__
+    assemble = characters._assembled
 
-    def counted(self, *args):
+    def counted_init(self, *args):
         built.append(args)
         init(self, *args)
 
-    monkeypatch.setattr(DirichletCharacter, "__init__", counted)
+    def counted_assembled(p, entries):
+        assembled.append(entries)
+        return assemble(p, entries)
+
+    def counted(dual):
+        def wrapper(*args):
+            duals.append(args[0])
+            return dual(*args)
+        return wrapper
+
+    monkeypatch.setattr(DirichletCharacter, "__init__", counted_init)
+    monkeypatch.setattr(characters, "_assembled", counted_assembled)
+    monkeypatch.setattr(characters, "_cyclic_dual", counted(characters._cyclic_dual))
+    monkeypatch.setattr(characters, "_two_dual", counted(characters._two_dual))
     tsets = lru_cache(maxsize=None)(characters._conjugating_exponents.__wrapped__)
     monkeypatch.setattr(characters, "_conjugating_exponents", tsets)
     pairs = set()
     for field, _ in ORBIT_FIELDS:
         chars = enumerate_characters(field)
-        assert len(built) == field.group_order
-        built.clear()
+        assert duals == [block[1] for block in unit_group(field.f * field.p).blocks]
+        assert len(assembled) == field.group_order and built == []
+        duals.clear()
+        assembled.clear()
         conjugacy_classes(chars)
-        assert built == []
+        assert built == [] and assembled == [] and duals == []
         pairs |= {(c.order, c.p) for c in chars}
         assert tsets.cache_info().misses == len(pairs)
 
 
 def test_enumeration_reads_each_conductor_once(monkeypatch):
-    # one conductor call per character, and one more when the trivial
-    # character, lifted to modulus 1, checks its own
+    # the conductor is read once per entry of each block's dual, on the
+    # entry's own conductor group, and never per assembled character
     calls = []
     conductor = UnitGroupStructure.conductor
 
@@ -282,17 +307,100 @@ def test_enumeration_reads_each_conductor_once(monkeypatch):
         return conductor(self, exponents)
 
     monkeypatch.setattr(UnitGroupStructure, "conductor", counted)
-    chars = enumerate_characters(FieldSpec(1031, 1))
-    assert len(chars) == 1030 and len(calls) == len(chars) + 1
-    # direct construction and lifted characters still check primitivity
+    for field, blocks, reads in [
+        # one cyclic block of 1030 entries
+        (FieldSpec(1031, 1), [1030], 1030),
+        # blocks 9, 5 and 7 of 6 + 4 + 6 entries for 6 * 4 * 6 characters
+        (FieldSpec(5, 63), [6, 4, 6], 16),
+        # blocks 16 and 3: an entry of the pair (-1, 3) mod 16 reads its
+        # conductor on (Z/16)^x, then checks it on its own conductor's group
+        (FieldSpec(3, 16), [8, 2], 2 * 8 + 2),
+    ]:
+        calls.clear()
+        chars = enumerate_characters(field)
+        assert len(chars) == field.group_order and len(calls) == reads
+        assert [len(dual) for _, dual in characters._block_duals(unit_group(field.f * field.p))] == blocks
+
+
+def test_direct_construction_checks_primitivity_and_powers_reuse_the_duals(monkeypatch):
+    calls = []
+    conductor = UnitGroupStructure.conductor
+
+    def counted(self, exponents):
+        calls.append(self.modulus)
+        return conductor(self, exponents)
+
+    monkeypatch.setattr(UnitGroupStructure, "conductor", counted)
+    monkeypatch.setattr(characters, "_latest_block_duals", lru_cache(maxsize=1)(characters._block_duals))
     units = unit_group(35)
     imprimitive = (0, 1)  # trivial on the 5-part: conductor 7
-    assert units.conductor(imprimitive) == 7
+    assert conductor(units, imprimitive) == 7
     with pytest.raises(ValueError, match="primitive"):
         DirichletCharacter(5, 35, imprimitive)
     calls.clear()
-    lifted = DirichletCharacter(5, 35, (1, 1)).power(4)
-    assert lifted.modulus == 7 and calls == [35, 35, 7]
+    chi = DirichletCharacter(5, 35, (1, 1))
+    assert calls == [35]
+    # the first power builds the duals of the blocks 5 and 7 of (Z/35)^x,
+    # each entry reading its conductor once; later powers read none
+    calls.clear()
+    lifted = chi.power(4)
+    assert lifted.modulus == 7 and sorted(calls) == [1] * 2 + [5] * 3 + [7] * 5
+    calls.clear()
+    assert chi.power(6).modulus == 5 and chi.inverse().modulus == 35 and calls == []
+
+
+def test_cyclic_dual_lifts_through_the_blocks_generator(monkeypatch):
+    # with 8 in place of 2 as the generator of (Z/25)^x, the generator 2 of
+    # (Z/5)^x is 8^7, so the lift log d = 7 is not 1 mod 4 and the exponent
+    # on (Z/5)^x is (e / 5) * 7; every entry agrees with chi(8) = zeta_20^e
+    real = unit_group
+    eight = UnitGroupStructure(25, (8,), (20,), (("cyclic", 25, 8, 20, ((2, 2), (5, 1))),))
+    monkeypatch.setattr(characters, "unit_group", lambda m: eight if m == 25 else real(m))
+    for e, (c, local, order, parity) in enumerate(characters._cyclic_dual(25, 20)):
+        assert order == 20 // math.gcd(e, 20) and parity == (-1) ** e
+        cond = characters.unit_group(c)
+        for h, n, k in zip(cond.generators, cond.orders, local):
+            # chi(h) = zeta_20^(e x) with h = 8^x, and zeta_n^k = zeta_20^(k 20 / n)
+            assert e * eight.dlog(h)[0] % 20 == k * (20 // n) % 20, (e, h)
+        assert c == (1 if e == 0 else 5 if e % 5 == 0 else 25)
+
+
+def assert_same_character(chi, want):
+    assert chi == want and hash(chi) == hash(want)
+    assert (chi.p, chi.modulus, chi.exponents, chi.order, chi.parity, chi.d_chi) == (
+        want.p, want.modulus, want.exponents, want.order, want.parity, want.d_chi)
+    assert chi.units is want.units and chi.weights == want.weights
+    assert chi.label() == want.label() and chi.to_dict() == want.to_dict()
+
+
+@st.composite
+def _block_fields(draw):
+    """Fields whose conductors have 2-parts 4, 8 and 16 or square factors,
+    among others."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    special = st.sampled_from([4, 8, 16, 24, 40, 48, 9, 25, 49, 63, 36, 45, 72, 80])
+    f = draw(st.one_of(special, st.integers(min_value=1, max_value=60))
+             .filter(lambda f: math.gcd(f, p) == 1))
+    units = [h for h in range(1, f) if math.gcd(h, f) == 1] or [0]
+    return FieldSpec(p, f, tuple(draw(st.lists(st.sampled_from(units), max_size=2))))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_block_fields(), st.integers(min_value=-40, max_value=40), st.randoms(use_true_random=False))
+def test_assembled_characters_match_the_one_at_a_time_oracle(field, t, rng):
+    # the characters assembled from block entries are those the one-at-a-time
+    # lift path builds through the validating constructor, in the same
+    # order; so are their powers, inverses and products
+    chars = enumerate_characters(field)
+    expected = enumerate_characters_oracle(field)
+    assert len(chars) == len(expected) == field.group_order
+    for chi, want in zip(chars, expected):
+        assert_same_character(chi, want)
+    for chi in rng.sample(chars, min(len(chars), 40)):
+        for power, s in ((chi.power(t), t), (chi.inverse(), -1)):
+            assert_same_character(power, primitive_oracle(chi.p, chi.units, tuple(e * s for e in chi.exponents)))
+        psi = rng.choice(chars)
+        assert_same_character(compose(chi, psi, t, 1), compose_oracle(chi, psi, t, 1))
 
 
 def test_class_partition_checks_raise(monkeypatch):

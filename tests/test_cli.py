@@ -646,6 +646,32 @@ def test_oracle_refuses_a_field_of_too_many_characters(tmp_path, capsys, S, expe
     assert capsys.readouterr().err.splitlines() == [f"config error: {v}" for v in expected]
 
 
+@pytest.mark.parametrize("command, doc, bound", [
+    ("chars", {"p": 3, "f": 1000003}, 2000006),
+    ("chars", {"p": 3, "f": 10 ** 18 + 3}, 2 * 10 ** 18 + 6),
+    ("rank", {"p": 3, "f": 10 ** 18 + 3, "S": [7]}, 2 * 10 ** 18 + 6),
+])
+def test_main_refuses_an_oversized_enumeration_before_factoring(tmp_path, capsys, command, doc, bound):
+    # f*(p - 1) bounds |G|; it is checked in parse_config, before f*p is
+    # factored (trial division on 10^18 + 3 would not finish)
+    cfg = write_config(tmp_path, {**doc, "lambda": {"table": {"all": 0}}})
+    t0 = time.monotonic()
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err.strip() == (
+        f"config error: the field may have up to f*(p - 1) = {bound} characters, above 1000000")
+
+
+def test_enumeration_bound_admits_the_benchmark_jobs(monkeypatch):
+    # parse_config raises on a job over the bound; the largest is a chars
+    # job with p below 1280
+    workloads = load_benchmark_module("workloads", monkeypatch)
+    for name in workloads.WORKLOADS:
+        for _, doc in workloads.generate(name, 0):
+            job = parse_config(doc)
+            assert job.f * (job.p - 1) < 1280
+
+
 def test_oracle_bound_admits_the_benchmark_and_test_jobs(monkeypatch):
     # the oracle-grid jobs (any seed gives the same modules) and the largest
     # module the fuzz test of main can draw: p = 7, f = 11, q = 19 at its

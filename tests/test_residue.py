@@ -680,3 +680,26 @@ def test_valuation_fixed_values():
             assert ring.valuation([c - (i == 0) for i, c in enumerate(y)]) == 1
             yp = ring.zeta_vector(m // p)
             assert ring.valuation([c - (i == 0) for i, c in enumerate(yp)]) == w // (p - 1)
+
+
+# 608 (chi, q, pair of levels) checks over the five fields
+LADDER_FIELDS = [(5, 7, [2, 11]), (3, 8, [5, 7]), (7, 1, [2, 3]), (13, 1, [3]), (3, 1, [7, 19])]
+
+
+@pytest.mark.parametrize("p, f, S", LADDER_FIELDS)
+def test_growth_up_the_level_ladder_is_the_tame_term(p, f, S):
+    # from the stabilization level s of q up to s + 8, the chi-quotient grows
+    # between every pair of consecutive levels by d_chi p^(m_q) for chi with
+    # q in S_chi and by 0 for every other chi: the rank does not depend on
+    # which stabilized levels the oracle reads
+    field = FieldSpec(p, f)
+    reps = class_representatives(enumerate_characters(field), p)
+    for q in S:
+        s = stabilization_level(field, q)
+        tame = p ** m_index(q, p)
+        ladder = [residue_module(field, q, n) for n in range(s, s + 9)]
+        for lo, hi in zip(ladder, ladder[1:]):
+            for chi in reps:
+                admissible = inertia_trivial(chi, q) and sigma0_ok(chi, q)
+                growth = residue.quotient_growth(lo, hi, chi)[2]
+                assert growth == (chi.d_chi * tame if admissible else 0), (q, lo.level, chi.label())
