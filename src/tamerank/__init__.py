@@ -2,7 +2,7 @@
 cyclotomic Z_p-tower of an abelian field, with a brute-force residue-module
 oracle and a Stickelberger lambda provider for the minus side."""
 
-from .annihilators import AnnihilatorPoly, annihilator, contains, lcm_degree
+from .annihilators import annihilator, lcm_degree
 from .arith import (
     UnitGroupStructure,
     mul_order,
@@ -14,7 +14,6 @@ from .arith import (
 from .characters import (
     DirichletCharacter,
     FieldSpec,
-    RootOfUnity,
     compose,
     conjugacy_classes,
     enumerate_characters,

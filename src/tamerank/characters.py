@@ -73,7 +73,9 @@ class FrozenValue:
 
 
 class RootOfUnity(FrozenValue):
-    """zeta_order^k, held in lowest terms with 0 <= k < order."""
+    """zeta_order^k, held in lowest terms with 0 <= k < order.  The package
+    computes with integer exponents; this value is what `value` returns and
+    what `LocalCoefficientRing.root_matrix` takes."""
 
     __slots__ = _fields = ("k", "order")
 
@@ -81,16 +83,6 @@ class RootOfUnity(FrozenValue):
         g = math.gcd(k, order)
         object.__setattr__(self, "k", k % order // g)
         object.__setattr__(self, "order", order // g)
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        n = math.lcm(self.order, other.order)
-        return RootOfUnity(self.k * (n // self.order) + other.k * (n // other.order), n)
-
-    def __pow__(self, e: int) -> "RootOfUnity":
-        return RootOfUnity(self.k * e, self.order)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self.k, self.order)
 
     def exponent_for(self, order: int) -> int:
         """Integer k with self = zeta_order^k; order must be a multiple."""
@@ -103,9 +95,6 @@ class RootOfUnity(FrozenValue):
 
     def __repr__(self):
         return f"zeta({self.k}/{self.order})"
-
-
-ONE = RootOfUnity(0, 1)
 
 
 class DirichletCharacter:

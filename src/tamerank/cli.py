@@ -319,7 +319,7 @@ def run_lambda(job: JobConfig) -> dict:
             {
                 "character": chi.label(),
                 "lambda": res.lambda_,
-                "mu_zero": res.mu_zero,
+                "mu_zero": True,  # mu = 0 for abelian fields (Ferrero-Washington)
                 "levels_used": list(res.levels_used),
             }
         )

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import euler_phi, is_prime, mul_order, padic_log, split_prime_part, v_p
-from .characters import ONE, DirichletCharacter, FieldSpec, RootOfUnity, omega
+from .characters import DirichletCharacter, FieldSpec, omega
 from .errors import InvariantViolationError
 
 
@@ -70,15 +70,18 @@ def admissible(chi: DirichletCharacter, q: int) -> bool:
     return memo[q]
 
 
-def sigma_p_value(chi: DirichletCharacter, q: int) -> RootOfUnity:
+def sigma_p_value(chi: DirichletCharacter, q: int) -> int:
     """chi^{-1}(sigma_p) for the p-Sylow component sigma_p of the generator
-    gamma^{p^m} sigma_p of the p-part of the decomposition group.
+    gamma^{p^m} sigma_p of the p-part of the decomposition group, as the
+    exponent e, 0 <= e < p^a, with chi^{-1}(sigma_p) = zeta_{p^a}^e, where
+    p^a is the p-part of ord chi.  Every value of one character is a power of
+    that one root, so an annihilator is the integer pair (m_q, e).
 
     The p-power-order part z_p of chi^{-1}(q) equals chi^{-1} of the p-part
     of the Frobenius class; sigma_p is that p-part raised to u^{-1}, where
     u is the unit x_q / p^{m_q}.  As log omega(q) = 0, x_q equals
-    log(q^{p-1}) / ((p-1) log(1+p)); with z_p of order p^a, u mod p^a needs
-    x_q mod p^{m_q+a+1}, so both logs are taken mod p^{m_q+a+2}.
+    log(q^{p-1}) / ((p-1) log(1+p)); with z_p of order p^b, u mod p^b needs
+    x_q mod p^{m_q+b+1}, so both logs are taken mod p^{m_q+b+2}.
     """
     p = chi.p
     if not inertia_trivial(chi, q):
@@ -89,10 +92,10 @@ def sigma_p_value(chi: DirichletCharacter, q: int) -> RootOfUnity:
     pa = p ** a
     e = -chi.exponent_at(q) * pow(n, -1, pa) % pa
     if e == 0:
-        return ONE
-    a -= split_prime_part(e, p)[0]  # z_p = zeta_pa^e has order p^a
+        return 0
+    b = a - split_prime_part(e, p)[0]  # z_p = zeta_pa^e has order p^b
     m = m_index(q, p)
-    W = m + a + 2
+    W = m + b + 2
     log_q = padic_log(pow(q, p - 1, p ** W), p, W)
     log_k0 = padic_log(1 + p, p, W)
     if log_q % p or log_k0 % p:
@@ -105,7 +108,7 @@ def sigma_p_value(chi: DirichletCharacter, q: int) -> RootOfUnity:
     pm = p ** m
     if x_q % pm or x_q // pm % p == 0:
         raise InvariantViolationError(f"Gamma-component valuation != m_q = {m}")
-    return RootOfUnity(e * pow(x_q // pm, -1, p ** a), pa)
+    return e * pow(x_q // pm, -1, p ** b) % pa
 
 
 class SplittingData(NamedTuple):

@@ -8,20 +8,24 @@ For each character chi of G = Gal(K/Q) and a finite set S of rational primes
 
 where S_chi keeps the q with trivial inertia and trivial sigma_0-value,
 P_chi is 1 for omega, 0 for other odd chi, and d_chi deg F for even chi with
-F the lcm of the annihilator polynomials.  lambda_chi is the Z_p-rank of the
-chi-quotient of the unramified Iwasawa module and is supplied by a provider:
-an explicit table, the Stickelberger computation (odd chi != omega), or
-Greenberg's conjecture as an explicitly flagged conditional zero for even chi.
+F the lcm of the annihilator polynomials.  Each annihilator is the integer
+pair (m_q, e) with chi^{-1}(sigma_p) = zeta_{p^a}^e, p^a the p-part of
+ord chi, so no root of unity is built on the way.  lambda_chi is the
+Z_p-rank of the chi-quotient of the unramified Iwasawa module and is
+supplied by a provider: an explicit table, the Stickelberger computation
+(odd chi != omega), or Greenberg's conjecture as an explicitly flagged
+conditional zero for even chi.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from .annihilators import admissible_annihilator, lcm_degree
+from .annihilators import lcm_degree
+from .arith import split_prime_part
 from .characters import DirichletCharacter, FieldSpec, FrozenValue, field_characters, omega
 from .errors import ConfigError, InvariantViolationError, LambdaUnavailableError
-from .frobenius import admissible, m_index
+from .frobenius import admissible, m_index, sigma_p_value
 from .stickelberger import lambda_minus
 
 PROVENANCE_TABLE = "input-table"
@@ -94,14 +98,15 @@ def s_chi(chi: DirichletCharacter, S: Iterable[int]) -> list:
 
 
 class RankRecord:
-    __slots__ = ("character", "d_chi", "parity", "s_chi", "m_map", "deg_f", "p_chi", "lam", "rank")
+    """One character's rank; S_chi is the keys of m_map, in order."""
 
-    def __init__(self, character: str, d_chi: int, parity: int, s_chi: list, m_map: dict,
+    __slots__ = ("character", "d_chi", "parity", "m_map", "deg_f", "p_chi", "lam", "rank")
+
+    def __init__(self, character: str, d_chi: int, parity: int, m_map: dict,
                  deg_f: Optional[int], p_chi: Optional[int], lam: LambdaValue, rank: int):
         self.character = character
         self.d_chi = d_chi
         self.parity = parity
-        self.s_chi = s_chi
         self.m_map = m_map
         self.deg_f = deg_f
         self.p_chi = p_chi
@@ -117,7 +122,7 @@ class RankRecord:
             "character": self.character,
             "d_chi": self.d_chi,
             "parity": self.parity,
-            "S_chi": list(self.s_chi),
+            "S_chi": list(self.m_map),
             "m_map": {str(q): m for q, m in self.m_map.items()},
             "degF": self.deg_f,
             "P_chi": self.p_chi,
@@ -138,7 +143,8 @@ def rank_chi(
     deg_f = p_chi = None
     rank = lam.value
     if m_map:
-        deg_f = lcm_degree([admissible_annihilator(chi, q, m) for q, m in m_map.items()])
+        pa = p ** split_prime_part(chi.order, p)[0]
+        deg_f = lcm_degree(p, pa, [(m, sigma_p_value(chi, q)) for q, m in m_map.items()])
         if chi == omega(p):
             p_chi = 1
         elif chi.is_odd:
@@ -148,7 +154,7 @@ def rank_chi(
         rank += sum(chi.d_chi * p ** m for m in m_map.values()) - p_chi
         if rank < lam.value:
             raise InvariantViolationError("tame contribution went negative")
-    return RankRecord(chi.label(), chi.d_chi, chi.parity, list(m_map), m_map, deg_f, p_chi, lam, rank)
+    return RankRecord(chi.label(), chi.d_chi, chi.parity, m_map, deg_f, p_chi, lam, rank)
 
 
 class RankReport:

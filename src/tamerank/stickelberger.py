@@ -340,11 +340,10 @@ def stickelberger_series(chi: DirichletCharacter, n: int) -> StickelbergerSeries
 
 
 class LambdaResult(FrozenValue):
-    __slots__ = _fields = ("lambda_", "mu_zero", "levels_used")
+    __slots__ = _fields = ("lambda_", "levels_used")
 
-    def __init__(self, lambda_: int, mu_zero: bool, levels_used: Tuple[int, int]):
+    def __init__(self, lambda_: int, levels_used: Tuple[int, int]):
         object.__setattr__(self, "lambda_", lambda_)
-        object.__setattr__(self, "mu_zero", mu_zero)
         object.__setattr__(self, "levels_used", levels_used)
 
 
@@ -368,7 +367,7 @@ def lambda_minus(chi: DirichletCharacter) -> LambdaResult:
             )
         lam = low.first_unit_index()
         if lam is not None:
-            return LambdaResult(lam, True, (n, n + 1))
+            return LambdaResult(lam, (n, n + 1))
         low = high
     raise PrecisionError(
         f"the series of {chi.label()} have no unit coefficient below level "

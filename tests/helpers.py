@@ -3,11 +3,14 @@ Frobenius profile with its ramification test, the element-walk level group
 (the oracle of the residue modules' cosets), the level-to-level
 norm-reduction check of the residue modules, the dense chi-quotient
 presentation with the Smith reduction that counts it, the direct per-character Stickelberger buckets, the
-complex-embedding oracle for lcm degrees, the rational-tower prime count and
-rank, the two-level rank estimate, the RootOfUnity predicate `is_one` and
-p-part `p_power_part`, the RootOfUnity oracles of sigma0_ok,
-sigma_p_value and compose, the one-at-a-time construction of a primitive
-character and of a field's characters, the search oracles for the unit behind
+complex-embedding oracle for lcm degrees of annihilator pairs (m, e), the
+rational-tower prime count and rank, the two-level rank estimate, the
+RootOfUnity arithmetic the oracles use (the product `root_times`, the power
+`root_power`, the predicate `is_one` and the p-part `p_power_part`), the
+RootOfUnity oracles of sigma0_ok, sigma_p_value and compose (the package
+reads integer exponents and builds no RootOfUnity on these paths), the
+one-at-a-time construction of a primitive character and of a field's
+characters, the search oracles for the unit behind
 sigma_p and for the stabilization level, the discrete log by trying every
 power, and a read-only loader for the benchmark's modules, the conjugacy
 classes built through chi.power(t), the Stickelberger residue table
@@ -33,7 +36,7 @@ from tamerank.arith import (
     teichmuller_residue,
     unit_group,
 )
-from tamerank.characters import ONE, DirichletCharacter, FieldSpec, RootOfUnity, omega
+from tamerank.characters import DirichletCharacter, FieldSpec, RootOfUnity, omega
 from tamerank.frobenius import (
     admissible,
     inertia_trivial,
@@ -60,6 +63,16 @@ def load_benchmark_module(name: str, monkeypatch):
     return module
 
 
+def root_times(z: RootOfUnity, w: RootOfUnity) -> RootOfUnity:
+    n = math.lcm(z.order, w.order)
+    return RootOfUnity(z.k * (n // z.order) + w.k * (n // w.order), n)
+
+
+def root_power(z: RootOfUnity, e: int) -> RootOfUnity:
+    """z^e; root_power(z, -1) is the inverse of z."""
+    return RootOfUnity(z.k * e, z.order)
+
+
 def is_one(z: RootOfUnity) -> bool:
     return z.k == 0
 
@@ -68,9 +81,7 @@ def p_power_part(z: RootOfUnity, p: int) -> RootOfUnity:
     """The p-power-order part of z: for z of order p^a n with p not dividing
     n, the CRT split of the exponent kills the prime-to-p component."""
     a, n = split_prime_part(z.order, p)
-    if a == 0:
-        return ONE
-    return z ** (n * pow(n, -1, p ** a))
+    return root_power(z, n * pow(n, -1, p ** a))
 
 
 def random_prime_sets(p: int, count: int, seed: int, pool_bound: int = 200) -> list:
@@ -121,8 +132,9 @@ class FrobeniusProfile:
                 "sigma0_ok": entry["sigma0_ok"],
             }
             if "sigma_p_value" in entry:
-                val = entry["sigma_p_value"]
-                rec["sigma_p_exponent"] = [val.k, val.order]
+                # the exponent on zeta_{p^a}, p^a the p-part of ord chi
+                pa = self.field.p ** split_prime_part(chi.order, self.field.p)[0]
+                rec["sigma_p_exponent"] = [entry["sigma_p_value"], pa]
             out["per_chi"][chi.label()] = rec
         return out
 
@@ -326,7 +338,7 @@ def sigma0_ok_oracle(chi, q: int) -> bool:
         raise InvariantViolationError(
             "sigma0_ok called with q dividing the conductor; check inertia first"
         )
-    return (omega(p).value(q) * val.inverse()).order_is_p_power(p)
+    return root_times(omega(p).value(q), root_power(val, -1)).order_is_p_power(p)
 
 
 def sigma_p_value_oracle(chi, q: int):
@@ -336,7 +348,7 @@ def sigma_p_value_oracle(chi, q: int):
     p = chi.p
     if not inertia_trivial(chi, q):
         raise ValueError("chi is ramified at q")
-    zp = p_power_part(chi.value(q).inverse(), p)
+    zp = p_power_part(root_power(chi.value(q), -1), p)
     if is_one(zp):
         return zp
     a = split_prime_part(zp.order, p)[0]
@@ -354,7 +366,7 @@ def sigma_p_value_oracle(chi, q: int):
     pm = p ** m
     if x_q % pm or x_q // pm % p == 0:
         raise InvariantViolationError(f"Gamma-component valuation != m_q = {m}")
-    return zp ** pow(x_q // pm, -1, p ** a)
+    return root_power(zp, pow(x_q // pm, -1, p ** a))
 
 
 def primitive_oracle(p: int, units, exponents: tuple):
@@ -404,7 +416,7 @@ def compose_oracle(chi, psi, e1: int, e2: int):
         raise ValueError("characters live over different primes")
     units = unit_group(math.lcm(chi.modulus, psi.modulus))
     exponents = tuple(
-        ((chi.value(g) ** e1) * (psi.value(g) ** e2)).exponent_for(n)
+        root_times(root_power(chi.value(g), e1), root_power(psi.value(g), e2)).exponent_for(n)
         for g, n in zip(units.generators, units.orders)
     )
     return primitive_oracle(chi.p, units, exponents)
@@ -594,22 +606,21 @@ def folded_buckets(series, lower_level: int) -> list:
 _K0 = 1.337  # any fixed real > 1; stands in for kappa0 = 1 + p
 
 
-def lcm_degree_oracle(polys: list, tol: float = 1e-9) -> int:
-    """Oracle for `tamerank.annihilators.lcm_degree`: count the union of root
-    sets after embedding them into C.
+def lcm_degree_oracle(p: int, pa: int, pairs: list, tol: float = 1e-9) -> int:
+    """Oracle for `tamerank.annihilators.lcm_degree`: count the union of the
+    root sets of the pairs (m, e) on zeta_pa after embedding them into C.
 
-    The roots of (m, zeta=e(k/p^a)) are K0 * e((k + j p^a)/p^{a+m}); two
-    roots coincide exactly when the corresponding p-power roots of unity
+    The roots of (m, e) are K0 * e((e + j pa)/(pa p^m)) for 0 <= j < p^m;
+    two roots coincide exactly when the corresponding p-power roots of unity
     are equal, so a tolerance merge counts the union faithfully.
     """
-    if not polys:
+    if not pairs:
         raise ValueError("need at least one polynomial")
     points: list = []
-    for a in polys:
-        den = a.zeta.order
-        k = a.zeta.exponent_for(den)
-        for j in range(a.degree):
-            angle = 2.0 * cmath.pi * (k / den + j) / a.degree
+    for m, e in pairs:
+        degree = p ** m
+        for j in range(degree):
+            angle = 2.0 * cmath.pi * (e / pa + j) / degree
             z = _K0 * cmath.exp(1j * angle)
             if all(abs(z - w) > tol for w in points):
                 points.append(z)

@@ -367,7 +367,7 @@ def test_main_closed_stdout_is_a_config_error(tmp_path, p, unbuffered):
 
 def test_main_maps_internal_errors(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, EXAMPLE_6_5)
-    monkeypatch.setattr(tamerank.rank, "lcm_degree", lambda polys: 10 ** 6)
+    monkeypatch.setattr(tamerank.rank, "lcm_degree", lambda p, pa, pairs: 10 ** 6)
     assert main(["rank", "--config", cfg]) == EXIT_INVARIANT
     assert "tame contribution went negative" in capsys.readouterr().err
 

@@ -9,11 +9,12 @@ from helpers import (
     is_one,
     p_power_part,
     rational_prime_count,
+    root_power,
     sigma0_ok_oracle,
     sigma_p_value_oracle,
     stabilization_level_by_search,
 )
-from tamerank import arith, frobenius
+from tamerank import arith, frobenius, rank
 from tamerank.arith import factorize, is_prime, v_p
 from tamerank.characters import (
     FieldSpec,
@@ -71,8 +72,8 @@ def test_sigma0_quadratic_over_3():
 
 def test_sigma_p_trivial_sylow():
     # K = Q(mu_p): the p-Sylow subgroup of G is trivial
-    assert is_one(sigma_p_value(omega(5), 7))
-    assert is_one(sigma_p_value(omega(5).power(3), 11))
+    assert sigma_p_value(omega(5), 7) == 0
+    assert sigma_p_value(omega(5).power(3), 11) == 0
 
 
 def cubic_character():
@@ -86,11 +87,10 @@ def cubic_character():
 def test_sigma_p_cubic_field():
     chi = cubic_character()
     # 13 = -1 mod 7 lies in H: q splits in the cubic field, sigma_p trivial
-    assert is_one(sigma_p_value(chi, 13))
+    assert sigma_p_value(chi, 13) == 0
     # 31 = 3 mod 7 generates the quotient; u = 1 mod 3, so the value is
     # chi^{-1}(3) = zeta_3^2
-    val = sigma_p_value(chi, 31)
-    assert val.order == 3 and val.exponent_for(3) == 2
+    assert sigma_p_value(chi, 31) == 2
 
 
 @pytest.mark.parametrize(
@@ -100,21 +100,23 @@ def test_sigma_p_cubic_field():
 )
 def test_sigma_p_matches_unit_search(p, f, H, a_values):
     # chi^{-1}(sigma_p) = z_p^{u^{-1}} on every character and prime q < 400,
-    # with u found by exhaustive search rather than from p-adic logarithms
+    # with u found by exhaustive search rather than from p-adic logarithms,
+    # read as an exponent on zeta_{p^a}, p^a the p-part of ord chi
     primes = [q for q in range(2, 400) if is_prime(q) and q != p]
     seen, asymmetric = set(), 0
     for chi in enumerate_characters(FieldSpec(p, f, H)):
+        pa = p ** v_p(chi.order, p)
         for q in primes:
             if not inertia_trivial(chi, q):
                 continue
-            zp = p_power_part(chi.value(q).inverse(), p)
+            zp = p_power_part(root_power(chi.value(q), -1), p)
             if is_one(zp):
-                assert is_one(sigma_p_value(chi, q))
+                assert sigma_p_value(chi, q) == 0
                 continue
             a = v_p(zp.order, p)
             u = gamma_unit_by_search(p, q, a)
             u_inv = pow(u, -1, p ** a)
-            assert sigma_p_value(chi, q) == zp ** u_inv, (chi.label(), q)
+            assert sigma_p_value(chi, q) == root_power(zp, u_inv).exponent_for(pa), (chi.label(), q)
             seen.add((a, m_index(q, p)))
             asymmetric += u != u_inv
     assert {a for a, _ in seen} == a_values
@@ -128,6 +130,12 @@ def _outcome(fn, chi, q):
         return fn(chi, q)
     except (ValueError, InvariantViolationError) as exc:
         return type(exc)
+
+
+def _sigma_p_exponent_oracle(chi, q):
+    """The root-of-unity oracle's value, read as an exponent on zeta_{p^a},
+    p^a the p-part of ord chi."""
+    return sigma_p_value_oracle(chi, q).exponent_for(chi.p ** v_p(chi.order, chi.p))
 
 
 @st.composite
@@ -150,29 +158,34 @@ def test_integer_sigma_path_matches_the_root_of_unity_oracles(drawn):
     for chi in class_representatives(enumerate_characters(field), field.p):
         for q in qs:
             assert _outcome(sigma0_ok, chi, q) == _outcome(sigma0_ok_oracle, chi, q), (chi, q)
-            assert _outcome(sigma_p_value, chi, q) == _outcome(sigma_p_value_oracle, chi, q), (chi, q)
+            assert _outcome(sigma_p_value, chi, q) == _outcome(_sigma_p_exponent_oracle, chi, q), (chi, q)
 
 
 def test_rank_chain_evaluates_sigma0_in_integers(monkeypatch):
-    # a chain of S sets on one field: sigma0_ok builds no RootOfUnity, and
-    # each (modulus, q mod modulus) is solved by one discrete log
-    field = FieldSpec(13, 105, (2,))
-    chain = [[2], [2, 11], [2, 11, 29], [2, 11, 29, 53], [2, 11, 29, 53, 79, 131]]
-    inside, calls, roots, solved = [False], [], [], []
+    # a chain of S sets on each field: the rank jobs, enumeration included,
+    # build no RootOfUnity, and each (modulus, q mod modulus) is solved by
+    # one discrete log.  On (3, 91) records have two or more q in S_chi and
+    # annihilators (m_q, e) with e != 0
+    chains = {
+        FieldSpec(13, 105, (2,)): [[2], [2, 11], [2, 11, 29], [2, 11, 29, 53], [2, 11, 29, 53, 79, 131]],
+        FieldSpec(3, 91): [[2, 5], [2, 5, 11, 17], [2, 5, 11, 17, 29, 31, 43, 47]],
+    }
+    calls, roots, solved, annihilators = [], [], [], []
 
     init = RootOfUnity.__init__
     def counted_root(self, k, order):
-        roots.append(inside[0])
+        roots.append((k, order))
         init(self, k, order)
 
     sigma0 = frobenius.sigma0_ok
-    def flagged_sigma0(chi, q):
+    def counted_sigma0(chi, q):
         calls.append((chi, q))
-        inside[0] = True
-        try:
-            return sigma0(chi, q)
-        finally:
-            inside[0] = False
+        return sigma0(chi, q)
+
+    lcm_degree = rank.lcm_degree
+    def recorded_lcm_degree(p, pa, pairs):
+        annihilators.append(pairs)
+        return lcm_degree(p, pa, pairs)
 
     dlog = arith.UnitGroupStructure.dlog
     def counted_dlog(self, a):
@@ -180,20 +193,23 @@ def test_rank_chain_evaluates_sigma0_in_integers(monkeypatch):
         return dlog(self, a)
 
     monkeypatch.setattr(RootOfUnity, "__init__", counted_root)
-    monkeypatch.setattr(frobenius, "sigma0_ok", flagged_sigma0)
+    monkeypatch.setattr(frobenius, "sigma0_ok", counted_sigma0)
+    monkeypatch.setattr(rank, "lcm_degree", recorded_lcm_degree)
     monkeypatch.setattr(arith.UnitGroupStructure, "dlog", counted_dlog)
     field_characters.cache_clear()
     arith.unit_dlog.cache_clear()
-    field_characters(field)
-    solved.clear()
-    for S in chain:
-        rank_total(field, S, LambdaProvider(table={"all": 0}))
+    for field, chain in chains.items():
+        field_characters(field)
+        solved.clear()
+        for S in chain:
+            rank_total(field, S, LambdaProvider(table={"all": 0}))
+        assert solved and len(solved) == len(set(solved))
     field_characters.cache_clear()
     assert len(calls) == len(set(calls)) > 100
-    assert not any(roots)
+    assert any(len(pairs) > 1 and any(e for _, e in pairs) for pairs in annihilators)
+    assert roots == []
     RootOfUnity(1, 3)
-    assert roots == [False]  # the count is live
-    assert solved and len(solved) == len(set(solved))
+    assert roots == [(1, 3)]  # the count is live
 
 
 def test_splitting_count_examples():

@@ -31,7 +31,7 @@ FIELDS_AND_POOLS = [
 
 
 def _record(rec):
-    return rec.rank, rec.s_chi, rec.m_map, rec.deg_f, rec.p_chi
+    return rec.rank, list(rec.m_map), rec.m_map, rec.deg_f, rec.p_chi
 
 
 @pytest.mark.parametrize("field, pool", FIELDS_AND_POOLS, ids=lambda x: str(x))
@@ -51,6 +51,6 @@ def test_rank_step_as_s_grows(field, pool):
                 if not admissible(chi, q):
                     assert delta == 0, (chi, S, q)
                 elif chi == omega(p):
-                    assert delta == (step if rec.s_chi else step - 1), (S, q)
+                    assert delta == (step if rec.m_map else step - 1), (S, q)
                 elif chi.is_odd:
                     assert delta == step, (chi, S, q)

@@ -54,7 +54,7 @@ def test_rank_chi_empty_s_chi_returns_lambda():
     assert rec.rank == 0
     chi = omega(5).power(2)
     rec2 = rank_chi(chi, [2], prov)  # 2 = 3 mod 5 fails the sigma_0 test
-    assert rec2.s_chi == [] and rec2.rank == 4
+    assert list(rec2.m_map) == [] and rec2.rank == 4
 
 
 def test_rank_total_example_6_5():
@@ -142,13 +142,13 @@ def test_even_single_prime_rank_is_lambda():
     prov = LambdaProvider(table={"all": 2})
     chi = omega(5).power(2)
     rec = rank_chi(chi, [11], prov)
-    assert rec.s_chi == [11] and rec.rank == 2
+    assert list(rec.m_map) == [11] and rec.rank == 2
 
 
 def test_greenberg_flag_marks_conjectural():
     chi8 = [c for c in enumerate_characters(FieldSpec(3, 8, (7,))) if c.conductor == 8][0]
     rec = rank_chi(chi8, [5, 7, 13], LambdaProvider(allow_greenberg=True))
-    assert rec.s_chi == [5, 7]
+    assert list(rec.m_map) == [5, 7]
     assert rec.deg_f == 1 and rec.p_chi == 1
     assert rec.rank == 1 and rec.conjectural
     assert rec.lam.provenance == "conjectural-greenberg"

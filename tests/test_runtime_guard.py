@@ -104,6 +104,7 @@ def test_guard_catches_each_offence():
 OUTSIDE_CALLERS = {
     "class_representatives": "benchmarks/checks.py",
     "inverse": "benchmarks/checks.py",
+    "order_is_p_power": "benchmarks/checks.py",
     "p_valuation": "benchmarks/checks.py",
     "root_matrix": "benchmarks/tracer.py",
 }
@@ -122,9 +123,8 @@ def unused_definitions(trees: dict) -> set:
     and of each method or property of a module-level class, dunders aside,
     whose name nothing in the package names outside its own definition.
 
-    Both match by name, not by binding.  So the one entry `inverse` keeps
-    `DirichletCharacter.inverse`, which benchmarks/checks.py calls, and
-    `RootOfUnity.inverse` rides on it; a use of either would keep both."""
+    Both match by name, not by binding: a use of one method keeps every
+    method of that name."""
     exports = {alias.asname or alias.name for node in trees["__init__.py"].body
                if isinstance(node, ast.ImportFrom) for alias in node.names}
     statements = [stmt for tree in trees.values() for stmt in tree.body]

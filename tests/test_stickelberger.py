@@ -91,13 +91,11 @@ def test_lambda_regular_primes():
         for chi in odd_characters(p):
             res = lambda_minus(chi)
             assert res.lambda_ == 0
-            assert res.mu_zero
 
 
 def test_lambda_irregular_37():
     res = lambda_minus(omega(37).power(5))
     assert res.lambda_ == 1
-    assert res.mu_zero
     assert res.levels_used == (1, 2)
 
 
@@ -187,7 +185,7 @@ def test_lambda_with_nontrivial_tame_part():
     ]
     assert odd_sextics
     res = lambda_minus(odd_sextics[0])
-    assert res.mu_zero and res.lambda_ >= 0
+    assert res.lambda_ >= 0
 
 
 def direct_lambda(chi):
@@ -221,7 +219,7 @@ def test_lambda_census_quadratic_at_3():
         res = lambda_minus(chi)
         n = res.levels_used[0]
         assert (res.lambda_, n) == direct_lambda(chi), ell
-        assert res.levels_used == (n, n + 1) and res.mu_zero
+        assert res.levels_used == (n, n + 1)
         euler_vanishes = chi.value_exponents()[3 % ell] == 0
         divisible = bernoulli_b1(chi.inverse()).p_valuation() >= 1
         assert (res.lambda_ >= 1) == (divisible or euler_vanishes), ell
@@ -522,7 +520,7 @@ def test_lambda_zero_unpacks_p_slots_per_level(monkeypatch):
     unpack = stickelberger._unpack
     monkeypatch.setattr(stickelberger, "_unpack", counted)
     chi = omega(23).power(3)
-    assert lambda_minus(chi) == stickelberger.LambdaResult(0, True, (1, 2))
+    assert lambda_minus(chi) == stickelberger.LambdaResult(0, (1, 2))
     assert unpacked == [23] * 2 * local_ring(chi.order, 23, DEFAULT_PRECISION).dim
 
 

@@ -4,24 +4,19 @@ defaults are fresh per instance, and the cache keys are immutable."""
 
 import pytest
 
-from tamerank.annihilators import AnnihilatorPoly
 from tamerank.characters import FieldSpec, RootOfUnity, field_characters
 from tamerank.cli import JobConfig
 from tamerank.rank import PROVENANCE_TABLE, LambdaProvider, LambdaValue
 from tamerank.stickelberger import LambdaResult
 
 # (value, an equal value built from other arguments, an unequal value, the
-# field tuple whose hash is the value's); a RootOfUnity field is written as
-# its own field tuple, which hashes the same
+# field tuple whose hash is the value's)
 CASES = [
     (FieldSpec(5, 7, (2,)), FieldSpec(5, 7, (9, 1, 2)), FieldSpec(5, 7), (5, 7, (2,))),
     (RootOfUnity(2, 6), RootOfUnity(-2, 3), RootOfUnity(1, 6), (1, 3)),
-    (AnnihilatorPoly(3, 1, RootOfUnity(2, 3)), AnnihilatorPoly(3, 1, RootOfUnity(4, 6)),
-     AnnihilatorPoly(3, 0, RootOfUnity(2, 3)), (3, 1, (2, 3))),
     (LambdaValue(2, PROVENANCE_TABLE), LambdaValue(2, "input-table"),
      LambdaValue(2, "conjectural-greenberg"), (2, "input-table")),
-    (LambdaResult(0, True, (1, 2)), LambdaResult(0, True, (1, 2)), LambdaResult(0, True, (2, 3)),
-     (0, True, (1, 2))),
+    (LambdaResult(0, (1, 2)), LambdaResult(0, (1, 2)), LambdaResult(0, (2, 3)), (0, (1, 2))),
 ]
 
 
