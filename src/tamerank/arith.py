@@ -17,11 +17,19 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # psi_12, the least strong pseudoprime to all of _MR_BASES (Sorenson-Webster,
 # Math. Comp. 86 (2017)): the test is exact below it and proves nothing above
 PRIME_BOUND = 318665857834031151167461
+# psi_t, the least strong pseudoprime to the first t of _MR_BASES, for t = 1
+# .. 12: an n below psi_t that passes those t bases is prime.  psi_1 .. psi_4
+# are Pomerance, Selfridge and Wagstaff's (Math. Comp. 35 (1980)), psi_5 ..
+# psi_8 Jaeschke's (Math. Comp. 61 (1993)) and psi_9 = psi_10 = psi_11 Jiang
+# and Deng's (Math. Comp. 83 (2014)).
+_MR_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 341550071728321, 3825123056546413051,
+              3825123056546413051, 3825123056546413051, PRIME_BOUND)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < PRIME_BOUND; a larger n
-    raises ValueError."""
+    raises ValueError.  An n below psi_t is tested to the first t bases."""
     if n >= PRIME_BOUND:
         raise ValueError(f"{n} is at or above {PRIME_BOUND}, where the primality test is not exact")
     if n < 2:
@@ -33,7 +41,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for b in _MR_BASES:
+    t = 1
+    while n >= _MR_BOUNDS[t - 1]:
+        t += 1
+    for b in _MR_BASES[:t]:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue

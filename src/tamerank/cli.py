@@ -248,10 +248,17 @@ def run_rank(job: JobConfig) -> dict:
     return report
 
 
-def _oversized(field: FieldSpec, q: int, n: int) -> Optional[str]:
-    """Why the oracle's level-n module for q is too large to build, or None.
-    As e_n > n, an n with n + 1 + VALUATION_GUARD_DIGITS digits over the digit
-    bound is refused before p^n is formed."""
+def _column_dimension(field: FieldSpec) -> int:
+    """The largest dim O_chi of a character of the field: d_chi for the
+    exponent of (Z/fp)^x, which every character's order divides."""
+    return _local_degree(math.lcm(*unit_group(field.f * field.p).orders), field.p)
+
+
+def _oversized(field: FieldSpec, q: int, n: int, d: int) -> Optional[str]:
+    """Why the oracle's level-n module for q, of d-dimensional columns, is
+    too large to build, or None.  As e_n > n, an n with n + 1 +
+    VALUATION_GUARD_DIGITS digits over the digit bound is refused before p^n
+    is formed."""
     where = f"oracle level n1 = {n} for q = {q}: the module"
     if n + 1 + VALUATION_GUARD_DIGITS > ORACLE_DIGIT_BOUND:
         return f"{where} needs at least {n + 1 + VALUATION_GUARD_DIGITS} digits, above {ORACLE_DIGIT_BOUND}"
@@ -259,7 +266,6 @@ def _oversized(field: FieldSpec, q: int, n: int) -> Optional[str]:
     digits = data.p_exponent + VALUATION_GUARD_DIGITS
     if digits > ORACLE_DIGIT_BOUND:
         return f"{where} needs {digits} digits, above {ORACLE_DIGIT_BOUND}"
-    d = _local_degree(math.lcm(*unit_group(field.f * field.p).orders), field.p)
     if data.prime_count * d * digits > ORACLE_MODULE_BOUND:
         return (f"{where} has {data.prime_count}*{d} columns of {digits} digits, "
                 f"above {ORACLE_MODULE_BOUND} digits")
@@ -280,16 +286,18 @@ def run_oracle(job: JobConfig) -> dict:
     levels = {q: given or (s, s + 1) for q, s in stable.items()}
     violations += [f"oracle level n0 = {n0} is below the stabilization level {stable[q]} of q = {q}"
                    for q, (n0, _) in levels.items() if n0 < stable[q]]
-    violations += [v for q, (_, n1) in levels.items() if (v := _oversized(field, q, n1))]
+    d = _column_dimension(field)
+    violations += [v for q, (_, n1) in levels.items() if (v := _oversized(field, q, n1, d))]
     if violations:
         raise ConfigError(violations)
     reps = [cl[0] for cl in field_characters(field)[1]]
     rows = []
     for q, (n0, n1) in levels.items():
         lo, hi = residue_module(field, q, n0), residue_module(field, q, n1)
+        primes_above = field.p ** m_index(q, field.p)
         for chi in reps:
             in_s_chi = admissible(chi, q)
-            expected = chi.d_chi * field.p ** m_index(q, field.p) if in_s_chi else 0
+            expected = chi.d_chi * primes_above if in_s_chi else 0
             x0, x1, estimated = quotient_growth(lo, hi, chi)
             rows.append(
                 {

@@ -14,8 +14,8 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import euler_phi, is_prime, mul_order, padic_log, split_prime_part, v_p
-from .characters import DirichletCharacter, FieldSpec, omega
+from .arith import euler_phi, is_prime, mul_order, padic_log, split_prime_part, unit_dlog, v_p
+from .characters import DirichletCharacter, FieldSpec
 from .errors import InvariantViolationError
 
 
@@ -42,10 +42,11 @@ def sigma0_ok(chi: DirichletCharacter, q: int) -> bool:
     """Whether chi^{-1} omega is trivial on the non-p part of the Frobenius
     class of q, i.e. whether (chi^{-1} omega)(q) has p-power order.
 
-    In integers: chi(q) = zeta_n^k for n = ord chi and omega(q) =
-    zeta_{p-1}^x, so (chi^{-1} omega)(q) = zeta_L^K with L = lcm(p - 1, n)
-    and K = x L/(p-1) - k L/n.  Its order L/gcd(K, L) is a power of p
-    exactly when the prime-to-p part of L divides K."""
+    In integers: chi(q) = zeta_n^k for n = ord chi = p^a n0, p not dividing
+    n0, and omega(q) = zeta_{p-1}^x with x the discrete log of q mod p, which
+    every character of p reads from one `unit_dlog`.  (chi^{-1} omega)(q)
+    has p-power order exactly when its p^a-th power zeta_{p-1}^{x p^a}
+    zeta_{n0}^{-k} is 1, that is, when (p - 1) n0 divides x n - k (p - 1)."""
     p = chi.p
     if q == p:
         raise ValueError("q must differ from p")
@@ -55,9 +56,8 @@ def sigma0_ok(chi: DirichletCharacter, q: int) -> bool:
             "sigma0_ok called with q dividing the conductor; check inertia first"
         )
     n = chi.order
-    L = math.lcm(p - 1, n)
-    K = omega(p).exponent_at(q) * (L // (p - 1)) - k * (L // n)
-    return K % split_prime_part(L, p)[1] == 0
+    x = unit_dlog(p, q % p)[0]
+    return (x * n - k * (p - 1)) % ((p - 1) * split_prime_part(n, p)[1]) == 0
 
 
 def admissible(chi: DirichletCharacter, q: int) -> bool:

@@ -53,6 +53,10 @@ class LambdaValue(FrozenValue):
         }
 
 
+_ZERO = LambdaValue(0, PROVENANCE_ZERO)
+_GREENBERG = LambdaValue(0, PROVENANCE_GREENBERG)
+
+
 class LambdaProvider:
     """Resolution order: trivial character (always 0) > explicit table >
     Stickelberger (odd chi != omega) > Greenberg flag (even chi) > error.
@@ -61,32 +65,49 @@ class LambdaProvider:
     Stickelberger path therefore multiplies its Weierstrass degree by d_chi.
     """
 
-    __slots__ = ("table", "allow_greenberg", "allow_stickelberger")
+    __slots__ = ("table", "allow_greenberg", "allow_stickelberger", "_shared")
 
     def __init__(self, table: Optional[Dict[str, int]] = None, allow_greenberg: bool = False,
                  allow_stickelberger: bool = False):
         self.table = {} if table is None else table
         self.allow_greenberg = allow_greenberg
         self.allow_stickelberger = allow_stickelberger
+        self._shared = {}  # table value -> its LambdaValue, one per value
+
+    def _from_table(self, value) -> LambdaValue:
+        shared = self._shared.get(value)
+        if shared is None:
+            shared = self._shared[value] = LambdaValue(int(value), PROVENANCE_TABLE)
+        return shared
 
     def resolve(self, chi: DirichletCharacter) -> LambdaValue:
         if chi.is_trivial:
-            return LambdaValue(0, PROVENANCE_ZERO)
+            return _ZERO
         label = chi.label()
         if label in self.table:
-            return LambdaValue(int(self.table[label]), PROVENANCE_TABLE)
+            return self._from_table(self.table[label])
         if "all" in self.table:
-            return LambdaValue(int(self.table["all"]), PROVENANCE_TABLE)
+            return self._from_table(self.table["all"])
         if self.allow_stickelberger and chi.is_odd and chi != omega(chi.p):
             res = lambda_minus(chi)
             return LambdaValue(chi.d_chi * res.lambda_, PROVENANCE_STICKELBERGER)
         if self.allow_greenberg and not chi.is_odd:
-            return LambdaValue(0, PROVENANCE_GREENBERG)
+            return _GREENBERG
         raise LambdaUnavailableError(label)
 
 
-def _validate_s(S: Iterable[int], p: int) -> list:
-    S = sorted(set(S))
+class _CheckedS(tuple):
+    """S sorted and without repeats, as `_validate_s` returns it."""
+
+    __slots__ = ()
+
+
+def _validate_s(S: Iterable[int], p: int) -> _CheckedS:
+    """S sorted and without repeats; ValueError if it holds p.  An S this
+    has already sorted is only checked for p, so `rank_total` sorts its S
+    once for all of the field's characters."""
+    if S.__class__ is not _CheckedS:
+        S = _CheckedS(sorted(set(S)))
     if p in S:
         raise ValueError("S must not contain p")
     return S
@@ -135,10 +156,10 @@ def rank_chi(
     chi: DirichletCharacter, S: Iterable[int], provider: LambdaProvider
 ) -> RankRecord:
     """Rank of the chi-quotient for the prime set S; with S_chi empty it is
-    lambda_chi, and degF and P_chi are None.  S is validated once, by s_chi,
-    before lambda is resolved."""
+    lambda_chi, and degF and P_chi are None.  S is validated before lambda
+    is resolved."""
     p = chi.p
-    m_map = {q: m_index(q, p) for q in s_chi(chi, S)}
+    m_map = {q: m_index(q, p) for q in _validate_s(S, p) if admissible(chi, q)}
     lam = provider.resolve(chi)
     deg_f = p_chi = None
     rank = lam.value
@@ -181,7 +202,9 @@ def rank_total(
     generators as the job spelt them, or by the field's own if it is None."""
     S = _validate_s(S, field.p)
     reps = [cl[0] for cl in field_characters(field)[1]]
-    unknown = set(provider.table) - {"all"} - {chi.label() for chi in reps}
+    unknown = set(provider.table) - {"all"}
+    if unknown:
+        unknown -= {chi.label() for chi in reps}
     if unknown:
         spelt = field.subgroup if subgroup is None else subgroup
         H = sorted({h % field.f for h in spelt} - {1 % field.f})  # reduced as FieldSpec reads it
@@ -191,4 +214,4 @@ def rank_total(
             for label in sorted(unknown)
         )
     records = [rank_chi(chi, S, provider) for chi in reps]
-    return RankReport(field, S, records, sum(r.rank for r in records))
+    return RankReport(field, list(S), records, sum(r.rank for r in records))

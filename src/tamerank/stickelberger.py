@@ -65,7 +65,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import NamedTuple, Optional, Tuple
 
-from .arith import split_prime_part, teichmuller_residue, unit_group
+from .arith import smallest_primitive_root, split_prime_part, teichmuller_residue, unit_group
 from .characters import DirichletCharacter, FrozenValue, omega
 from .errors import InvariantViolationError, PrecisionError
 from .localring import _pdivmod_exact, cyclotomic_poly, local_ring
@@ -166,6 +166,21 @@ def _table_units(fprime: int, p: int) -> tuple:
     return tuple(r for r in range(1, (fprime * p + 1) // 2) if math.gcd(r, fprime * p) == 1)
 
 
+def _teichmuller_column(p: int, N: int) -> list:
+    """omega(t) mod p^N at index t, 0 <= t < p, with 0 at t = 0: omega(g^i)
+    = omega(g)^i for the smallest primitive root g mod p, so the column
+    takes one lift and then one product per entry."""
+    g = smallest_primitive_root(p)
+    mod = p ** N
+    w = teichmuller_residue(g, p, N)
+    column = [0] * p
+    t, x = 1, 1
+    for _ in range(p - 1):
+        column[t] = x
+        t, x = t * g % p, x * w % mod
+    return column
+
+
 def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
     """Each column as a whole int.  By CRT, a = (r mod f') e_f + omega(r) u_j
     e_p mod M = f' p^{n+1}, with u_j = (1+p)^j mod p^{n+1}, and a is never 0,
@@ -186,7 +201,7 @@ def _residue_table(fprime: int, p: int, n: int) -> ResidueTable:
     e_f = 2 * pn1 * pow(pn1, -1, fprime)  # twice the idempotent: 2 mod f', 0 mod p^{n+1}
     e_p = 2 * fprime * pow(fprime, -1, pn1)  # 0 mod f', 2 mod p^{n+1}
     # T of each r, by r mod p
-    teich = [0] + [-teichmuller_residue(t, p, n + 1) * e_p % M2 for t in range(1, p)]
+    teich = [-w * e_p % M2 for w in _teichmuller_column(p, n + 1)]
     steps = [1]  # u_j, j in Z/p^n
     for _ in range(p ** n - 1):
         steps.append(steps[-1] * (1 + p) % pn1)

@@ -122,6 +122,44 @@ def test_is_prime_refuses_what_it_cannot_prove():
             is_prime(n)
 
 
+def test_is_prime_matches_trial_division():
+    # every n below 2 * 10^5, against a sieve of Eratosthenes: n < 2047 is
+    # tested to base 2 alone, and the rest to bases 2 and 3
+    bound = 2 * 10 ** 5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
+    for d in range(2, math.isqrt(bound) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, bound, d)))
+    assert [n for n in range(bound) if is_prime(n)] == [n for n in range(bound) if sieve[n]]
+
+
+# psi_t, the least strong pseudoprime to the first t prime bases, t = 1 .. 11
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051)
+
+
+def strong_probable_prime(n: int, b: int) -> bool:
+    """Whether odd n > b passes the strong test to base b."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(b, d, n)
+    return x == 1 or any(pow(x, 2 ** i, n) == n - 1 for i in range(r))
+
+
+@pytest.mark.parametrize("t", range(1, 12))
+def test_is_prime_takes_one_more_base_from_psi_t(t):
+    # psi_t passes the first t bases, and a later base proves it composite:
+    # is_prime refuses it only if it tests psi_t to more than t bases, which
+    # pins each bound of the base selection
+    psi, bases = PSI[t - 1], (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    assert all(strong_probable_prime(psi, b) for b in bases[:t])
+    assert not all(strong_probable_prime(psi, b) for b in bases[t:])
+    assert not is_prime(psi)
+    assert arith._MR_BOUNDS == PSI + (PRIME_BOUND,)
+
+
 def test_unit_group_examples():
     ug9 = unit_group(9)
     assert ug9.generators == (2,) and ug9.orders == (6,)

@@ -21,6 +21,7 @@ from tamerank.cli import (
     EXIT_LAMBDA,
     EXIT_OK,
     EXIT_PRECISION,
+    _column_dimension,
     _oversized,
     main,
     parse_config,
@@ -594,7 +595,8 @@ def test_oracle_digit_bound_reads_the_exponent_below_stabilization(monkeypatch):
     # below its stabilization level 16, q = 258280327 has e_10 = 17 > 10 + 1:
     # the lower bound n1 + 1 passes a digit bound of 20, its exact 21 digits not
     monkeypatch.setattr(tamerank.cli, "ORACLE_DIGIT_BOUND", 20)
-    assert _oversized(FieldSpec(3, 1), 258280327, 10) == (
+    field = FieldSpec(3, 1)
+    assert _oversized(field, 258280327, 10, _column_dimension(field)) == (
         "oracle level n1 = 10 for q = 258280327: the module needs 21 digits, above 20")
 
 
@@ -682,9 +684,10 @@ def test_oracle_bound_admits_the_benchmark_and_test_jobs(monkeypatch):
         assert job.field.group_order <= tamerank.cli.ORACLE_CHARACTER_BOUND
         for q in job.S:
             n1 = job.oracle_levels[1] if job.oracle_levels else stabilization_level(job.field, q) + 1
-            assert _oversized(job.field, q, n1) is None, doc
+            assert _oversized(job.field, q, n1, _column_dimension(job.field)) is None, doc
     assert stabilization_level(FieldSpec(7, 11), 19) + 1 == 3
-    assert _oversized(FieldSpec(7, 11), 19, 3) is None
+    field = FieldSpec(7, 11)
+    assert _oversized(field, 19, 3, _column_dimension(field)) is None
 
 
 # lambda >= p = 3 on these fields: the walk reads it from the level-2 series

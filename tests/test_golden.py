@@ -1,6 +1,7 @@
 """Byte-exact CLI reports, pinned before characters moved to integer
-exponent vectors, and the benchmark's seed-0 reports against the digests
-it pins; any change to a label, a record or a number shows here."""
+exponent vectors, and the benchmark's seed-0 reports (and a second seed's
+on two workloads) against the digests it pins; any change to a label, a
+record or a number shows here."""
 
 import hashlib
 import json
@@ -57,18 +58,28 @@ def test_golden_report(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+# a second pinned seed for the workloads whose S entries reach past psi_2:
+# seed 6 draws other primes for S, so it tests the primality test's base
+# selection on other numbers; 12 of its rank-sweep entries take three bases,
+# and 6 of its oracle-grid entries four
+EXTRA_SEEDS = {"rank-sweep": (6,), "oracle-grid": (6,)}
+
+
 @pytest.mark.parametrize("workload", ["rank-sweep", "lambda-minus", "oracle-grid", "chars-cyclic"])
 def test_benchmark_reports_match_their_pinned_digests(workload, monkeypatch):
-    # the seed-0 jobs of each benchmark workload, run as benchmarks/worker.py
-    # runs them (parse_config, run, json.dumps with indent 2), give the
-    # reports benchmarks/digests.json pins, under the worker's key (the first
-    # 24 hex digits of the SHA-256 of command, newline, document) and digest
-    # (the SHA-256 of the report text and a newline)
+    # the seed-0 jobs of each benchmark workload, and those of EXTRA_SEEDS,
+    # run as benchmarks/worker.py runs them (parse_config, run, json.dumps
+    # with indent 2), give the reports benchmarks/digests.json pins, under the
+    # worker's key (the first 24 hex digits of the SHA-256 of command,
+    # newline, document) and digest (the SHA-256 of the report text and a
+    # newline)
     workloads = load_benchmark_module("workloads", monkeypatch)
     pins = json.loads((BENCHMARKS / "digests.json").read_text())
-    assert workload in workloads.WORKLOADS and 0 in pins["seeds"]
+    seeds = (0,) + EXTRA_SEEDS.get(workload, ())
+    assert workload in workloads.WORKLOADS and set(seeds) <= set(pins["seeds"])
     pinned = pins["reports"][workload]
-    for command, doc in workloads.generate(workload, 0):
-        key = hashlib.sha256(f"{command}\n{doc}".encode()).hexdigest()[:24]
-        text = json.dumps(run(parse_config(doc), command), indent=2)
-        assert hashlib.sha256((text + "\n").encode()).hexdigest() == pinned[key], (command, doc)
+    for seed in seeds:
+        for command, doc in workloads.generate(workload, seed):
+            key = hashlib.sha256(f"{command}\n{doc}".encode()).hexdigest()[:24]
+            text = json.dumps(run(parse_config(doc), command), indent=2)
+            assert hashlib.sha256((text + "\n").encode()).hexdigest() == pinned[key], (seed, command, doc)

@@ -1,7 +1,9 @@
 import pytest
 
 from helpers import random_prime_sets, rank_rational
+from tamerank import frobenius, rank
 from tamerank.characters import (
+    DirichletCharacter,
     FieldSpec,
     enumerate_characters,
     field_characters,
@@ -187,3 +189,57 @@ def test_stickelberger_scaled_by_d_chi():
     from tamerank.stickelberger import lambda_minus
 
     assert prov.resolve(chi).value == chi.d_chi * lambda_minus(chi).lambda_
+
+
+def test_rank_chain_does_the_character_free_work_once(monkeypatch):
+    # a chain of S sets on one field: each rank_total sorts its S once and
+    # gives it to rank_chi for every class, with no s_chi call; each
+    # sigma0_ok(chi, q) reads chi's exponent at q and no other character's
+    # (omega's is a discrete log mod p), and runs once per (class, q); the
+    # records share one LambdaValue per value
+    field = FieldSpec(13, 105, (2,))
+    chain = [[2], [2, 11], [2, 11, 29], [2, 11, 29, 53], [2, 11, 29, 53, 79, 131]]
+    sorts, rank_chis, s_chis, sigma0s, reads = [], [], [], [], []
+
+    def counted_sorted(values):
+        sorts.append(values)
+        return sorted(values)
+
+    rank_chi_ = rank.rank_chi
+    def counted_rank_chi(chi, S, provider):
+        rank_chis.append(chi)
+        return rank_chi_(chi, S, provider)
+
+    s_chi_ = rank.s_chi
+    def counted_s_chi(chi, S):
+        s_chis.append(chi)
+        return s_chi_(chi, S)
+
+    exponent_at = DirichletCharacter.exponent_at
+    def recorded_exponent_at(self, a):
+        reads.append((self, a))
+        return exponent_at(self, a)
+
+    sigma0 = frobenius.sigma0_ok
+    def counted_sigma0(chi, q):
+        reads.clear()
+        out = sigma0(chi, q)
+        sigma0s.append(((chi, q), list(reads)))
+        return out
+
+    monkeypatch.setattr(rank, "sorted", counted_sorted, raising=False)
+    monkeypatch.setattr(rank, "rank_chi", counted_rank_chi)
+    monkeypatch.setattr(rank, "s_chi", counted_s_chi)
+    monkeypatch.setattr(DirichletCharacter, "exponent_at", recorded_exponent_at)
+    monkeypatch.setattr(frobenius, "sigma0_ok", counted_sigma0)
+    field_characters.cache_clear()
+    reps = [cl[0] for cl in field_characters(field)[1]]
+    reports = [rank_total(field, S, ZERO_TABLE) for S in chain]
+    field_characters.cache_clear()
+    assert len(sorts) == len(chain)
+    assert len(rank_chis) == len(chain) * len(reps) and s_chis == []
+    pairs = [pair for pair, _ in sigma0s]
+    assert sorted(pairs, key=lambda pair: (reps.index(pair[0]), pair[1])) == [
+        (chi, q) for chi in reps for q in chain[-1] if chi.conductor % q]
+    assert all(inside == [pair] for pair, inside in sigma0s)
+    assert len({id(r.lam) for report in reports for r in report.records}) == 2

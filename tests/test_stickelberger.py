@@ -13,7 +13,7 @@ from helpers import (
     residue_table_by_cells,
 )
 from tamerank import stickelberger
-from tamerank.arith import is_prime, smallest_primitive_root, split_prime_part
+from tamerank.arith import is_prime, smallest_primitive_root, split_prime_part, teichmuller_residue
 from tamerank.characters import FieldSpec, enumerate_characters, omega
 from tamerank.cli import parse_config, run
 from tamerank.errors import InvariantViolationError
@@ -371,6 +371,13 @@ def test_table_refuses_a_slot_too_narrow_for_its_reduction(monkeypatch):
     monkeypatch.setattr(stickelberger, "_slot_words", lambda count, M, p, n: 1)
     with pytest.raises(InvariantViolationError, match=r"\(1, 23, 2\) residue table"):
         stickelberger._residue_table(1, 23, 2)
+
+
+@pytest.mark.parametrize("p, N", [(3, 1), (3, 6), (5, 3), (7, 4), (13, 2), (23, 3), (101, 2)])
+def test_teichmuller_column_matches_the_lift_of_each_unit(p, N):
+    # the table's column, from powers of one lift, against a lift per t
+    column = stickelberger._teichmuller_column(p, N)
+    assert column == [0] + [teichmuller_residue(t, p, N) for t in range(1, p)]
 
 
 @settings(max_examples=60, deadline=None, database=None)
