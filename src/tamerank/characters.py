@@ -405,7 +405,8 @@ class FieldSpec(FrozenValue):
     canonical generators: the least element of H outside the span of those
     before it, taken in turn until they span H, so every spelling of one H
     gives one FieldSpec.  `tame_records` maps each tame prime q that has
-    been asked about to its `frobenius.TameData`, built on first use; it is
+    been asked about to its `frobenius.TameData`, which holds the tame
+    quotient (Z/f_q)^x / H_q and its <q>-orbits, built on first use; it is
     not a field, and each instance starts with none.
     """
 
@@ -439,11 +440,6 @@ class FieldSpec(FrozenValue):
     @cached_property
     def group_order(self) -> int:
         return self.tame_degree() * (self.p - 1)
-
-    def tame_quotient(self, q: int) -> "FieldSpec":
-        """The field with the q-part of the tame conductor (inertia) removed."""
-        fq = split_prime_part(self.f, q)[1]
-        return FieldSpec(self.p, fq, tuple(h % fq for h in self.subgroup))
 
     def tame_degree(self) -> int:
         phi_f = euler_phi(self.f)

@@ -13,8 +13,10 @@ Exit codes:
      reads more than ORACLE_DIGIT_BOUND = 200 digits per column, an oracle
      job on a field of more than ORACLE_CHARACTER_BOUND = 20000 characters,
      a job whose f*(p - 1) is above ENUMERATION_BOUND = 1000000 (it bounds
-     the characters every job enumerates), an unwritable --out, or a
-     closed standard output
+     the characters every job enumerates), a lambda table value at or above
+     LAMBDA_TABLE_BOUND = 2^63, a document that Python's JSON reader
+     refuses (nested too deep, or an integer literal past the interpreter's
+     digit limit), an unwritable --out, or a closed standard output
   3  lambda unavailable for a required character
   4  oracle inconsistency: the brute-force module contradicts the theory,
      or an oracle row disagrees with the rank formula
@@ -80,6 +82,11 @@ ORACLE_CHARACTER_BOUND = 20_000
 # is written (in process, 2-vCPU host), and a field at the bound takes about
 # ten times that.
 ENUMERATION_BOUND = 10 ** 6
+# A lambda table value has at most 19 digits, and a report's total, a sum
+# over at most |G| <= ENUMERATION_BOUND classes, at most 25, so a report's
+# lambda values and total print under any int_max_str_digits setting, the
+# least of which is 640 digits.
+LAMBDA_TABLE_BOUND = 2 ** 63
 
 _LAMBDA_MODES = {
     "table": (False, False),
@@ -109,7 +116,7 @@ class JobConfig:
 
 
 _PRIME_LIMIT = f"is at or above {PRIME_BOUND}, where the primality test is not exact"
-_TABLE_RULE = "lambda table must map labels to nonnegative integers"
+_TABLE_RULE = "lambda table must map labels to nonnegative integers below 2^63"
 _LEVELS_RULE = "oracle_levels must be a pair [n0, n1] with n1 > n0 >= 0"
 
 
@@ -119,7 +126,8 @@ def _is_int(x) -> bool:
 
 
 def _valid_table(table) -> bool:
-    return isinstance(table, dict) and all(_is_int(v) and v >= 0 for v in table.values())
+    return isinstance(table, dict) and all(_is_int(v) and 0 <= v < LAMBDA_TABLE_BOUND
+                                           for v in table.values())
 
 
 def _valid_levels(levels) -> bool:
@@ -131,13 +139,20 @@ def _valid_levels(levels) -> bool:
     )
 
 
+def _load_json(text: str, what: str):
+    """The parsed document.  What the reader refuses is a ConfigError: a
+    ValueError (malformed JSON, or an integer literal past the interpreter's
+    digit limit) or a RecursionError (a document nested too deep)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError([f"malformed {what}: {exc}"]) from exc
+
+
 def parse_config(text: str) -> JobConfig:
     """Validate a JSON job document, collecting every violated constraint."""
     violations: List[str] = []
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"malformed JSON: {exc}"]) from exc
+    raw = _load_json(text, "JSON")
     if not isinstance(raw, dict):
         raise ConfigError(["top-level document must be an object"])
 
@@ -375,10 +390,7 @@ def _read(path: str, what: str) -> str:
 
 def _parse_table(text: str) -> dict:
     """A --lambda-table file, held to the rule of the config's lambda.table."""
-    try:
-        table = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"malformed lambda table: {exc}"]) from exc
+    table = _load_json(text, "lambda table")
     if not _valid_table(table):
         raise ConfigError([_TABLE_RULE])
     return table

@@ -23,12 +23,17 @@ from .errors import InvariantViolationError
 def m_index(q: int, p: int) -> int:
     """m_q = v_p(q^(p-1) - 1) - 1; p^{m_q} counts the primes of the
     rational tower above q.  Kept per (q, p), so the primality test runs
-    once per pair rather than once per (class, q)."""
+    once per pair rather than once per (class, q).  q^(p-1) is never formed
+    in full: its residue r mod p^K is taken, K doubling while r = 1, and
+    once r != 1, v_p(r - 1) < K is v_p(q^(p-1) - 1)."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     if q == p:
         raise ValueError("q must differ from p")
-    return v_p(pow(q, p - 1) - 1, p) - 1
+    K = 2
+    while (r := pow(q, p - 1, p ** K)) == 1:
+        K *= 2
+    return v_p(r - 1, p) - 1
 
 
 def inertia_trivial(chi: DirichletCharacter, q: int) -> bool:
@@ -117,36 +122,56 @@ class SplittingData(NamedTuple):
     p_exponent: int
 
 
-def _order_in_tame_quotient(a: int, quotient: FieldSpec) -> int:
-    """Order of the unit a in (Z/f')^x / H'."""
-    fq = quotient.f
-    if fq == 1:
-        return 1
-    hset = quotient.subgroup_elements
-    x = a % fq
-    if math.gcd(x, fq) != 1:
-        raise ValueError(f"{a} is not a unit mod {fq}")
-    y = x
-    for e in range(1, euler_phi(fq) + 1):
-        if y in hset:
-            return e
-        y = y * x % fq
-    raise InvariantViolationError("order search fell through")
+def _least_in_class(fq: int, hset) -> list:
+    """The least element of each class a H_q of Z/fq, for H_q the set `hset`
+    of units mod fq, indexed by a mod fq.  In ascending order the first
+    element met of a class is its least."""
+    least = [None] * fq
+    for a in range(fq):
+        if least[a] is None:
+            for h in hset:
+                least[a * h % fq] = a
+    return least
+
+
+def _frobenius_orbits(fq: int, hset, q: int) -> tuple:
+    """(where, heads, e): the <q>-orbits of A = (Z/fq)^x / H_q, all of one
+    length e, with where[a] = (i, t0) for each unit a mod fq whose class is
+    heads[i] q^t0 (None for a non-unit).  Raises InvariantViolationError
+    when an orbit does not close or the lengths differ."""
+    least = _least_in_class(fq, hset)
+    heads, place = [], {}  # class a -> (i, t0) with a = heads[i] q^t0
+    for a in range(fq):
+        if least[a] in place or math.gcd(a, fq) != 1:
+            continue
+        x, t = a, 0
+        while x not in place:
+            place[x] = (len(heads), t)
+            x, t = least[x * q % fq], t + 1
+        if x != a or (heads and t != e):
+            raise InvariantViolationError("a <q>-orbit in A does not close")
+        heads.append(a)
+        e = t
+    return [place.get(c) for c in least], heads, e
 
 
 class TameData:
-    """What a field's q-level groups share at every level: the tame quotient
-    A = (Z/f_q)^x / H_q with inertia at q removed, its order `degree`, and
-    the `order` of q in it.  `orbits` is residue's partition of A into
-    <q>-orbits, None until a residue module has built and checked it."""
+    """What a field's q-level groups share at every level, built whole on
+    creation: the prime-to-q part `fq` of f, the <q>-orbit partition
+    `orbits` = (where, heads, e) of the tame quotient A = (Z/fq)^x / H_q
+    with inertia at q removed, H_q the image of H mod fq, the `order` e of q
+    in A, which is every orbit's length, and the order `degree` of A."""
 
-    __slots__ = ("quotient", "degree", "order", "orbits")
+    __slots__ = ("fq", "orbits", "order", "degree")
 
-    def __init__(self, quotient: FieldSpec, q: int):
-        self.quotient = quotient
-        self.degree = quotient.tame_degree()
-        self.order = _order_in_tame_quotient(q, quotient)
-        self.orbits = None
+    def __init__(self, field: FieldSpec, q: int):
+        self.fq = fq = split_prime_part(field.f, q)[1]
+        hset = {h % fq for h in field.subgroup_elements}
+        self.orbits = _frobenius_orbits(fq, hset, q)
+        _, heads, self.order = self.orbits
+        self.degree = len(heads) * self.order
+        if self.degree * len(hset) != euler_phi(fq):
+            raise InvariantViolationError("|A| |H_q| != phi(f_q)")
 
 
 def tame_data(field: FieldSpec, q: int) -> TameData:
@@ -155,7 +180,7 @@ def tame_data(field: FieldSpec, q: int) -> TameData:
     counts and residue modules read one record."""
     record = field.tame_records.get(q)
     if record is None:
-        record = field.tame_records[q] = TameData(field.tame_quotient(q), q)
+        record = field.tame_records[q] = TameData(field, q)
     return record
 
 

@@ -71,36 +71,31 @@ def _pmul(a, b, mod):
     return _ptrim(out)
 
 
-def _pdivmod_monic(a, b, mod):
-    """Division by a monic polynomial b over Z/mod."""
-    if not b or b[-1] % mod != 1:
+def _pdivmod(a, b):
+    """(quotient, remainder) of the integer polynomial a by the monic b.
+    Division by a monic b commutes with reduction mod any modulus m, so the
+    remainder in (Z/m)[x] is this remainder reduced mod m."""
+    if not b or b[-1] != 1:
         raise ValueError("divisor must be monic")
-    a = [c % mod for c in a]
-    _ptrim(a)
+    a = list(a)
     db = len(b) - 1
-    if db == 0:
-        return a, []
-    quo = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
+    quo = [0] * max(1, len(a) - db)
+    while len(_ptrim(a)) > db:
         lead = a[-1]
         pos = len(a) - 1 - db
         quo[pos] = lead
         for i, c in enumerate(b):
-            a[pos + i] = (a[pos + i] - lead * c) % mod
-        _ptrim(a)
-    return _ptrim(quo), a
+            a[pos + i] -= lead * c
+    return quo, a
 
 
 def _pgcd_fp(a, b, p):
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    _ptrim(a)
-    _ptrim(b)
+    a = _ptrim([c % p for c in a])
+    b = _ptrim([c % p for c in b])
     while b:
         inv = pow(b[-1], -1, p)
         bm = [c * inv % p for c in b]
-        _, r = _pdivmod_monic(a, bm, p)
-        a, b = b, r
+        a, b = b, _ptrim([c % p for c in _pdivmod(a, bm)[1]])
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
@@ -115,31 +110,11 @@ def cyclotomic_poly(m: int) -> tuple:
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            quo, rem = _pdivmod_exact(poly, list(cyclotomic_poly(d)))
+            quo, rem = _pdivmod(poly, cyclotomic_poly(d))
             if rem:
                 raise InvariantViolationError("cyclotomic division not exact")
             poly = quo
     return tuple(poly)
-
-
-def _pdivmod_exact(a, b):
-    """Exact integer polynomial division by monic b."""
-    a = list(a)
-    db = len(b) - 1
-    quo = [0] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        lead = a[-1]
-        pos = len(a) - 1 - db
-        quo[pos] = lead
-        for i, c in enumerate(b):
-            a[pos + i] -= lead * c
-    while a and a[-1] == 0:
-        a.pop()
-    return quo, a
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +122,7 @@ def _pdivmod_exact(a, b):
 
 
 def _qmul(a, b, g, mod):
-    _, r = _pdivmod_monic(_pmul(a, b, mod), g, mod)
+    r = _ptrim([c % mod for c in _pdivmod(_pmul(a, b, mod), g)[1]])
     return tuple(r + [0] * (len(g) - 1 - len(r)))
 
 

@@ -88,40 +88,6 @@ class ResidueModule:
         return len(self.cosets)
 
 
-def _least_in_class(quotient: FieldSpec) -> list:
-    """The least element of each class a H of Z/fq, indexed by a mod fq.  In
-    ascending order the first element met of a class is its least."""
-    fq = quotient.f
-    least = [None] * fq
-    for a in range(fq):
-        if least[a] is None:
-            for h in quotient.subgroup_elements:
-                least[a * h % fq] = a
-    return least
-
-
-def _frobenius_orbits(quotient: FieldSpec, q: int) -> tuple:
-    """(where, heads, e): the <a_q>-orbits of A = (Z/fq)^x / H_q, all of one
-    length e, with where[a] = (i, t0) for each unit a mod fq whose class is
-    heads[i] a_q^t0 (None for a non-unit).  Raises InvariantViolationError
-    when an orbit does not close or the lengths differ."""
-    fq = quotient.f
-    least = _least_in_class(quotient)
-    heads, place = [], {}  # class a -> (i, t0) with a = heads[i] a_q^t0
-    for a in range(fq):
-        if least[a] in place or math.gcd(a, fq) != 1:
-            continue
-        x, t = a, 0
-        while x not in place:
-            place[x] = (len(heads), t)
-            x, t = least[x * q % fq], t + 1
-        if x != a or (heads and t != e):
-            raise InvariantViolationError("an <a_q>-orbit in A does not close")
-        heads.append(a)
-        e = t
-    return [place.get(c) for c in least], heads, e
-
-
 def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
     """Build the level-n module for q from the structure of its group.
 
@@ -133,15 +99,13 @@ def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
     (head_i, g^k').  So with w = gcd(e kq, nB) the cosets are (head_i, g^k')
     for 0 <= k' < w, and (a, g^k) lies in the one with k' = K mod w, at
     s = (K div w) (e kq / w)^{-1} mod nB / w.  The identity's coset is first.
-    The orbits of A do not depend on n: they are kept on q's tame record once
-    their walk has closed, so the modules of both oracle levels share them."""
+    The orbits of A do not depend on n: they are read from q's tame record,
+    so the modules of both oracle levels share them."""
     p = field.p
     data = splitting_count(field, q, n)
     tame = tame_data(field, q)
-    if tame.orbits is None:
-        tame.orbits = _frobenius_orbits(tame.quotient, q)
     where, heads, e = tame.orbits
-    fq = tame.quotient.f
+    fq = tame.fq
 
     pmod = p ** (n + 1)
     B = unit_group(pmod)

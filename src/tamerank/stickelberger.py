@@ -68,7 +68,7 @@ from typing import NamedTuple, Optional, Tuple
 from .arith import smallest_primitive_root, split_prime_part, teichmuller_residue, unit_group
 from .characters import DirichletCharacter, FrozenValue, omega
 from .errors import InvariantViolationError, PrecisionError
-from .localring import _pdivmod_exact, cyclotomic_poly, local_ring
+from .localring import _pdivmod, cyclotomic_poly, local_ring
 
 DEFAULT_PRECISION = 8  # digits of every series coefficient
 MAX_LEVEL = 4  # the highest level lambda_minus builds
@@ -440,6 +440,6 @@ def bernoulli_b1(chi: DirichletCharacter) -> BernoulliB1:
         if k is not None:
             buckets[k] += a
     phi_m = list(cyclotomic_poly(m))
-    _, rem = _pdivmod_exact(buckets, phi_m)
+    _, rem = _pdivmod(buckets, phi_m)
     width = len(phi_m) - 1
     return BernoulliB1(chi, tuple(rem + [0] * (width - len(rem))))

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: random prime sets, a per-(field, q)
-Frobenius profile with its ramification test, the element-walk level group
-(the oracle of the residue modules' cosets), the level-to-level
+Frobenius profile with its ramification test and the tame quotient it
+reads, the element-walk level group (the oracle of the residue modules'
+cosets), the level-to-level
 norm-reduction check of the residue modules, the dense chi-quotient
 presentation with the Smith reduction that counts it, the direct per-character Stickelberger buckets, the
 complex-embedding oracle for lcm degrees of annihilator pairs (m, e), the
@@ -95,12 +96,20 @@ def random_prime_sets(p: int, count: int, seed: int, pool_bound: int = 200) -> l
     return out
 
 
+def tame_quotient(field: FieldSpec, q: int) -> FieldSpec:
+    """The field with the q-part of the tame conductor (inertia) removed:
+    f_q, the prime-to-q part of f, with H reduced mod f_q as a FieldSpec
+    reduces it, independent of how `frobenius.TameData` reduces H."""
+    fq = split_prime_part(field.f, q)[1]
+    return FieldSpec(field.p, fq, tuple(h % fq for h in field.subgroup))
+
+
 def is_ramified(field: FieldSpec, q: int) -> bool:
     """Whether q ramifies in K, i.e. survives the H-quotient of the q-part
     of the conductor."""
     if q == field.p:
         return True
-    return field.tame_quotient(q).tame_degree() < field.tame_degree()
+    return tame_quotient(field, q).tame_degree() < field.tame_degree()
 
 
 @dataclass
@@ -147,7 +156,7 @@ class _LevelGroup:
 
     def __init__(self, field: FieldSpec, q: int, n: int):
         self.p = field.p
-        self.quotient = field.tame_quotient(q)
+        self.quotient = tame_quotient(field, q)
         self.fq = self.quotient.f
         self.hset = self.quotient.subgroup_elements
         self.pmod = field.p ** (n + 1)

@@ -218,6 +218,25 @@ def test_main_oracle_and_out_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_oracle_failing_row_exits_inconsistent(tmp_path, capsys, monkeypatch):
+    # one wrong estimate fails its row: the report is still written, with
+    # all_pass false, and the exit code is 4
+    growth = tamerank.cli.quotient_growth
+
+    def wrong(lo, hi, chi):
+        x0, x1, estimated = growth(lo, hi, chi)
+        return x0, x1, estimated + (chi.label() == "omega^1")
+
+    monkeypatch.setattr(tamerank.cli, "quotient_growth", wrong)
+    cfg = write_config(tmp_path, {"p": 3, "f": 1, "S": [7]})
+    out = tmp_path / "report.json"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_INCONSISTENT
+    report = json.loads(out.read_text())
+    assert not report["all_pass"]
+    assert [row["character"] for row in report["rows"] if not row["pass"]] == ["omega^1"]
+    assert capsys.readouterr() == ("", "")
+
+
 def test_main_missing_config(tmp_path):
     assert main(["rank", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
@@ -245,7 +264,7 @@ def test_stickelberger_mode_in_config():
 
 
 LEVELS_RULE = "config error: oracle_levels must be a pair [n0, n1] with n1 > n0 >= 0"
-TABLE_RULE = "config error: lambda table must map labels to nonnegative integers"
+TABLE_RULE = "config error: lambda table must map labels to nonnegative integers below 2^63"
 
 
 @pytest.mark.parametrize("levels", ["3,1", "0,0", "-1,2", "1", "a,b"])
@@ -294,13 +313,49 @@ def test_main_oracle_wide_level_spans_pass(tmp_path, capsys, doc, rows):
 
 @pytest.mark.parametrize(
     "table",
-    [[1, 2], {"all": 0, "omega^1": "x"}, {"all": -5}, {"all": 1.5}, {"all": True}],
+    [[1, 2], {"all": 0, "omega^1": "x"}, {"all": -5}, {"all": 1.5}, {"all": True}, {"all": 2 ** 63}],
 )
 def test_main_lambda_table_file_is_validated(tmp_path, capsys, table):
     cfg = write_config(tmp_path, EXAMPLE_6_5)
     tbl = write_config(tmp_path, table, "table.json")
     assert main(["rank", "--config", cfg, "--lambda-table", tbl]) == EXIT_CONFIG
     assert capsys.readouterr().err.strip() == TABLE_RULE
+
+
+# a document nested 100000 deep and an integer literal of 5000 digits, which
+# Python's JSON reader refuses, and a value of 4300 digits, which it reads
+# but whose total no report could print: each a configuration error, whether
+# the table comes in the config or in --lambda-table
+@pytest.mark.parametrize("reader", ["config", "lambda-table"])
+@pytest.mark.parametrize("table, refused", [
+    pytest.param("[" * 100_000 + "]" * 100_000, True, id="nested"),
+    pytest.param('{"all": %s}' % ("9" * 5000), True, id="long-literal"),
+    pytest.param('{"all": %s}' % ("9" * 4300), False, id="long-value"),
+])
+def test_main_refuses_what_no_report_could_hold(tmp_path, capsys, reader, table, refused):
+    cfg, tbl = tmp_path / "job.json", tmp_path / "table.json"
+    if reader == "config":
+        cfg.write_text('{"p": 5, "lambda": {"table": %s}}' % table)
+        flags = []
+    else:
+        cfg.write_text(json.dumps({"p": 5}))
+        tbl.write_text(table)
+        flags = ["--lambda-table", str(tbl)]
+    assert main(["rank", "--config", str(cfg)] + flags) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    what = "JSON" if reader == "config" else "lambda table"
+    assert out == "" and (err.startswith(f"config error: malformed {what}: ") if refused
+                          else err.strip() == TABLE_RULE)
+
+
+def test_main_prints_a_total_of_table_values_below_the_bound(tmp_path, capsys):
+    tbl = write_config(tmp_path, {"all": 2 ** 63 - 1}, "table.json")
+    assert main(["rank", "--config", write_config(tmp_path, {"p": 5}), "--lambda-table", tbl]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    # the trivial character's lambda is 0 whatever the table says
+    assert {r["character"]: r["lambda"]["value"] for r in report["records"]} == {
+        "eps": 0, "omega^1": 2 ** 63 - 1, "omega^2": 2 ** 63 - 1, "omega^3": 2 ** 63 - 1}
+    assert report["total"] == 3 * (2 ** 63 - 1)
 
 
 def test_parse_config_refuses_true_as_integer():

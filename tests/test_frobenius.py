@@ -44,6 +44,15 @@ def test_m_index_examples():
     assert m_index(7, 5) == 1
 
 
+def test_m_index_doubles_its_precision_until_the_residue_moves():
+    # 2^(p-1) = 1 mod p^2 at the Wieferich primes 1093 and 3511, and
+    # 39367 = 1 + 2 3^9, so the residue mod p^2 reads 1 and K doubles:
+    # once to p^4 at the Wieferich pairs, three times to 3^16 for 39367
+    for q, p, m in [(2, 1093, 1), (2, 3511, 1), (39367, 3, 8)]:
+        assert pow(q, p - 1, p * p) == 1
+        assert m_index(q, p) == v_p(pow(q, p - 1) - 1, p) - 1 == m, (q, p)
+
+
 def test_m_index_rejects_q_equal_p():
     with pytest.raises(ValueError):
         m_index(3, 3)

@@ -17,6 +17,7 @@ from helpers import (
     load_benchmark_module,
     norm_reduction_surjective,
     rank_estimate,
+    tame_quotient,
 )
 from tamerank.arith import is_prime
 from tamerank.characters import (
@@ -27,6 +28,7 @@ from tamerank.characters import (
     trivial_character,
 )
 from tamerank.frobenius import (
+    _least_in_class,
     inertia_trivial,
     m_index,
     sigma0_ok,
@@ -38,11 +40,10 @@ import tamerank.localring as localring
 import tamerank.residue as residue
 from tamerank.arith import smallest_primitive_root, split_prime_part, teichmuller_residue, unit_group
 from tamerank.cli import parse_config, run
-from tamerank.errors import InvariantViolationError
+from tamerank.errors import InvariantViolationError, OracleInconsistencyError
 from tamerank.localring import cyclotomic_poly, local_ring
 from tamerank.residue import (
     VALUATION_GUARD_DIGITS,
-    _least_in_class,
     chi_quotient_order,
     residue_module,
 )
@@ -378,10 +379,11 @@ def test_level_group_class_is_least_in_its_h_orbit():
     # the lookup table agrees with min over H, for units and non-units
     for field, q in [(FieldSpec(5, 21, (8,)), 2), (FieldSpec(3, 8, (3,)), 5), (FieldSpec(7, 8, (3,)), 3),
                      (FieldSpec(5, 1), 7), (FieldSpec(3, 35, (4,)), 7)]:
-        quotient = field.tame_quotient(q)
-        fq, least = quotient.f, _least_in_class(quotient)
+        quotient = tame_quotient(field, q)
+        fq, hset = quotient.f, quotient.subgroup_elements
+        least = _least_in_class(fq, hset)
         for a in range(-fq, 3 * fq):
-            assert least[a % fq] == min(a * h % fq for h in quotient.subgroup_elements), (field, q, a)
+            assert least[a % fq] == min(a * h % fq for h in hset), (field, q, a)
 
 
 def _assert_matches_element_walk(m):
@@ -447,10 +449,11 @@ def test_module_work_follows_its_cosets_not_its_group(p, q, n, cosets):
 
 
 def test_oracle_builds_each_tame_record_once(monkeypatch):
-    # two primes at two levels each: each q's tame quotient, its order of q
-    # and its class table are built once, for the bound check, the
-    # stabilization level and both levels' splitting counts and modules
-    counts = {"quotient": 0, "order": 0, "least": 0}
+    # two primes at two levels each: each q's orbits in the tame quotient,
+    # and the class table they walk, are built once, for the bound check,
+    # the stabilization level and both levels' splitting counts and
+    # modules; the job builds no FieldSpec besides its own
+    counts = {"field": 0, "orbits": 0, "least": 0}
 
     def counted(name, fn):
         def call(*args):
@@ -458,31 +461,35 @@ def test_oracle_builds_each_tame_record_once(monkeypatch):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(FieldSpec, "tame_quotient", counted("quotient", FieldSpec.tame_quotient))
-    monkeypatch.setattr(frobenius, "_order_in_tame_quotient",
-                        counted("order", frobenius._order_in_tame_quotient))
-    monkeypatch.setattr(residue, "_least_in_class", counted("least", residue._least_in_class))
     job = parse_config('{"p": 5, "f": 7, "S": [2, 3], "lambda": {"table": {"all": 0}}}')
+    assert not job.field.tame_records  # the job's own field, built on first use
+    monkeypatch.setattr(FieldSpec, "__init__", counted("field", FieldSpec.__init__))
+    monkeypatch.setattr(frobenius, "_frobenius_orbits", counted("orbits", frobenius._frobenius_orbits))
+    monkeypatch.setattr(frobenius, "_least_in_class", counted("least", frobenius._least_in_class))
     report = run(job, "oracle")
     assert report["all_pass"] and {row["q"] for row in report["rows"]} == {2, 3}
-    assert counts == {"quotient": 2, "order": 2, "least": 2}
+    assert counts == {"field": 0, "orbits": 2, "least": 2}
 
 
 def test_structural_checks_raise_on_corrupted_inputs(monkeypatch):
     # (Z/7)^x splits into the <2>-orbits {1, 2, 4} and {3, 6, 5}; sending 6
     # to the class of 4 walks the second orbit into the first
     field = FieldSpec(5, 7)
-    least_in_class = residue._least_in_class
+    least_in_class = frobenius._least_in_class
 
-    def corrupted(quotient):
-        least = least_in_class(quotient)
+    def corrupted(fq, hset):
+        least = least_in_class(fq, hset)
         least[6] = 4
         return least
 
     with monkeypatch.context() as patch:
-        patch.setattr(residue, "_least_in_class", corrupted)
+        patch.setattr(frobenius, "_least_in_class", corrupted)
         with pytest.raises(InvariantViolationError, match="does not close"):
             residue_module(field, 2, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(frobenius, "euler_phi", lambda n: n)  # phi(7) read as 7
+        with pytest.raises(InvariantViolationError, match="phi"):
+            frobenius.TameData(field, 2)
     data = splitting_count(field, 2, 1)
     for wrong, message in [(data._replace(residue_degree=data.residue_degree + 1), "residue degree"),
                            (data._replace(prime_count=data.prime_count + 1), "coset count")]:
@@ -492,11 +499,53 @@ def test_structural_checks_raise_on_corrupted_inputs(monkeypatch):
                 residue_module(field, 2, 1)
 
 
+def test_quotient_growth_raises_on_inconsistent_modules(monkeypatch):
+    # q = 7 over (3, 1) stabilizes at level 1; levels 1 and 3 differ by 2 in
+    # their residue exponent, so a growth of 1 or -2 is no integral rank
+    field, q = FieldSpec(3, 1), 7
+    chi = enumerate_characters(field)[1]
+    lo, hi = residue_module(field, q, 1), residue_module(field, q, 3)
+    assert hi.e_exp - lo.e_exp == 2
+    for module in (lo, hi):
+        with pytest.raises(OracleInconsistencyError, match="residue exponent did not grow"):
+            residue.quotient_growth(module, lo, chi)
+    for x0, x1 in [(0, 1), (2, 0)]:
+        sizes = {lo: x0, hi: x1}
+        monkeypatch.setattr(residue, "chi_quotient_order", lambda module, chi: sizes[module])
+        with pytest.raises(OracleInconsistencyError, match=f"non-integral growth {x1 - x0}/2"):
+            residue.quotient_growth(lo, hi, chi)
+
+
 def test_norm_reduction_surjective():
     for field, q in [(FieldSpec(3, 1), 7), (FieldSpec(5, 1), 7), (FieldSpec(3, 7), 13)]:
         n0 = stabilization_level(field, q)
         for n in range(n0, n0 + 2):
             assert norm_reduction_surjective(field, q, n)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12),
+       st.lists(st.integers(-50, 50), max_size=5), st.sampled_from([7, 3 ** 5, 13 ** 4]))
+def test_pdivmod_divides_by_a_monic_and_commutes_with_reduction(a, tail, m):
+    # a = quo b + rem over Z with deg rem < deg b, and the remainder of a
+    # mod m by b mod m (still monic) is rem mod m
+    b = tail + [1]
+    quo, rem = localring._pdivmod(a, b)
+    assert len(rem) < len(b) and (not rem or rem[-1])
+    back = rem + [0] * (len(quo) + len(b) - len(rem))
+    for i, c in enumerate(quo):
+        for j, d in enumerate(b):
+            back[i + j] += c * d
+    assert localring._ptrim(back) == localring._ptrim(list(a))
+    reduced = localring._pdivmod([c % m for c in a], [c % m for c in tail] + [1])[1]
+    assert localring._ptrim([c % m for c in reduced]) == localring._ptrim([c % m for c in rem])
+
+
+def test_pdivmod_refuses_a_non_monic_divisor():
+    # 8 is 1 mod 7, but the division runs over Z, where [1, 8] is not monic
+    for b in [[], [1, 2], [1, 8], [3, 0, -1]]:
+        with pytest.raises(ValueError, match="monic"):
+            localring._pdivmod([1, 2, 3], b)
 
 
 def test_zeta_is_a_root_of_cyclotomic():
