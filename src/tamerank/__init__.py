@@ -18,7 +18,6 @@ from .characters import (
     conjugacy_classes,
     enumerate_characters,
     omega,
-    trivial_character,
 )
 from .errors import (
     ConfigError,

@@ -371,10 +371,6 @@ def _primitive(p: int, units, exponents: tuple) -> DirichletCharacter:
     return _assembled(p, entries)
 
 
-def trivial_character(p: int) -> DirichletCharacter:
-    return DirichletCharacter(p, 1, ())
-
-
 @lru_cache(maxsize=None)
 def omega(p: int) -> DirichletCharacter:
     """The Teichmueller character, pinned by omega(g) = zeta_{p-1} for the

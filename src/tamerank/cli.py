@@ -14,7 +14,13 @@ Exit codes:
      job on a field of more than ORACLE_CHARACTER_BOUND = 20000 characters,
      a job whose f*(p - 1) is above ENUMERATION_BOUND = 1000000 (it bounds
      the characters every job enumerates), a lambda table value at or above
-     LAMBDA_TABLE_BOUND = 2^63, a document that Python's JSON reader
+     LAMBDA_TABLE_BOUND = 2^63, a lambda job (or a rank job that may call
+     on Stickelberger: its mode allows it and its table has no "all") whose
+     level-2 residue table for f' = f takes more than
+     STICKELBERGER_TABLE_BOUND = 64 MiB (0.3 MB for (p, f) = (37, 1), the
+     largest benchmark job; 30.8 MB for p = 157, a 3.7 s job; 49.0 MB for
+     (101, 7); 643 MB for p = 401, over 60 s; 12.3 GB for p = 1009, killed
+     after 20 s), a document that Python's JSON reader
      refuses (nested too deep, or an integer literal past the interpreter's
      digit limit), an unwritable --out, or a closed standard output
   3  lambda unavailable for a required character
@@ -46,7 +52,7 @@ from .errors import (
 from .frobenius import admissible, m_index, splitting_count, stabilization_level
 from .rank import LambdaProvider, rank_total
 from .residue import VALUATION_GUARD_DIGITS, quotient_growth, residue_module
-from .stickelberger import lambda_minus
+from .stickelberger import _table_bytes, lambda_minus
 
 SCHEMA_VERSION = "1"
 
@@ -87,6 +93,13 @@ ENUMERATION_BOUND = 10 ** 6
 # lambda values and total print under any int_max_str_digits setting, the
 # least of which is 640 digits.
 LAMBDA_TABLE_BOUND = 2 ** 63
+# lambda_minus reads a character's lambda at level 1 once the level-2 series,
+# projected from the residue table of (f', p, 2), folds onto it.  The largest
+# such table is that of f' = f, so its bytes bound the work before any table
+# is built (the docstring gives the measured cases).  A character whose lambda
+# is p or more also reads level 3, p times larger, which the bound does not
+# cover.
+STICKELBERGER_TABLE_BOUND = 64 << 20
 
 _LAMBDA_MODES = {
     "table": (False, False),
@@ -254,8 +267,17 @@ def validate_rank_report(report: dict) -> None:
         raise InvariantViolationError("report total differs from the record sum")
 
 
+def _bound_lambda_work(job: JobConfig) -> None:
+    size = _table_bytes(job.f, job.p, 2)
+    if size > STICKELBERGER_TABLE_BOUND:
+        raise ConfigError([f"lambda on p = {job.p}, f = {job.f}: the level-2 residue table "
+                           f"takes {size} bytes, above {STICKELBERGER_TABLE_BOUND}"])
+
+
 def run_rank(job: JobConfig) -> dict:
     """rank records and total for a job"""
+    if job.provider.allow_stickelberger and "all" not in job.provider.table:
+        _bound_lambda_work(job)
     result = rank_total(job.field, list(job.S), job.provider, job.subgroup)
     report = _report(job, "rank", S=list(result.S), records=[r.to_dict() for r in result.records],
                      total=result.total, conjectural=result.conjectural)
@@ -331,6 +353,7 @@ def run_oracle(job: JobConfig) -> dict:
 
 def run_lambda(job: JobConfig) -> dict:
     """Stickelberger lambda table"""
+    _bound_lambda_work(job)
     field = job.field
     rows = []
     om = omega(field.p)

@@ -59,18 +59,6 @@ def _ptrim(a):
     return a
 
 
-def _pmul(a, b, mod):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % mod
-    return _ptrim(out)
-
-
 def _pdivmod(a, b):
     """(quotient, remainder) of the integer polynomial a by the monic b.
     Division by a monic b commutes with reduction mod any modulus m, so the
@@ -122,7 +110,14 @@ def cyclotomic_poly(m: int) -> tuple:
 
 
 def _qmul(a, b, g, mod):
-    r = _ptrim([c % mod for c in _pdivmod(_pmul(a, b, mod), g)[1]])
+    """a * b in (Z/mod)[x]/(g): the integer product, one division by g and
+    one reduction."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    r = [c % mod for c in _pdivmod(out, g)[1]]
     return tuple(r + [0] * (len(g) - 1 - len(r)))
 
 

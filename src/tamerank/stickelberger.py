@@ -40,11 +40,12 @@ every y_j < 2^k, then every y_j P < 2^S, so these are the base-2^S digits
 of x: x_j = y_j P.
 
 A level is folded onto a lower level l by adding the p^{n-l} blocks of p^l
-slots of q, as byte slices of one to_bytes; the sum never carries: p^{n-l}
-(2^k - 1) < P 2^k < 2^S.  Only the p^l folded slots of each coordinate are
-unpacked, and compared with level l's unpacked column of that coordinate.  A
-level's own buckets are unpacked only when read, so a character whose lambda
-is read at level 1 never unpacks level 2.
+slots of q by halving, in ceil(log2 p^{n-l}) steps of one mask, one shift
+and one add on the whole int.  Each step's sums are sub-sums of the whole,
+which never carries: p^{n-l} (2^k - 1) < P 2^k < 2^S.  Only the p^l folded
+slots of each coordinate are unpacked, and compared with level l's unpacked
+column of that coordinate.  A level's own buckets are unpacked only when
+read, so a character whose lambda is read at level 1 never unpacks level 2.
 
 lambda is read once per level, from the first unit T-coefficient of the
 level-n series (see lambda_minus); mu = 0 is Ferrero-Washington, and no
@@ -65,7 +66,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import NamedTuple, Optional, Tuple
 
-from .arith import smallest_primitive_root, split_prime_part, teichmuller_residue, unit_group
+from .arith import euler_phi, smallest_primitive_root, split_prime_part, teichmuller_residue, unit_group
 from .characters import DirichletCharacter, FrozenValue, omega
 from .errors import InvariantViolationError, PrecisionError
 from .localring import _pdivmod, cyclotomic_poly, local_ring
@@ -100,6 +101,13 @@ def _slot_words(count: int, M: int, p: int, n: int) -> int:
     bound = (count * (2 * M - 1) + 1) * (p ** _work_digits(n) - 1)
     bits = max(bound.bit_length() + 1, _barrett(M, p, n)[2].bit_length())
     return -(-bits // WORD_BITS)
+
+
+def _table_bytes(fprime: int, p: int, n: int) -> int:
+    """Bytes of the packed columns of the (f', p, n) residue table, worked out
+    without building it: phi(f'p)/2 columns of p^n slots of _slot_words words."""
+    columns = euler_phi(fprime * p) // 2
+    return columns * p ** n * (WORD_BITS // 8) * _slot_words(columns, fprime * p ** (n + 1), p, n)
 
 
 def _pack(values, words: int) -> int:
@@ -140,11 +148,17 @@ def _exact_quotient(x: int, divisor: int, mask: int) -> int:
 
 
 def _fold(x: int, count: int, words: int, size: int) -> int:
-    """The sum of the count / size blocks of `size` slots of x; the caller
-    keeps the sum of every slot below 2^{WORD_BITS words}."""
-    data = memoryview(x.to_bytes(WORD_BITS // 8 * words * count, "little"))
-    width = WORD_BITS // 8 * words * size
-    return sum(int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width))
+    """The sum of the count / size blocks of `size` slots of x, by halving:
+    while more than one block is left, the upper floor(blocks / 2) are added
+    onto the lower ceil(blocks / 2).  Each partial sum is a sub-sum of the
+    whole, so the caller, by keeping the sum of every slot below 2^{WORD_BITS
+    words}, keeps every step free of carries."""
+    width = WORD_BITS * words * size
+    blocks = count // size
+    while blocks > 1:
+        blocks = (blocks + 1) // 2
+        x = (x & (1 << width * blocks) - 1) + (x >> width * blocks)
+    return x
 
 
 class ResidueTable(NamedTuple):

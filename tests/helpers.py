@@ -15,7 +15,9 @@ characters, the search oracles for the unit behind
 sigma_p and for the stabilization level, the discrete log by trying every
 power, and a read-only loader for the benchmark's modules, the conjugacy
 classes built through chi.power(t), the Stickelberger residue table
-built cell by cell, and a series' buckets and folded buckets as rows.
+built cell by cell, a series' buckets and folded buckets as rows, the
+block-by-block oracle of the fold, the trivial character, and the product
+and power in (Z/m)[x]/(g) reduced term by term.
 Test modules import them as `from helpers import ...`."""
 
 import cmath
@@ -46,7 +48,7 @@ from tamerank.frobenius import (
     splitting_count,
 )
 from tamerank.errors import InvariantViolationError
-from tamerank.localring import local_ring
+from tamerank.localring import _pdivmod, local_ring
 from tamerank.rank import _validate_s
 from tamerank.residue import VALUATION_GUARD_DIGITS, quotient_growth, residue_module
 from tamerank.stickelberger import WORD_BITS, ResidueTable, _pack, _slot_words, _table_units
@@ -83,6 +85,10 @@ def p_power_part(z: RootOfUnity, p: int) -> RootOfUnity:
     n, the CRT split of the exponent kills the prime-to-p component."""
     a, n = split_prime_part(z.order, p)
     return root_power(z, n * pow(n, -1, p ** a))
+
+
+def trivial_character(p: int) -> DirichletCharacter:
+    return DirichletCharacter(p, 1, ())
 
 
 def random_prime_sets(p: int, count: int, seed: int, pool_bound: int = 200) -> list:
@@ -610,6 +616,33 @@ def folded_buckets(series, lower_level: int) -> list:
     """The bucket coefficients reduced mod (1+T)^{p^lower_level} - 1, one
     vector per folded bucket: row r sums the rows j = r mod p^lower_level."""
     return [list(v) for v in zip(*series.folded_columns(lower_level))]
+
+
+def fold_by_blocks(x: int, count: int, words: int, size: int) -> int:
+    """The oracle of `stickelberger._fold`: the count / size blocks of `size`
+    slots of x, cut from one to_bytes and added one block at a time."""
+    data = memoryview(x.to_bytes(WORD_BITS // 8 * words * count, "little"))
+    width = WORD_BITS // 8 * words * size
+    return sum(int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width))
+
+
+def qmul_reference(a, b, g, mod) -> tuple:
+    """The oracle of `localring._qmul`: a * b reduced mod `mod` term by term,
+    then divided by the monic g, padded to deg g coordinates."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % mod
+    rem = [c % mod for c in _pdivmod(out, g)[1]]
+    return tuple(rem + [0] * (len(g) - 1 - len(rem)))
+
+
+def qpow_reference(a, e: int, g, mod) -> tuple:
+    """The oracle of `localring._qpow`: e products by qmul_reference."""
+    result = tuple([1] + [0] * (len(g) - 2))
+    for _ in range(e):
+        result = qmul_reference(result, a, g, mod)
+    return result
 
 
 _K0 = 1.337  # any fixed real > 1; stands in for kappa0 = 1 + p

@@ -16,6 +16,7 @@ from helpers import (
     rank_estimate,
     rank_rational,
     rational_prime_count,
+    trivial_character,
 )
 from tamerank.annihilators import lcm_degree
 from tamerank.arith import unit_group
@@ -24,7 +25,6 @@ from tamerank.characters import (
     class_representatives,
     enumerate_characters,
     omega,
-    trivial_character,
 )
 from tamerank.cli import parse_config, run
 from tamerank.frobenius import (

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from helpers import lcm_degree_oracle, sigma_p_value_oracle
+from helpers import lcm_degree_oracle, sigma_p_value_oracle, trivial_character
 from tamerank.annihilators import annihilator, lcm_degree
 from tamerank.arith import split_prime_part
-from tamerank.characters import FieldSpec, class_representatives, enumerate_characters, omega, trivial_character
+from tamerank.characters import FieldSpec, class_representatives, enumerate_characters, omega
 from tamerank.frobenius import m_index
 from tamerank.rank import LambdaProvider, rank_chi
 

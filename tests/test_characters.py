@@ -15,6 +15,7 @@ from helpers import (
     primitive_oracle,
     root_power,
     root_times,
+    trivial_character,
 )
 from tamerank import characters
 from tamerank.arith import UnitGroupStructure, teichmuller_residue, unit_group
@@ -27,7 +28,6 @@ from tamerank.characters import (
     enumerate_characters,
     field_characters,
     omega,
-    trivial_character,
 )
 from tamerank.errors import InvariantViolationError
 

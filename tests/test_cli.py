@@ -21,6 +21,7 @@ from tamerank.cli import (
     EXIT_LAMBDA,
     EXIT_OK,
     EXIT_PRECISION,
+    STICKELBERGER_TABLE_BOUND,
     _column_dimension,
     _oversized,
     main,
@@ -37,7 +38,7 @@ from tamerank.errors import (
     PrecisionError,
     TameRankError,
 )
-from tamerank.stickelberger import StickelbergerSeries
+from tamerank.stickelberger import StickelbergerSeries, _table_bytes
 
 from helpers import load_benchmark_module
 from tamerank.arith import unit_group
@@ -717,6 +718,56 @@ def test_main_refuses_an_oversized_enumeration_before_factoring(tmp_path, capsys
     assert time.monotonic() - t0 < 1.0
     assert capsys.readouterr().err.strip() == (
         f"config error: the field may have up to f*(p - 1) = {bound} characters, above 1000000")
+
+
+AUTO = {"mode": "auto", "table": {"omega^1": 0}}
+
+
+@pytest.mark.parametrize("command, doc, size", [
+    ("lambda", {"p": 401}, 643204000),
+    ("lambda", {"p": 1009}, 12314707776),
+    ("rank", {"p": 401, "S": [2], "lambda": AUTO}, 643204000),
+])
+def test_main_bounds_the_lambda_work_before_a_table_is_built(tmp_path, capsys, command, doc, size):
+    # phi(p)/2 columns of p^2 slots of the level-2 table: p = 401 took over
+    # 60 s and p = 1009 did not end in 20 s
+    cfg = write_config(tmp_path, doc)
+    t0 = time.monotonic()
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err.strip() == (
+        f"config error: lambda on p = {doc['p']}, f = 1: the level-2 residue table "
+        f"takes {size} bytes, above {64 * 2 ** 20}")
+
+
+def test_lambda_work_bound_spares_jobs_that_build_no_table(tmp_path, capsys):
+    # a table with "all" answers every character before Stickelberger
+    doc = {"p": 401, "S": [2], "lambda": {"mode": "auto", "table": {"all": 0}}}
+    assert main(["rank", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["total"] == 1
+
+
+def test_lambda_work_estimate_covers_every_table_of_the_benchmark_jobs(monkeypatch):
+    # each lambda-minus job, run on a fresh table cache, holds no table
+    # larger than the job's estimate, the level-2 table of f' = f, which is
+    # below the bound; _table_bytes gives the size of each table it holds.
+    # (157, 1) and (101, 7) are admitted too
+    workloads = load_benchmark_module("workloads", monkeypatch)
+    for command, doc in workloads.generate("lambda-minus", 0):
+        job = parse_config(doc)
+        monkeypatch.setattr(tamerank.stickelberger, "_TABLES", tamerank.stickelberger._TableCache())
+        run(job, command)
+        estimate = _table_bytes(job.f, job.p, 2)
+        assert estimate <= STICKELBERGER_TABLE_BOUND, doc
+        held = [(key[1:], table) for key, table in tamerank.stickelberger._TABLES.entries.items()
+                if key[0] == "table"]
+        assert held, doc
+        for (fprime, n), table in held:
+            size = len(table.columns) * job.p ** n * 4 * table.words
+            assert size == _table_bytes(fprime, job.p, n) <= estimate, (doc, fprime, n)
+    assert _table_bytes(1, 157, 2) == 30761952
+    assert _table_bytes(7, 101, 2) == 48964800
+    assert 48964800 <= STICKELBERGER_TABLE_BOUND
 
 
 def test_enumeration_bound_admits_the_benchmark_jobs(monkeypatch):

@@ -13,6 +13,7 @@ from helpers import (
     sigma0_ok_oracle,
     sigma_p_value_oracle,
     stabilization_level_by_search,
+    trivial_character,
 )
 from tamerank import arith, frobenius, rank
 from tamerank.arith import factorize, is_prime, v_p
@@ -23,7 +24,6 @@ from tamerank.characters import (
     class_representatives,
     field_characters,
     omega,
-    trivial_character,
 )
 from tamerank.errors import InvariantViolationError
 from tamerank.frobenius import (

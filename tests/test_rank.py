@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import random_prime_sets, rank_rational
+from helpers import random_prime_sets, rank_rational, trivial_character
 from tamerank import frobenius, rank
 from tamerank.characters import (
     DirichletCharacter,
@@ -8,7 +8,6 @@ from tamerank.characters import (
     enumerate_characters,
     field_characters,
     omega,
-    trivial_character,
 )
 from tamerank.errors import LambdaUnavailableError
 from tamerank.rank import (

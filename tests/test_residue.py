@@ -16,8 +16,11 @@ from helpers import (
     dense_chi_quotient_order,
     load_benchmark_module,
     norm_reduction_surjective,
+    qmul_reference,
+    qpow_reference,
     rank_estimate,
     tame_quotient,
+    trivial_character,
 )
 from tamerank.arith import is_prime
 from tamerank.characters import (
@@ -25,7 +28,6 @@ from tamerank.characters import (
     class_representatives,
     enumerate_characters,
     omega,
-    trivial_character,
 )
 from tamerank.frobenius import (
     _least_in_class,
@@ -546,6 +548,22 @@ def test_pdivmod_refuses_a_non_monic_divisor():
     for b in [[], [1, 2], [1, 8], [3, 0, -1]]:
         with pytest.raises(ValueError, match="monic"):
             localring._pdivmod([1, 2, 3], b)
+
+
+OPERAND = st.lists(st.integers(0, 10 ** 12), max_size=7)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(-13, 13), min_size=1, max_size=7), OPERAND, OPERAND,
+       st.sampled_from([3, 5, 7, 13]), st.integers(1, 12), st.integers(0, 20))
+def test_qmul_and_qpow_match_the_product_reduced_term_by_term(tail, a, b, p, K, e):
+    # (Z/p^K)[x]/(g) for a monic g of degree 1 to 7, on operands of deg g
+    # coordinates or fewer: one reduction after the integer division gives
+    # what reducing every partial product does
+    g, m = tail + [1], p ** K
+    a, b = [c % m for c in a[:len(tail)]], [c % m for c in b[:len(tail)]]
+    assert localring._qmul(a, b, g, m) == qmul_reference(a, b, g, m)
+    assert localring._qpow(a, e, g, m) == qpow_reference(a, e, g, m)
 
 
 def test_zeta_is_a_root_of_cyclotomic():

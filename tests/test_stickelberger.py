@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from helpers import (
     bucket_coefficients,
     direct_bucket_vectors,
+    fold_by_blocks,
     folded_buckets,
     load_benchmark_module,
     residue_table_by_cells,
@@ -422,6 +424,49 @@ def test_fold_never_carries(monkeypatch):
             folded = stickelberger._fold(full, p ** n, words, p ** lower)
             sums = stickelberger._unpack(folded, p ** lower, words)
             assert sums == [p ** (n - lower) * (2 ** k - 1)] * p ** lower, (p, n, lower)
+
+
+def _slots(seed: int, fill: str, count: int, k: int) -> list:
+    """count slot values below 2^k: random, all 2^k - 1, or all 0."""
+    if fill == "random":
+        rng = random.Random(seed)
+        return [rng.getrandbits(k) for _ in range(count)]
+    return [2 ** k - 1 if fill == "max" else 0] * count
+
+
+FILLS = st.sampled_from(["random", "max", "zero"])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 3), st.integers(0, 2),
+       st.integers(1, 5), st.integers(0, 2 ** 32), FILLS)
+@example(3, 1, 0, 1, 0, "max")  # three blocks of one slot
+@example(13, 3, 0, 5, 1, "max")  # 2197 blocks of one slot
+@example(13, 3, 2, 2, 2, "random")  # 13 blocks of 169 slots
+def test_fold_by_halving_matches_the_block_sum(p, n, lower, words, seed, fill):
+    # quotient slots below 2^k, k = W words - bit_length(p^{n+1}), folded
+    # from level n onto a level l < n
+    assume(lower < n)
+    k = W * words - (p ** (n + 1)).bit_length()
+    x = stickelberger._pack(_slots(seed, fill, p ** n, k), words)
+    args = (x, p ** n, words, p ** lower)
+    assert stickelberger._fold(*args) == fold_by_blocks(*args)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 5), st.integers(0, 2 ** 32), FILLS)
+@example(1, 4, 2, 0, "max")  # one block: x itself
+@example(2, 3, 1, 0, "max")
+@example(7, 1, 3, 0, "random")
+def test_fold_by_halving_adds_any_number_of_blocks(blocks, size, words, seed, fill):
+    # one block, two, and every other count, with slots low enough that the
+    # blocks sum below 2^{W words}
+    k = W * words - blocks.bit_length()
+    x = stickelberger._pack(_slots(seed, fill, blocks * size, k), words)
+    args = (x, blocks * size, words, size)
+    assert stickelberger._fold(*args) == fold_by_blocks(*args)
+    if blocks == 1:
+        assert stickelberger._fold(*args) == x
 
 
 def test_integrality_is_checked_slot_by_slot():
