@@ -27,7 +27,9 @@ Exit codes:
   4  oracle inconsistency: the brute-force module contradicts the theory,
      or an oracle row disagrees with the rank formula
   5  level bound reached: no Stickelberger series below level MAX_LEVEL
-     has a unit coefficient, so lambda >= p^(MAX_LEVEL - 1)
+     has a unit coefficient, so lambda >= p^(MAX_LEVEL - 1), or a character
+     whose lambda is p or more needs a level-3 or level-4 residue table of
+     more than STICKELBERGER_TABLE_BOUND bytes (checked before it is built)
   6  internal invariant violated (a bug, never a user error)
 """
 
@@ -52,7 +54,7 @@ from .errors import (
 from .frobenius import admissible, m_index, splitting_count, stabilization_level
 from .rank import LambdaProvider, rank_total
 from .residue import VALUATION_GUARD_DIGITS, quotient_growth, residue_module
-from .stickelberger import _table_bytes, lambda_minus
+from .stickelberger import STICKELBERGER_TABLE_BOUND, _table_bytes, lambda_minus
 
 SCHEMA_VERSION = "1"
 
@@ -93,13 +95,6 @@ ENUMERATION_BOUND = 10 ** 6
 # lambda values and total print under any int_max_str_digits setting, the
 # least of which is 640 digits.
 LAMBDA_TABLE_BOUND = 2 ** 63
-# lambda_minus reads a character's lambda at level 1 once the level-2 series,
-# projected from the residue table of (f', p, 2), folds onto it.  The largest
-# such table is that of f' = f, so its bytes bound the work before any table
-# is built (the docstring gives the measured cases).  A character whose lambda
-# is p or more also reads level 3, p times larger, which the bound does not
-# cover.
-STICKELBERGER_TABLE_BOUND = 64 << 20
 
 _LAMBDA_MODES = {
     "table": (False, False),

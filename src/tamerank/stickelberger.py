@@ -39,13 +39,21 @@ y_j < 2^{S-1} / 2^{b-1} = 2^k with k = S - b.  Conversely, if r = 0 and
 every y_j < 2^k, then every y_j P < 2^S, so these are the base-2^S digits
 of x: x_j = y_j P.
 
-A level is folded onto a lower level l by adding the p^{n-l} blocks of p^l
-slots of q by halving, in ceil(log2 p^{n-l}) steps of one mask, one shift
-and one add on the whole int.  Each step's sums are sub-sums of the whole,
-which never carries: p^{n-l} (2^k - 1) < P 2^k < 2^S.  Only the p^l folded
-slots of each coordinate are unpacked, and compared with level l's unpacked
-column of that coordinate.  A level's own buckets are unpacked only when
-read, so a character whose lambda is read at level 1 never unpacks level 2.
+Level n+1 is checked against level n >= 1 on the packed quotients.  Its p
+blocks of p^n slots are added by halving (_fold: ceil(log2 p) steps of one
+mask, one shift and one add on the whole int; each step's sums are sub-sums
+of the whole, which never carries: p (2^k - 1) < P 2^k <= 2^S).  To the
+folded int, slots a_j, z ONES is added, z the least multiple of p^N at or
+above 2^{S-b} with b = bit_length(p^{n+1}), and level n's quotient, slots
+b_j, is subtracted, re-packed at the upper slot width only when the two
+tables' words differ.  As b_j < 2^{S-b} <= z, a_j < 2^{S-b+1}, z < 2^{S-b} +
+p^N and, with b >= 4, p^N < 2^{S-4} and 2^{S-b} <= 2^{S-4}, every slot a_j +
+z - b_j lies in [0, 2^{S-2}).  So the test above, with divisor p^N and mask
+the top bit_length(p^N) bits of every slot, passes exactly when every folded
+slot equals level n's slot mod p^N.  The T^0 coefficient of a level, the sum
+of its buckets, is its quotient folded to one slot.  So a character whose
+lambda is 0 unpacks no slot, except to re-pack level n at a wider slot; a
+level's buckets are unpacked only to read a T^i with i >= 1.
 
 lambda is read once per level, from the first unit T-coefficient of the
 level-n series (see lambda_minus); mu = 0 is Ferrero-Washington, and no
@@ -103,6 +111,15 @@ def _slot_words(count: int, M: int, p: int, n: int) -> int:
     return -(-bits // WORD_BITS)
 
 
+# lambda_minus reads a character's lambda at level 1 once the level-2 series,
+# projected from the residue table of (f', p, 2), folds onto it.  The largest
+# such table is that of f' = f, so cli bounds its bytes before any table is
+# built (its docstring gives the measured cases); a character whose lambda is
+# p or more also reads level 3, p times larger, which lambda_minus bounds
+# before it builds it, and level 4 likewise.
+STICKELBERGER_TABLE_BOUND = 64 << 20
+
+
 def _table_bytes(fprime: int, p: int, n: int) -> int:
     """Bytes of the packed columns of the (f', p, n) residue table, worked out
     without building it: phi(f'p)/2 columns of p^n slots of _slot_words words."""
@@ -135,14 +152,15 @@ def _ones(count: int, words: int) -> int:
     return int.from_bytes((b"\1" + bytes(WORD_BITS // 8 * words - 1)) * count, "little")
 
 
-def _exact_quotient(x: int, divisor: int, mask: int) -> int:
+def _exact_quotient(x: int, divisor: int, mask: int, error: Optional[str] = None) -> int:
     """x / divisor slot by slot, for slots below 2^{S-1} and mask the top
-    bit_length(divisor) bits of each; InvariantViolationError unless all divide."""
+    bit_length(divisor) bits of each; InvariantViolationError, with `error`
+    if given, unless all divide."""
     q, r = divmod(x, divisor)
     if r or q & mask:
         raise InvariantViolationError(
-            "Stickelberger coefficient is not p-integral; "
-            "this construction only applies to odd characters != omega"
+            error or "Stickelberger coefficient is not p-integral; "
+                     "this construction only applies to odd characters != omega"
         )
     return q
 
@@ -285,7 +303,7 @@ def _character_columns(chi: DirichletCharacter, digits: int) -> tuple:
 
 
 def _projection(chi: DirichletCharacter, n: int) -> tuple:
-    """(quotients, words): coordinate i of bucket j, the coefficient of
+    """(quotients, table): coordinate i of bucket j, the coefficient of
     (1+T)^j for j in Z/p^n, is slot j of quotients[i], mod p^N."""
     p = chi.p
     fprime = split_prime_part(chi.conductor, p)[1]
@@ -303,39 +321,39 @@ def _projection(chi: DirichletCharacter, n: int) -> tuple:
         shift = -fprime * pn1 * sum(column) % modw
         packed = sum(map(mul, column, table.columns)) + shift * table.ones
         quotients.append(_exact_quotient(packed, pn1, table.mask))
-    return tuple(quotients), table.words
+    return tuple(quotients), table
 
 
 class StickelbergerSeries:
     """Level-n series with coefficients as O_chi coordinate vectors mod p^N,
     held packed: coordinate i of bucket j is slot j of quotients[i], reduced
-    mod p^N, with slots `words` WORD_BITS-bit words wide."""
+    mod p^N, in the slots of its residue table."""
 
     precision = DEFAULT_PRECISION
 
-    def __init__(self, chi: DirichletCharacter, level: int, quotients: tuple, words: int):
+    def __init__(self, chi: DirichletCharacter, level: int, quotients: tuple, table: ResidueTable):
         self.chi = chi
         self.level = level
         self.quotients = quotients  # one packed int per coordinate
-        self.words = words
+        self.table = table
 
     @property
     def length(self) -> int:
         return self.chi.p ** self.level
 
-    def _unpacked(self, quotients: tuple, count: int) -> list:
-        modN = self.chi.p ** self.precision
-        return [[y % modN for y in _unpack(q, count, self.words)] for q in quotients]
-
     @cached_property
     def bucket_columns(self) -> list:
         """Coordinate i of every bucket, unpacked on first read."""
-        return self._unpacked(self.quotients, self.length)
+        modN = self.chi.p ** self.precision
+        return [[y % modN for y in _unpack(q, self.length, self.table.words)] for q in self.quotients]
 
     def t_coefficient(self, i: int) -> list:
         """Coefficient of T^i: sum_j binom(j, i) * bucket_j, column by column
-        (binom(j, i) = 0 for j < i, so i >= length gives the zero vector)."""
+        (binom(j, i) = 0 for j < i, so i >= length gives the zero vector).
+        T^0, the sum of the buckets, is each quotient folded to one slot."""
         modN = self.chi.p ** self.precision
+        if i == 0:
+            return [_fold(q, self.length, self.table.words, 1) % modN for q in self.quotients]
         combs = [math.comb(j, i) % modN for j in range(self.length)]
         return [sum(map(mul, combs, col)) % modN for col in self.bucket_columns]
 
@@ -349,12 +367,23 @@ class StickelbergerSeries:
                 return i
         return None
 
-    def folded_columns(self, lower_level: int) -> list:
-        """bucket_columns reduced mod (1+T)^{p^lower_level} - 1 (slot r sums
-        the slots j = r mod p^lower_level); only the folded slots are unpacked."""
-        size = self.chi.p ** lower_level
-        folded = [_fold(q, self.length, self.words, size) for q in self.quotients]
-        return self._unpacked(folded, size)
+
+def _check_fold(high: StickelbergerSeries, low: StickelbergerSeries) -> None:
+    """InvariantViolationError unless level n+1 = high.level, folded onto
+    level n = low.level >= 1, equals it mod p^N slot by slot: every slot of
+    fold(high) + z ONES - low, z the least multiple of p^N at or above
+    2^{S-b}, b = bit_length(p^{n+1}), lies in [0, 2^{S-1}) (see the module
+    docstring), so _exact_quotient's test by p^N reads them all at once."""
+    p, n, words = low.chi.p, low.level, high.table.words
+    S, count, modN = WORD_BITS * words, p ** n, p ** low.precision
+    ones = high.table.ones & (1 << S * count) - 1
+    bias = -(-(1 << S - (p ** (n + 1)).bit_length()) // modN) * modN * ones  # z ONES
+    mask = (ones << S) - (ones << S - modN.bit_length())
+    error = f"the level {n + 1} series of {low.chi.label()} does not fold onto level {n}"
+    for upper, lower in zip(high.quotients, low.quotients):
+        if low.table.words != words:
+            lower = _pack(_unpack(lower, count, low.table.words), words)
+        _exact_quotient(_fold(upper, high.length, words, count) + bias - lower, modN, mask, error)
 
 
 def stickelberger_series(chi: DirichletCharacter, n: int) -> StickelbergerSeries:
@@ -384,23 +413,28 @@ def lambda_minus(chi: DirichletCharacter) -> LambdaResult:
     level-n series has the first p^n T-coefficients of the characteristic
     series mod p.  Its first unit coefficient is lambda; with none, lambda
     >= p^n.  Level n is read once level n+1 folds onto it exactly, else
-    InvariantViolationError; no unit below level MAX_LEVEL raises
-    PrecisionError.
+    InvariantViolationError; no unit below level MAX_LEVEL, or a level-3 or
+    level-4 residue table above STICKELBERGER_TABLE_BOUND bytes, raises
+    PrecisionError before that table is built.
     """
+    p = chi.p
     low = stickelberger_series(chi, 1)
     for n in range(1, MAX_LEVEL):
-        high = stickelberger_series(chi, n + 1)
-        if high.folded_columns(n) != low.bucket_columns:
-            raise InvariantViolationError(
-                f"the level {n + 1} series of {chi.label()} does not fold onto level {n}"
+        size = _table_bytes(split_prime_part(chi.conductor, p)[1], p, n + 1) if n >= 2 else 0
+        if size > STICKELBERGER_TABLE_BOUND:
+            raise PrecisionError(
+                f"lambda of {chi.label()} needs the level {n + 1} series, whose residue "
+                f"table takes {size} bytes, above {STICKELBERGER_TABLE_BOUND}"
             )
+        high = stickelberger_series(chi, n + 1)
+        _check_fold(high, low)
         lam = low.first_unit_index()
         if lam is not None:
             return LambdaResult(lam, (n, n + 1))
         low = high
     raise PrecisionError(
         f"the series of {chi.label()} have no unit coefficient below level "
-        f"MAX_LEVEL = {MAX_LEVEL}, so lambda >= {chi.p}^{MAX_LEVEL - 1}"
+        f"MAX_LEVEL = {MAX_LEVEL}, so lambda >= {p}^{MAX_LEVEL - 1}"
     )
 
 

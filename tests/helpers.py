@@ -16,8 +16,9 @@ sigma_p and for the stabilization level, the discrete log by trying every
 power, and a read-only loader for the benchmark's modules, the conjugacy
 classes built through chi.power(t), the Stickelberger residue table
 built cell by cell, a series' buckets and folded buckets as rows, the
-block-by-block oracle of the fold, the trivial character, and the product
-and power in (Z/m)[x]/(g) reduced term by term.
+block-by-block oracle of the fold, the trivial character, the product
+and power in (Z/m)[x]/(g) reduced term by term, and `clear_memos`, which
+empties every memo of the README's Caches table.
 Test modules import them as `from helpers import ...`."""
 
 import cmath
@@ -29,6 +30,7 @@ import sys
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
+from tamerank import arith, characters, frobenius, localring, stickelberger
 from tamerank.arith import (
     crt,
     is_prime,
@@ -51,7 +53,7 @@ from tamerank.errors import InvariantViolationError
 from tamerank.localring import _pdivmod, local_ring
 from tamerank.rank import _validate_s
 from tamerank.residue import VALUATION_GUARD_DIGITS, quotient_growth, residue_module
-from tamerank.stickelberger import WORD_BITS, ResidueTable, _pack, _slot_words, _table_units
+from tamerank.stickelberger import WORD_BITS, ResidueTable, _fold, _pack, _slot_words, _table_units, _unpack
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -612,10 +614,20 @@ def bucket_coefficients(series) -> list:
     return [list(v) for v in zip(*series.bucket_columns)]
 
 
+def folded_columns(series, lower_level: int) -> list:
+    """The series' bucket_columns reduced mod (1+T)^{p^lower_level} - 1 (slot
+    r sums the slots j = r mod p^lower_level), each quotient folded packed
+    and only its folded slots unpacked."""
+    size, words = series.chi.p ** lower_level, series.table.words
+    modN = series.chi.p ** series.precision
+    return [[y % modN for y in _unpack(_fold(q, series.length, words, size), size, words)]
+            for q in series.quotients]
+
+
 def folded_buckets(series, lower_level: int) -> list:
     """The bucket coefficients reduced mod (1+T)^{p^lower_level} - 1, one
     vector per folded bucket: row r sums the rows j = r mod p^lower_level."""
-    return [list(v) for v in zip(*series.folded_columns(lower_level))]
+    return [list(v) for v in zip(*folded_columns(series, lower_level))]
 
 
 def fold_by_blocks(x: int, count: int, words: int, size: int) -> int:
@@ -667,3 +679,48 @@ def lcm_degree_oracle(p: int, pa: int, pairs: list, tol: float = 1e-9) -> int:
             if all(abs(z - w) > tol for w in points):
                 points.append(z)
     return len(points)
+
+
+# Every memo of the README's Caches table, under the first name its row
+# gives.  A process-wide memo maps to the call that empties it; a memo kept
+# on an object maps to None, as the object is dropped with the process-wide
+# memos that hold it, or is built afresh by the next job
+MEMOS = {
+    "arith._check_odd_prime": arith._check_odd_prime.cache_clear,
+    "arith.unit_group": arith.unit_group.cache_clear,
+    "arith.unit_dlog": arith.unit_dlog.cache_clear,
+    "characters._local_degree": characters._local_degree.cache_clear,
+    "characters._latest_block_duals": characters._latest_block_duals.cache_clear,
+    "characters.omega": characters.omega.cache_clear,
+    "characters._conjugating_exponents": characters._conjugating_exponents.cache_clear,
+    "characters.field_characters": characters.field_characters.cache_clear,
+    "DirichletCharacter._label": None,
+    "DirichletCharacter._weights": None,
+    "DirichletCharacter.admissible_at": None,
+    "DirichletCharacter._at_points": None,
+    "FieldSpec.group_order": None,
+    "FieldSpec.tame_records": None,
+    "frobenius.m_index": frobenius.m_index.cache_clear,
+    "localring.cyclotomic_poly": localring.cyclotomic_poly.cache_clear,
+    "localring._pinned_root_mod_p": localring._pinned_root_mod_p.cache_clear,
+    "localring.local_ring": localring.local_ring.cache_clear,
+    "LocalCoefficientRing._xpow": None,
+    "ResidueModule.forests": None,
+    "_Forest.valuations": None,
+    "_Forest": None,  # the twists q^(-t) of one forest's walk
+    "stickelberger._TableCache": lambda: stickelberger._TABLES.__init__(),
+    "_TableCache.unit_logs": None,  # held by the _TableCache
+    "_TableCache.scaled_zeta": None,
+    "stickelberger._character_columns": stickelberger._character_columns.cache_clear,
+    "StickelbergerSeries.bucket_columns": None,
+    "cli.JobConfig.field": None,
+    "LambdaProvider._shared": None,
+}
+
+
+def clear_memos() -> None:
+    """Empty every process-wide memo, so the next job starts as in a fresh
+    interpreter."""
+    for clear in MEMOS.values():
+        if clear is not None:
+            clear()

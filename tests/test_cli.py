@@ -38,7 +38,7 @@ from tamerank.errors import (
     PrecisionError,
     TameRankError,
 )
-from tamerank.stickelberger import StickelbergerSeries, _table_bytes
+from tamerank.stickelberger import _table_bytes
 
 from helpers import load_benchmark_module
 from tamerank.arith import unit_group
@@ -566,14 +566,17 @@ def test_lambda_table_file_overrides_the_config_entry(tmp_path):
 
 
 def test_main_lambda_fold_mismatch_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
-    fold = StickelbergerSeries.folded_columns
+    # slot 0 of the first coordinate of the level-2 quotients moves by 1, past
+    # its integrality check; the packed fold check reads that slot
+    project = tamerank.stickelberger._projection
 
-    def perturbed(series, lower_level):
-        columns = fold(series, lower_level)
-        columns[0] = [columns[0][0] + 1] + columns[0][1:]
-        return columns
+    def perturbed(chi, n):
+        quotients, table = project(chi, n)
+        if n == 2:
+            quotients = (quotients[0] + 1,) + quotients[1:]
+        return quotients, table
 
-    monkeypatch.setattr(StickelbergerSeries, "folded_columns", perturbed)
+    monkeypatch.setattr(tamerank.stickelberger, "_projection", perturbed)
     assert main(["lambda", "--config", write_config(tmp_path, {"p": 5})]) == EXIT_INVARIANT
     assert "series of omega^3 does not fold onto level 1" in capsys.readouterr().err
 
@@ -822,6 +825,30 @@ def test_main_lambda_out_of_levels_on_real_data(tmp_path, capsys, monkeypatch):
     assert main(["lambda", "--config", write_config(tmp_path, FIELD_239)]) == EXIT_PRECISION
     err = capsys.readouterr().err
     assert "MAX_LEVEL = 2, so lambda >= 3^1" in err
+
+
+def test_main_bounds_the_level_3_table_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # lambda = 6 >= 3 is read at level 2 once level 3 folds onto it; with the
+    # bound between the level-2 and level-3 tables of f' = 239, the job stops
+    # with exit 5 before any level-3 table is built
+    assert tamerank.cli.STICKELBERGER_TABLE_BOUND is tamerank.stickelberger.STICKELBERGER_TABLE_BOUND
+    level2, level3 = _table_bytes(239, 3, 2), _table_bytes(239, 3, 3)
+    assert level2 < level3 <= STICKELBERGER_TABLE_BOUND
+    built = []
+
+    def counted(fprime, p, n):
+        built.append((fprime, p, n))
+        return build(fprime, p, n)
+
+    build = tamerank.stickelberger._residue_table
+    monkeypatch.setattr(tamerank.stickelberger, "_residue_table", counted)
+    monkeypatch.setattr(tamerank.stickelberger, "_TABLES", tamerank.stickelberger._TableCache())
+    monkeypatch.setattr(tamerank.stickelberger, "STICKELBERGER_TABLE_BOUND", (level2 + level3) // 2)
+    assert main(["lambda", "--config", write_config(tmp_path, FIELD_239)]) == EXIT_PRECISION
+    assert capsys.readouterr().err.strip() == (
+        f"level bound reached: lambda of chi239[1of2] needs the level 3 series, whose residue "
+        f"table takes {level3} bytes, above {(level2 + level3) // 2}")
+    assert (239, 3, 2) in built and max(n for _, _, n in built) == 2
 
 
 # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on every base 2..37

@@ -426,6 +426,30 @@ def test_fold_never_carries(monkeypatch):
             assert sums == [p ** (n - lower) * (2 ** k - 1)] * p ** lower, (p, n, lower)
 
 
+def test_fold_check_differences_lie_below_the_top_bit(monkeypatch):
+    # the packed fold check of level n+1 onto n >= 1 adds z ONES, z the least
+    # multiple of p^N at or above 2^{S-b}, S the upper slot width and b =
+    # bit_length(p^{n+1}) >= 4: with a folded slot a < 2^{S-b+1}, a lower
+    # slot b_j < 2^{S-b}, z < 2^{S-b} + p^N and p^N < 2^{S-4}, every slot a +
+    # z - b_j lies in [0, 2^{S-1}), so _exact_quotient's test reads it
+    words = {(fprime, p, n): w for fprime, p, n, w, _ in slot_tables(monkeypatch)}
+    pairs = [(fprime, p, n) for fprime, p, n in words if n >= 1 and (fprime, p, n + 1) in words]
+    modN = {}
+    for fprime, p, n in pairs:
+        low, high = words[fprime, p, n], words[fprime, p, n + 1]
+        S, b = W * high, (p ** (n + 1)).bit_length()
+        N = modN.setdefault(p, p ** DEFAULT_PRECISION)
+        z = -(-(1 << S - b) // N) * N
+        folded_max = p * (2 ** (S - (p ** (n + 2)).bit_length()) - 1)
+        lower_max = 2 ** (W * low - b) - 1
+        assert b >= 4 and low <= high and N < 2 ** (S - 4), (fprime, p, n)
+        assert z - N < 2 ** (S - b) <= z and z % N == 0
+        assert folded_max < 2 ** (S - b + 1) and lower_max < 2 ** (S - b)
+        assert 0 <= z - lower_max and folded_max + z < 2 ** (S - 1), (fprime, p, n)
+    assert {(1, p, n) for p in range(3, 158) if is_prime(p) for n in (1, 2, 3)} <= set(pairs)
+    assert len(pairs) == 270
+
+
 def _slots(seed: int, fill: str, count: int, k: int) -> list:
     """count slot values below 2^k: random, all 2^k - 1, or all 0."""
     if fill == "random":
@@ -467,6 +491,92 @@ def test_fold_by_halving_adds_any_number_of_blocks(blocks, size, words, seed, fi
     assert stickelberger._fold(*args) == fold_by_blocks(*args)
     if blocks == 1:
         assert stickelberger._fold(*args) == x
+
+
+# (f', p, n) of the levels n < n+1 the packed fold check compares: one-,
+# two- and three-word slots at equal widths; the two-word level-1 and
+# three-word level-2 tables that lambda-minus meets, and one-word level-2
+# and two-word level-3 ones
+EQUAL_WIDTH_PAIRS = [(4, 3, 1), (1, 5, 1), (13, 7, 1), (1, 23, 1), (1, 29, 1)]
+MIXED_WIDTH_PAIRS = [(1, 17, 1), (7, 11, 1), (5, 13, 1), (4, 3, 2)]
+_PAIR_CHARACTERS = {}
+
+
+def _pair_character(fprime, p):
+    """An odd character != omega whose conductor has prime-to-p part f'."""
+    if (fprime, p) not in _PAIR_CHARACTERS:
+        _PAIR_CHARACTERS[fprime, p] = next(
+            c for c in enumerate_characters(FieldSpec(p, fprime))
+            if c.is_odd and c != omega(p) and split_prime_part(c.conductor, p)[1] == fprime)
+    return _PAIR_CHARACTERS[fprime, p]
+
+
+def _slot_bound(table, p, n):
+    """k with every quotient slot of the level-n table below 2^k."""
+    return W * table.words - (p ** (n + 1)).bit_length()
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.sampled_from(EQUAL_WIDTH_PAIRS + MIXED_WIDTH_PAIRS), st.integers(0, 2 ** 32),
+       st.sampled_from(["random", "max"]),
+       st.sampled_from(["none", "one", "p^(N-1)", "p^N", "carry", "upper", "independent"]),
+       st.integers(1, 5))
+@example((1, 23, 1), 0, "max", "carry", 1)
+@example((1, 17, 1), 0, "max", "p^(N-1)", 1)
+@example((7, 11, 1), 1, "random", "p^N", 3)
+def test_packed_fold_check_matches_the_unpacked_comparison(pair, seed, fill, move, multiple):
+    # quotients within their slot bounds: the upper level random (or every
+    # slot at its bound) and the lower level its fold mod p^N plus random
+    # multiples of p^N.  Moving a lower slot by a multiple of p^N passes the
+    # check; by 1 or by p^{N-1}, or an upper slot by 1, fails it; and so does
+    # moving slot 0 by 2^S mod p^N and slot 1 by -1 at once, which leaves
+    # the whole int the same mod p^N.  The check agrees with the unpacked
+    # comparison every time
+    fprime, p, n = pair
+    chi, rng = _pair_character(fprime, p), random.Random(seed)
+    lo_table = stickelberger._TABLES.get(fprime, p, n)
+    hi_table = stickelberger._TABLES.get(fprime, p, n + 1)
+    k_lo, k_hi = _slot_bound(lo_table, p, n), _slot_bound(hi_table, p, n + 1)
+    N, count = p ** DEFAULT_PRECISION, p ** n
+    upper = [[2 ** k_hi - 1 if fill == "max" else rng.getrandbits(k_hi) for _ in range(p * count)]
+             for _ in range(2)]
+    lower = []
+    for column in upper:
+        folded = [sum(column[j::count]) % N for j in range(count)]
+        lower.append([a + N * (((2 ** k_lo - 1 - a) // N) if fill == "max" else
+                               rng.randrange((2 ** k_lo - a) // N)) for a in folded])
+    if move == "independent":
+        lower = [[rng.getrandbits(k_lo) for _ in range(count)] for _ in lower]
+    elif move == "upper":
+        j = rng.randrange(p * count)
+        upper[0][j] += 1 if upper[0][j] < 2 ** k_hi - 1 else -1
+    elif move == "carry":
+        c = 2 ** (W * hi_table.words) % N
+        sign = 1 if lower[0][0] + c < 2 ** k_lo and lower[0][1] >= 1 else -1
+        lower[0][0] += sign * c
+        lower[0][1] -= sign
+    elif move != "none":
+        delta = {"one": 1, "p^(N-1)": N // p, "p^N": N * multiple}[move]
+        j = rng.randrange(count)
+        lower[1][j] += delta if lower[1][j] + delta < 2 ** k_lo else -delta
+    assert all(0 <= y < 2 ** k_lo for column in lower for y in column)
+    assert all(0 <= y < 2 ** k_hi for column in upper for y in column)
+    hi = stickelberger.StickelbergerSeries(
+        chi, n + 1, tuple(stickelberger._pack(c, hi_table.words) for c in upper), hi_table)
+    lo = stickelberger.StickelbergerSeries(
+        chi, n, tuple(stickelberger._pack(c, lo_table.words) for c in lower), lo_table)
+    try:
+        stickelberger._check_fold(hi, lo)
+        passed = True
+    except InvariantViolationError as exc:
+        assert f"does not fold onto level {n}" in str(exc)
+        passed = False
+    assert passed == (folded_buckets(hi, n) == bucket_coefficients(lo))
+    if move in ("none", "p^N"):
+        assert passed
+    elif move != "independent":
+        assert not passed
+    assert (lo_table.words < hi_table.words) == (pair in MIXED_WIDTH_PAIRS)
 
 
 def test_integrality_is_checked_slot_by_slot():
@@ -561,19 +671,24 @@ def test_series_builds_only_its_own_level(monkeypatch):
 
 
 def test_lambda_zero_unpacks_p_slots_per_level(monkeypatch):
-    # lambda = 0 is read at level 1: its p buckets are unpacked, and level 2
-    # is unpacked only as folded onto level 1, never as its p^2 buckets
+    # lambda = 0 is read from T^0, each level-1 quotient folded to one slot,
+    # once level 2 is checked against level 1 on the packed ints.  On (23, 1)
+    # both levels have three-word slots and no slot is unpacked; on (17, 1),
+    # with two-word level-1 and three-word level-2 slots, each coordinate's p
+    # level-1 slots are unpacked once, to re-pack them at the upper width
     unpacked = []
 
     def counted(x, count, words):
-        unpacked.append(count)
+        unpacked.append((count, words, sys._getframe(1).f_code.co_name))
         return unpack(x, count, words)
 
     unpack = stickelberger._unpack
     monkeypatch.setattr(stickelberger, "_unpack", counted)
-    chi = omega(23).power(3)
-    assert lambda_minus(chi) == stickelberger.LambdaResult(0, (1, 2))
-    assert unpacked == [23] * 2 * local_ring(chi.order, 23, DEFAULT_PRECISION).dim
+    for p, repacked in [(23, []), (17, [(17, 2, "_check_fold")])]:
+        unpacked.clear()
+        chi = omega(p).power(3)
+        assert lambda_minus(chi) == stickelberger.LambdaResult(0, (1, 2))
+        assert unpacked == repacked * local_ring(chi.order, p, DEFAULT_PRECISION).dim, p
 
 
 def test_lambda_evaluates_each_character_once():
