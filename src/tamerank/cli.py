@@ -17,12 +17,13 @@ Exit codes:
      LAMBDA_TABLE_BOUND = 2^63, a lambda job (or a rank job that may call
      on Stickelberger: its mode allows it and its table has no "all") whose
      level-2 residue table for f' = f takes more than
-     STICKELBERGER_TABLE_BOUND = 64 MiB (0.3 MB for (p, f) = (37, 1), the
-     largest benchmark job; 30.8 MB for p = 157, a 3.7 s job; 49.0 MB for
-     (101, 7); 643 MB for p = 401, over 60 s; 12.3 GB for p = 1009, killed
-     after 20 s), a document that Python's JSON reader
-     refuses (nested too deep, or an integer literal past the interpreter's
-     digit limit), an unwritable --out, or a closed standard output
+     STICKELBERGER_TABLE_BOUND = 64 MiB (0.2 MB for (p, f) = (37, 1), the
+     largest benchmark job; 23.1 MB for p = 157, a 2.0-2.6 s job; 36.7 MB for
+     (101, 7); 66.2 MB for p = 223, the last f = 1 prime admitted, a 10-13 s
+     job; 515 MB for p = 401; 8.2 GB for p = 1009), a document that
+     Python's JSON reader refuses (nested too deep, or an integer literal
+     past the interpreter's digit limit), an unwritable --out, or a closed
+     standard output
   3  lambda unavailable for a required character
   4  oracle inconsistency: the brute-force module contradicts the theory,
      or an oracle row disagrees with the rank formula

@@ -14,8 +14,8 @@ one-at-a-time construction of a primitive character and of a field's
 characters, the search oracles for the unit behind
 sigma_p and for the stabilization level, the discrete log by trying every
 power, and a read-only loader for the benchmark's modules, the conjugacy
-classes built through chi.power(t), the Stickelberger residue table
-built cell by cell, a series' buckets and folded buckets as rows, the
+classes built through chi.power(t), the Stickelberger residue cells and
+the table built from them, a series' buckets and folded buckets as rows, the
 block-by-block oracle of the fold, the trivial character, the product
 and power in (Z/m)[x]/(g) reduced term by term, and `clear_memos`, which
 empties every memo of the README's Caches table.
@@ -583,30 +583,53 @@ def direct_bucket_vectors(chi, n: int, N: int) -> tuple:
     return vectors, local_ring(m, p, N)
 
 
+def residue_cells(fprime: int, p: int, n: int) -> list:
+    """Row r of the level-n residue table cell by cell: for each unit r of
+    `_table_units(f', p)`, the a mod M = f' p^{n+1} with a = r mod f' and a =
+    omega(r) u mod p^{n+1}, for u = (1+p)^j, j in Z/p^n, and at u = 1+p; each
+    a by CRT, lifted from r mod f'."""
+    pn1 = p ** (n + 1)
+    inv = pow(fprime, -1, pn1)
+    u = [pow(1 + p, j, pn1) for j in range(p ** n)] + [1 + p]
+    rows = []
+    for r in _table_units(fprime, p):
+        rf, w = r % fprime, teichmuller_residue(r, p, n + 1)
+        rows.append([rf + fprime * ((w * uj - rf) * inv % pn1) for uj in u])
+    return rows
+
+
 def residue_table_by_cells(fprime: int, p: int, n: int) -> ResidueTable:
-    """The oracle for `tamerank.stickelberger._residue_table`: the same table
-    built cell by cell by CRT, a = r mod f' and a = omega(r) (1+p)^j mod
-    p^{n+1}, with one (b - t u) % 2M per cell, and its ones and mask slot by
-    slot."""
+    """The oracle for `tamerank.stickelberger._residue_table`, from
+    `residue_cells`: rho_r = a(r, u = 1) and sigma_r = a(r, u = 1+p) - rho_r
+    mod M; each floor F = (rho_r + sigma_r v_j - a) / M, which must divide
+    exactly; the scalars alpha_r = M - 2 rho_r and beta_r = -2 sigma_r mod
+    p^{N+n+1}, put side by side at the split; the steps v_j, the ones and the
+    mask slot by slot."""
     pn1 = p ** (n + 1)
     M = fprime * pn1
-    units = _table_units(fprime, p)
-    words = _slot_words(len(units), M, p, n)
-    e_f = pn1 * pow(pn1, -1, fprime) % M  # 1 mod f', 0 mod p^{n+1}
-    e_p = fprime * pow(fprime, -1, pn1) % M  # 0 mod f', 1 mod p^{n+1}
-    teich = [0] + [teichmuller_residue(t, p, n + 1) * e_p for t in range(1, p)]
-    steps = [1]  # (1+p)^j mod p^{n+1}, j in Z/p^n
-    for _ in range(p ** n - 1):
-        steps.append(steps[-1] * (1 + p) % pn1)
-    columns = []
-    for r in units:
-        # a = (r mod f') e_f + omega(r) e_p u mod M is never 0, so 2(M - a) = -2a mod 2M
-        b, t = -2 * (r % fprime) * e_f, 2 * teich[r % p]
-        columns.append(_pack([(b - t * u) % (2 * M) for u in steps], words))
+    N = stickelberger.DEFAULT_PRECISION
+    Q, digits = p ** (N + n + 1), stickelberger._work_digits(max(n, stickelberger.MAX_LEVEL))
+    rows = residue_cells(fprime, p, n)
+    words = _slot_words(len(rows), fprime, p, n)
+    v = [(pow(1 + p, j, pn1) - 1) // p for j in range(p ** n)]
+    columns, scalars = [], []
+    for r, cells in zip(_table_units(fprime, p), rows):
+        rho, sigma = cells[0], (cells[-1] - cells[0]) % M
+        floors = []
+        for j, (a, vj) in enumerate(zip(cells, v)):
+            F, rest = divmod(rho + sigma * vj - a, M)
+            if rest:
+                raise InvariantViolationError(f"cell ({r}, {j}) is not rho + sigma v_j mod M")
+            floors.append(F)
+        columns.append(_pack(floors, words))
+        scalars.append(((M - 2 * rho) % Q, -2 * sigma % Q))
+    split = (len(rows) * (p ** digits - 1) * (Q - 1)).bit_length()  # above any sum of c_r alpha_r
+    bound = (p ** N - 1) * (1 + (len(rows) + 1) * (p ** n - 1)) + 1  # s0 + s1 v_j + sum m_r F_{r,j}
     S = WORD_BITS * words
-    top = (1 << S) - (1 << S - pn1.bit_length())  # the top bit_length(p^{n+1}) bits of a slot
-    return ResidueTable(tuple(columns), words, _pack([1] * len(steps), words),
-                        _pack([top] * len(steps), words))
+    top = (1 << S) - (1 << S - (p ** N).bit_length())  # the top bit_length(p^N) bits of a slot
+    return ResidueTable(tuple(columns), tuple(a + (b << split) for a, b in scalars), split,
+                        _pack(v, words), words, _pack([1] * len(v), words), _pack([top] * len(v), words),
+                        bound)
 
 
 def bucket_coefficients(series) -> list:
@@ -616,12 +639,12 @@ def bucket_coefficients(series) -> list:
 
 def folded_columns(series, lower_level: int) -> list:
     """The series' bucket_columns reduced mod (1+T)^{p^lower_level} - 1 (slot
-    r sums the slots j = r mod p^lower_level), each quotient folded packed
-    and only its folded slots unpacked."""
+    r sums the slots j = r mod p^lower_level), each packed sum folded and
+    only its folded slots unpacked."""
     size, words = series.chi.p ** lower_level, series.table.words
     modN = series.chi.p ** series.precision
-    return [[y % modN for y in _unpack(_fold(q, series.length, words, size), size, words)]
-            for q in series.quotients]
+    return [[y % modN for y in _unpack(_fold(x, series.length, words, size), size, words)]
+            for x in series.sums]
 
 
 def folded_buckets(series, lower_level: int) -> list:

@@ -566,15 +566,15 @@ def test_lambda_table_file_overrides_the_config_entry(tmp_path):
 
 
 def test_main_lambda_fold_mismatch_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
-    # slot 0 of the first coordinate of the level-2 quotients moves by 1, past
-    # its integrality check; the packed fold check reads that slot
+    # slot 0 of the first coordinate of the level-2 sums moves by 1, past its
+    # integrality tests; the packed fold check reads that slot
     project = tamerank.stickelberger._projection
 
     def perturbed(chi, n):
-        quotients, table = project(chi, n)
+        sums, table = project(chi, n)
         if n == 2:
-            quotients = (quotients[0] + 1,) + quotients[1:]
-        return quotients, table
+            sums = (sums[0] + 1,) + sums[1:]
+        return sums, table
 
     monkeypatch.setattr(tamerank.stickelberger, "_projection", perturbed)
     assert main(["lambda", "--config", write_config(tmp_path, {"p": 5})]) == EXIT_INVARIANT
@@ -727,13 +727,13 @@ AUTO = {"mode": "auto", "table": {"omega^1": 0}}
 
 
 @pytest.mark.parametrize("command, doc, size", [
-    ("lambda", {"p": 401}, 643204000),
-    ("lambda", {"p": 1009}, 12314707776),
-    ("rank", {"p": 401, "S": [2], "lambda": AUTO}, 643204000),
+    ("lambda", {"p": 401}, 514563200),
+    ("lambda", {"p": 1009}, 8209805184),
+    ("rank", {"p": 401, "S": [2], "lambda": AUTO}, 514563200),
 ])
 def test_main_bounds_the_lambda_work_before_a_table_is_built(tmp_path, capsys, command, doc, size):
-    # phi(p)/2 columns of p^2 slots of the level-2 table: p = 401 took over
-    # 60 s and p = 1009 did not end in 20 s
+    # phi(p)/2 columns of p^2 slots of the level-2 table, 515 MB for p = 401
+    # and 8.2 GB for p = 1009, refused before any is built
     cfg = write_config(tmp_path, doc)
     t0 = time.monotonic()
     assert main([command, "--config", cfg]) == EXIT_CONFIG
@@ -754,7 +754,7 @@ def test_lambda_work_estimate_covers_every_table_of_the_benchmark_jobs(monkeypat
     # each lambda-minus job, run on a fresh table cache, holds no table
     # larger than the job's estimate, the level-2 table of f' = f, which is
     # below the bound; _table_bytes gives the size of each table it holds.
-    # (157, 1) and (101, 7) are admitted too
+    # (157, 1), (101, 7) and (223, 1) are admitted too
     workloads = load_benchmark_module("workloads", monkeypatch)
     for command, doc in workloads.generate("lambda-minus", 0):
         job = parse_config(doc)
@@ -768,9 +768,10 @@ def test_lambda_work_estimate_covers_every_table_of_the_benchmark_jobs(monkeypat
         for (fprime, n), table in held:
             size = len(table.columns) * job.p ** n * 4 * table.words
             assert size == _table_bytes(fprime, job.p, n) <= estimate, (doc, fprime, n)
-    assert _table_bytes(1, 157, 2) == 30761952
-    assert _table_bytes(7, 101, 2) == 48964800
-    assert 48964800 <= STICKELBERGER_TABLE_BOUND
+    assert _table_bytes(1, 157, 2) == 23071464
+    assert _table_bytes(7, 101, 2) == 36723600
+    # 223 is the last prime p whose f = 1 job the bound admits
+    assert _table_bytes(1, 223, 2) == 66239028 <= STICKELBERGER_TABLE_BOUND < _table_bytes(1, 227, 2)
 
 
 def test_enumeration_bound_admits_the_benchmark_jobs(monkeypatch):

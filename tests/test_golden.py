@@ -61,9 +61,9 @@ def test_golden_report(name, tmp_path):
 # a second pinned seed for the workloads whose S entries reach past psi_2:
 # seed 6 draws other primes for S, so it tests the primality test's base
 # selection on other numbers; 12 of its rank-sweep entries take three bases,
-# and 6 of its oracle-grid entries four.  lambda-minus also replays seed 5,
-# the seed its speed claims are checked on
-EXTRA_SEEDS = {"rank-sweep": (6,), "lambda-minus": (5,), "oracle-grid": (6,)}
+# and 6 of its oracle-grid entries four.  lambda-minus replays every pinned
+# seed, all 65 reports of the Stickelberger kernel the digests hold
+EXTRA_SEEDS = {"rank-sweep": (6,), "lambda-minus": tuple(range(1, 11)), "oracle-grid": (6,)}
 
 
 @pytest.mark.parametrize("workload", ["rank-sweep", "lambda-minus", "oracle-grid", "chars-cyclic"])
