@@ -161,9 +161,10 @@ def _ilog(n: int, p: int) -> int:
 
 
 def _log_of_order(target: int, g: int, order: int, q: int) -> Optional[int]:
-    """k with g^k = target mod q and 0 <= k < order = ord g, or None: brute
-    force for order <= 60, baby-step giant-step above, where Pohlig-Hellman
-    calls it only for one prime-order digit."""
+    """k with g^k = target mod q and 0 <= k < order = ord g, for target
+    reduced mod q, or None when target lies outside <g>: brute force for
+    order <= 60, baby-step giant-step above.  `UnitGroupStructure.dlog`
+    runs it on the whole tame order of a block."""
     if order <= 60:
         x = 1
         for k in range(order):
@@ -186,45 +187,21 @@ def _log_of_order(target: int, g: int, order: int, q: int) -> Optional[int]:
     return None
 
 
-def _try_dlog_in_cyclic(target: int, g: int, order: int, q: int, factors: tuple) -> Optional[int]:
-    """Discrete log of target in the cyclic subgroup <g> of (Z/q)^x, of the
-    given order with `factors` its (prime, exponent) pairs, or None when
-    target lies outside it.  Brute force for order <= 60; above that
-    Pohlig-Hellman (Cohen, A Course in Computational Algebraic Number Theory,
-    1.4): for each r^e of the order the log mod r^e is read one base-r digit
-    at a time, each digit a log in the subgroup of order r, and the parts
-    are joined by CRT.  When every digit has a log, target^(order / r^e) =
-    g^(x order / r^e) for each r, so target = g^x; a target outside <g>
-    leaves some digit without one."""
-    target %= q
-    if order <= 60:
-        return _log_of_order(target, g, order, q)
-    x, mod = 0, 1
-    for r, e in factors:
-        part = r ** e
-        cof = order // part
-        h = pow(target, cof, q)  # in <g^cof>, of order r^e, when target is in <g>
-        step = pow(g, -cof, q)  # (g^cof)^(-r^k) at digit k
-        root = pow(g, order // r, q)  # of order r
-        xr = 0
-        for k in range(e):
-            if h == 1:  # every digit left is 0
-                break
-            d = _log_of_order(pow(h, r ** (e - 1 - k), q), root, r, q)
-            if d is None:
-                return None
-            xr += d * r ** k
-            h = h * pow(step, d, q) % q
-            step = pow(step, r, q)
-        x, mod = crt(x, mod, xr, part), mod * part
+def _wild_part(u: int, ell: int, e: int, q: int) -> int:
+    """W(u) = log_ell(u^(ell - 1)) / ell mod ell^(e - 1), for a unit u of
+    (Z/q)^x, q = ell^e with ell odd.  log_ell maps 1 + ell Z_ell isometrically
+    onto ell Z_ell (Washington, Cyclotomic Fields, ch. 5), so W is a
+    homomorphism onto Z/ell^(e - 1) and W(g) is a unit for every g that
+    generates (Z/ell^2)^x."""
+    return padic_log(pow(u, ell - 1, q), ell, e) // ell
+
+
+def _checked_log(x: Optional[int], g: int, q: int, target: int) -> int:
+    """x, once g^x = target mod q holds; a log that is wrong or missing
+    raises InvariantViolationError."""
+    if x is None or pow(g, x, q) != target:
+        raise InvariantViolationError(f"no discrete log of {target} to base {g} mod {q}")
     return x
-
-
-def _dlog_in_cyclic(target: int, g: int, order: int, q: int, factors: tuple) -> int:
-    out = _try_dlog_in_cyclic(target, g, order, q, factors)
-    if out is None:
-        raise InvariantViolationError("dlog target outside the subgroup")
-    return out
 
 
 class UnitGroupStructure:
@@ -233,10 +210,11 @@ class UnitGroupStructure:
     Factor order is fixed: prime-power blocks ascending by prime, the odd
     blocks generated by their smallest primitive root, the 2-part (when
     2^e with e >= 3) contributing the pair (-1 mod 2^e, 3).  A block is
-    (kind, q, g, n, factors): the prime power q, the generator g mod q of
-    its cyclic part, of order n, and the (prime, exponent) pairs of n, which
-    the discrete log reads.  Instances are immutable and safe for concurrent
-    reads.
+    (kind, q, g, n, w): the prime power q, the generator g mod q of its
+    cyclic part, of order n, and for q = ell^e odd with e >= 2 the inverse
+    w of W(g) (`_wild_part`) mod ell^(e - 1), which the discrete log reads;
+    w is None on every other block.  Instances are immutable and safe for
+    concurrent reads.
     """
 
     __slots__ = ("modulus", "generators", "orders", "blocks", "minus_one")
@@ -253,7 +231,13 @@ class UnitGroupStructure:
         return math.prod(self.orders) if self.orders else 1
 
     def dlog(self, a: int) -> tuple:
-        """Exponent vector of the unit a on the stored generators."""
+        """Exponent vector of the unit a on the stored generators, each log
+        checked by one power.  A block of order ell - 1, (Z/4)^x and the
+        base 3 of the 2-part take one `_log_of_order` on the whole order;
+        a = (-1)^s 3^y on the 2-part has s = 1 exactly when a = 5 or 7 mod 8,
+        since <3> is {1, 3} mod 8.  On ell^e with e >= 2, a = g^x gives
+        W(a) = x W(g), so x mod ell^(e - 1) is W(a) w, and x mod ell - 1 is
+        a log in F_ell^x; CRT joins the two."""
         M = self.modulus
         if M == 1:
             return ()
@@ -261,19 +245,22 @@ class UnitGroupStructure:
         if math.gcd(a, M) != 1:
             raise ValueError(f"{a} is not a unit mod {M}")
         out = []
-        for kind, q, g, n, factors in self.blocks:
+        for kind, q, g, n, w in self.blocks:
             local = a % q
-            if kind == "cyclic":
-                out.append(_dlog_in_cyclic(local, g, n, q, factors))
-            else:  # two-generator 2-part: a = (-1)^s * 3^y, -1 not in <3>
-                y = _try_dlog_in_cyclic(local, g, n, q, factors)
-                if y is None:
-                    s = 1
-                    y = _dlog_in_cyclic(q - local, g, n, q, factors)
-                else:
-                    s = 0
-                out.append(s)
-                out.append(y)
+            if kind == "two":
+                s = int(local % 8 in (5, 7))
+                u = q - local if s else local
+                out += (s, _checked_log(_log_of_order(u, g, n, q), g, q, u))
+            elif w is None:
+                out.append(_checked_log(_log_of_order(local, g, n, q), g, q, local))
+            else:
+                wild = math.gcd(q, n)  # ell^(e - 1)
+                ell = q // wild
+                x = _log_of_order(local % ell, g % ell, ell - 1, ell)
+                if x is not None:
+                    e = split_prime_part(wild, ell)[0] + 1
+                    x = crt(x, ell - 1, _wild_part(local, ell, e, q) * w % wild, wild)
+                out.append(_checked_log(x, g, q, local))
         return tuple(out)
 
     def conductor(self, exponents) -> int:
@@ -321,18 +308,19 @@ def unit_group(M: int) -> UnitGroupStructure:
             if e == 2:
                 gens.append(crt(1, cof, 3, q) if cof > 1 else 3)
                 orders.append(2)
-                blocks.append(("cyclic", q, 3, 2, ((2, 1),)))
+                blocks.append(("cyclic", q, 3, 2, None))
             else:
                 for g_local, n in ((q - 1, 2), (3, q // 4)):
                     gens.append(crt(1, cof, g_local, q) if cof > 1 else g_local)
                     orders.append(n)
-                blocks.append(("two", q, 3, q // 4, ((2, e - 2),)))
+                blocks.append(("two", q, 3, q // 4, None))
         else:
             g_local = smallest_primitive_root(q)
             n = euler_phi(q)
             gens.append(crt(1, cof, g_local, q) if cof > 1 else g_local)
             orders.append(n)
-            blocks.append(("cyclic", q, g_local, n, tuple(sorted(factorize(n).items()))))
+            w = pow(_wild_part(g_local, ell, e, q), -1, q // ell) if e > 1 else None
+            blocks.append(("cyclic", q, g_local, n, w))
     ug = UnitGroupStructure(M, gens, orders, blocks)
     if ug.phi != euler_phi(M):
         raise InvariantViolationError("unit group order mismatch")
@@ -343,10 +331,13 @@ def unit_group(M: int) -> UnitGroupStructure:
 def unit_dlog(M: int, a: int) -> tuple:
     """unit_group(M).dlog(a), solved once per (M, a) for a reduced mod M:
     every character of conductor M reads the same logs at the same points
-    (the primes of S, the residue modules' generator points).  Measured on
-    the benchmark's seed-0 batches: one job solves at most 29 pairs, a batch
-    of 13-21 jobs at most 78 (rank-sweep), and an entry holds about 185
-    bytes, so the bound of 4096 caps a long run's memo near 0.76 MB."""
+    (the primes of S, the residue modules' generator points), and every
+    residue module of level n for p the same logs of the Teichmueller lifts
+    of those points mod p^(n+1).  Measured on the benchmark's seed-0
+    batches: one job solves at most 15 pairs, a batch of 7-21 jobs at most
+    96 (oracle-grid), and an entry holds about 185 bytes, so the bound of
+    4096 caps a long run's memo near 0.76 MB.  An entry mod 13^196, the
+    deepest oracle level, holds about 320 bytes."""
     return unit_group(M).dlog(a)
 
 
@@ -368,22 +359,28 @@ def teichmuller_residue(a: int, p: int, N: int) -> int:
 def padic_log(u: int, p: int, N: int) -> int:
     """Logarithm of the principal unit u (u = 1 mod p), as a residue mod p^N.
 
-    Only u mod p^N matters.  The alternating series for log(1+x) is summed
-    at a working precision with enough guard digits to absorb every
-    division by k.
+    Only u mod p^N matters.  u = 1 mod p^N gives 0 at once: a unit group's
+    log takes the (p - 1)-th power of every Teichmueller lift, which is such
+    a u.  Otherwise the alternating series for log(1 + x) is summed over the
+    k with k - L(k) < N, L(k) = floor(log_p k).  As v_p(x) >= 1, the term
+    x^k / k has valuation at least k - v_p(k) >= k - L(k), which never falls
+    as k grows, so every later term is 0 mod p^N.  Each summed k is below
+    2N, and x^k / k is read from x^k mod p^(N + L(2N)).
     """
     if u % p != 1:
         raise ValueError("padic_log needs u = 1 mod p")
-    W = N + _ilog(max(N, 1), p) + 2
-    slack = _ilog(2 * W + 2, p) + 1
-    big = p ** (W + slack)
-    modW = p ** W
-    x = (u - 1) % p ** N
-    acc = 0
-    xk = 1
-    for k in range(1, W + slack + 2):
+    mod = p ** N
+    x = (u - 1) % mod
+    if x == 0:
+        return 0
+    big = mod * p ** _ilog(2 * N, p)
+    acc, xk, k, L, next_power = 0, 1, 1, 0, p
+    while k - L < N:
         xk = xk * x % big
         vk, kk = split_prime_part(k, p)
-        term = (xk // p ** vk) * pow(kk, -1, modW) % modW
-        acc = (acc - term if k % 2 == 0 else acc + term) % modW
-    return acc % p ** N
+        term = (xk // p ** vk) * pow(kk, -1, mod) % mod
+        acc = acc - term if k % 2 == 0 else acc + term
+        k += 1
+        if k == next_power:
+            L, next_power = L + 1, next_power * p
+    return acc % mod

@@ -45,7 +45,7 @@ import math
 from operator import mod, mul, sub
 from typing import Optional
 
-from .arith import teichmuller_residue, unit_group
+from .arith import teichmuller_residue, unit_dlog, unit_group
 from .characters import DirichletCharacter, FieldSpec
 from .errors import InvariantViolationError, OracleInconsistencyError
 from .frobenius import splitting_count, tame_data
@@ -127,7 +127,7 @@ def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
 
     def action_table(x: int) -> list:
         """The coset table of the image (x, omega(x)) of x in G."""
-        k = B.dlog(teichmuller_residue(x, p, n + 1))[0]
+        k = unit_dlog(pmod, teichmuller_residue(x, p, n + 1))[0]
         return [locate(x * heads[j // w], k + j % w) for j in range(r)]
 
     return ResidueModule(

@@ -87,7 +87,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import NamedTuple, Optional, Tuple
 
-from .arith import euler_phi, smallest_primitive_root, split_prime_part, teichmuller_residue, unit_group
+from .arith import euler_phi, split_prime_part, teichmuller_residue, unit_group
 from .characters import DirichletCharacter, FrozenValue, omega
 from .errors import InvariantViolationError, PrecisionError
 from .localring import _pdivmod, cyclotomic_poly, local_ring
@@ -227,9 +227,10 @@ def _table_units(fprime: int, p: int) -> tuple:
 
 def _teichmuller_column(p: int, N: int) -> list:
     """omega(t) mod p^N at index t, 0 <= t < p, with 0 at t = 0: omega(g^i)
-    = omega(g)^i for the smallest primitive root g mod p, so the column
-    takes one lift and then one product per entry."""
-    g = smallest_primitive_root(p)
+    = omega(g)^i for the generator g of the cached unit_group(p), the
+    smallest primitive root mod p, so the column takes one lift and then one
+    product per entry."""
+    g = unit_group(p).generators[0]
     mod = p ** N
     w = teichmuller_residue(g, p, N)
     column = [0] * p

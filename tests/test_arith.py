@@ -8,9 +8,9 @@ import tamerank.arith as arith
 from helpers import log_by_search, tame_quotient
 from tamerank.arith import (
     PRIME_BOUND,
-    _try_dlog_in_cyclic,
+    UnitGroupStructure,
+    _log_of_order,
     crt,
-    factorize,
     is_prime,
     mul_order,
     padic_log,
@@ -21,6 +21,7 @@ from tamerank.arith import (
     v_p,
 )
 from tamerank.characters import FieldSpec
+from tamerank.errors import InvariantViolationError
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 37]
 
@@ -225,7 +226,8 @@ def test_dlog_matches_the_search_oracle(q, data):
 def test_cyclic_log_gives_none_outside_the_subgroup(q, data):
     # <h> = <g^c> for a divisor c of ord g, and a target g^k, in <h> exactly
     # when c divides k; for q = 2^e, the targets a with a = 5, 7 mod 8 are
-    # not in <3>
+    # not in <3>.  Orders up to 60 take the brute-force log, larger ones
+    # baby-step giant-step
     if q % 2:
         [g], [phi] = unit_group(q).generators, unit_group(q).orders
         c = data.draw(st.sampled_from([c for c in range(1, phi + 1) if phi % c == 0]))
@@ -234,8 +236,66 @@ def test_cyclic_log_gives_none_outside_the_subgroup(q, data):
     else:
         h, order = 3, q // 4
         target = data.draw(st.integers(1, q - 1).filter(lambda a: a % 2))
-    factors = tuple(sorted(factorize(order).items()))
-    assert _try_dlog_in_cyclic(target, h, order, q, factors) == log_by_search(target, h, order, q)
+    assert _log_of_order(target, h, order, q) == log_by_search(target, h, order, q)
+
+
+# the blocks ell^e, e >= 2, that the exactness test joins; 13^(n+1) up to
+# n = 400 stands apart, far past what the search oracle reaches
+WILD_BLOCKS = {3: 12, 5: 9, 7: 7, 13: 6, 101: 3}
+
+
+@st.composite
+def _composite_moduli(draw):
+    q = draw(st.sampled_from([1, 2, 4, 8]) | st.integers(3, 20).map(lambda e: 2 ** e))
+    for ell in draw(st.lists(st.sampled_from(sorted(WILD_BLOCKS)), max_size=3, unique=True)):
+        q *= ell ** draw(st.integers(2, WILD_BLOCKS[ell]))
+    return q
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_composite_moduli() | st.integers(0, 400).map(lambda n: 13 ** (n + 1)), st.data())
+def test_dlog_is_exact_on_every_block(M, data):
+    # for x drawn in [0, n_1) x ... x [0, n_k), a = prod g_i^(x_i) has log x:
+    # the tame and the ell-adic part of an ell^e block, the whole order of
+    # (Z/4)^x and the 2-part pair (-1, 3) all read it back
+    ug = unit_group(M)
+    x = tuple(data.draw(st.integers(0, n - 1)) for n in ug.orders)
+    assert ug.dlog(unit_from_exponents(ug, x)) == x
+
+
+def test_dlog_refuses_a_wrong_wild_inverse():
+    # W(2) = log_5(2^4) / 5 = 3 mod 5 on (Z/25)^x, so w = 2; with another w
+    # the log of every a with W(a) != 0 fails its check and raises, and the
+    # a with W(a) = 0, the Teichmueller lifts, keep their logs
+    assert unit_group(25).blocks == (("cyclic", 25, 2, 20, 2),)
+    units = [a for a in range(1, 25) if a % 5]
+    for w in (1, 3, 4):
+        ug = UnitGroupStructure(25, (2,), (20,), (("cyclic", 25, 2, 20, w),))
+        for a in units:
+            if pow(a, 4, 25) == 1:
+                assert ug.dlog(a) == unit_group(25).dlog(a)
+            else:
+                with pytest.raises(InvariantViolationError):
+                    ug.dlog(a)
+    # likewise on 13^6, for the generator itself
+    ug = unit_group(13 ** 6)
+    kind, q, g, n, w = ug.blocks[0]
+    wrong = UnitGroupStructure(q, ug.generators, ug.orders, ((kind, q, g, n, w + 1),))
+    with pytest.raises(InvariantViolationError):
+        wrong.dlog(g)
+
+
+def test_dlog_raises_where_the_tame_log_finds_none():
+    # 2 has order 3 mod 7, so -1 has no log to base 2, and a stored block
+    # that takes 2 for a generator fails as the structure is built; on
+    # 101, g^2 generates only the squares, and the baby-step giant-step log
+    # finds none for g
+    with pytest.raises(InvariantViolationError):
+        UnitGroupStructure(7, (2,), (6,), (("cyclic", 7, 2, 6, None),))
+    g = unit_group(101).generators[0]
+    squares = UnitGroupStructure(101, (g * g,), (100,), (("cyclic", 101, g * g, 100, None),))
+    with pytest.raises(InvariantViolationError):
+        squares.dlog(g)
 
 
 def test_smallest_primitive_root():
@@ -268,6 +328,20 @@ def test_padic_log_examples():
     assert padic_log(4, 3, 3) == 21
     assert padic_log(1, 5, 4) == 0
     assert padic_log(6, 5, 2) == 5
+
+
+@given(st.sampled_from(ODD_PRIMES), st.integers(1, 30), st.integers(-(10 ** 6), 10 ** 6))
+def test_padic_log_of_one_is_zero(p, N, k):
+    assert padic_log(1 + p ** N * k, p, N) == 0
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(ODD_PRIMES), st.integers(1, 40), st.data())
+def test_padic_log_is_the_limit_of_powers(p, N, data):
+    # log u = (u^(p^N) - 1) / p^N mod p^N: u^(p^N) = exp(p^N log u), whose
+    # terms past the first are 0 mod p^(2N + 1)
+    u = 1 + p * data.draw(st.integers(0, p ** N))
+    assert padic_log(u, p, N) == (pow(u, p ** N, p ** (2 * N)) - 1) // p ** N % p ** N
 
 
 def test_padic_log_rejects_non_principal():

@@ -354,9 +354,11 @@ def test_direct_construction_checks_primitivity_and_powers_reuse_the_duals(monke
 def test_cyclic_dual_lifts_through_the_blocks_generator(monkeypatch):
     # with 8 in place of 2 as the generator of (Z/25)^x, the generator 2 of
     # (Z/5)^x is 8^7, so the lift log d = 7 is not 1 mod 4 and the exponent
-    # on (Z/5)^x is (e / 5) * 7; every entry agrees with chi(8) = zeta_20^e
+    # on (Z/5)^x is (e / 5) * 7; every entry agrees with chi(8) = zeta_20^e.
+    # The block stores W(8)^(-1) = 4 mod 5, as 8^4 = 1 + 5 * 4 mod 25 gives
+    # W(8) = log_5(8^4) / 5 = 4
     real = unit_group
-    eight = UnitGroupStructure(25, (8,), (20,), (("cyclic", 25, 8, 20, ((2, 2), (5, 1))),))
+    eight = UnitGroupStructure(25, (8,), (20,), (("cyclic", 25, 8, 20, 4),))
     monkeypatch.setattr(characters, "unit_group", lambda m: eight if m == 25 else real(m))
     for e, (c, local, order, parity) in enumerate(characters._cyclic_dual(25, 20)):
         assert order == 20 // math.gcd(e, 20) and parity == (-1) ** e

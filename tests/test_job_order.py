@@ -32,6 +32,15 @@ POOL = [
     ("oracle", {"p": 7, "f": 5, "S": [11, 29]}),
     ("oracle", {"p": 7, "f": 13, "S": [3, 29]}),
     ("oracle", {"p": 7, "f": 13, "H": [9], "S": [5]}),
+    # p = 5 at f = 7 shares unit_group(35) with the jobs on (7, f = 5) above
+    ("lambda", {"p": 5, "f": 7}),
+    ("rank", {"p": 5, "f": 7, "S": [2, 11], "lambda": AUTO}),
+    # the 3^2 and 5^2 blocks of unit_group(45) and unit_group(75) take the
+    # ell-adic part of the discrete log
+    ("lambda", {"p": 3, "f": 25}),
+    ("oracle", {"p": 3, "f": 25, "S": [2, 7]}),
+    ("lambda", {"p": 5, "f": 9}),
+    ("oracle", {"p": 5, "f": 9, "S": [2, 11]}),
 ]
 ALONE = {}  # pool index -> report text of the job run alone
 
@@ -111,7 +120,7 @@ def test_the_pool_reports_agree_with_each_other():
     # every rank job meets its oracle job and its field's lambda job
     texts = [alone(i) for i in range(len(POOL))]
     rank_jobs = [doc for command, doc in POOL if command == "rank"]
-    assert len(rank_jobs) == 3 and all(("oracle", {k: v for k, v in doc.items() if k != "lambda"}) in POOL
+    assert len(rank_jobs) == 4 and all(("oracle", {k: v for k, v in doc.items() if k != "lambda"}) in POOL
                                        for doc in rank_jobs)
     assert disagreements(texts) == []
     # and the check reads a moved estimate and a moved lambda row

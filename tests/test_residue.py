@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -770,3 +771,22 @@ def test_growth_up_the_level_ladder_is_the_tame_term(p, f, S):
                 admissible = inertia_trivial(chi, q) and sigma0_ok(chi, q)
                 growth = residue.quotient_growth(lo, hi, chi)[2]
                 assert growth == (chi.d_chi * tame if admissible else 0), (q, lo.level, chi.label())
+
+
+# SHA-256 of each report as benchmarks/worker.py writes it (indent 2, then a
+# newline), taken while the logs in (Z/p^(n+1))^x were read by Pohlig-Hellman
+DEEP_ORACLE_DIGESTS = {
+    (13, 3, (1, 195)): "ddb71c17e8fb15b404fc2850f5dce0379663201721fc066adbde2f1c1e2bc82c",
+    (5, 11, (0, 195)): "b176f70cff5b19c5d18c4f1f6c419ccc13e6781d6d3730c0e90244adb1c85d49",
+}
+
+
+@pytest.mark.parametrize("p, q, levels", sorted(DEEP_ORACLE_DIGESTS))
+def test_deep_oracle_level_passes_with_its_pinned_report(p, q, levels):
+    # n1 = 195 is the deepest level the digit bound admits; the log of q in
+    # (Z/p^196)^x takes one p-adic log, and that of each Teichmueller lift
+    # the p-adic log of 1
+    report = run(parse_config(json.dumps({"p": p, "S": [q], "oracle_levels": list(levels)})), "oracle")
+    assert report["all_pass"]
+    text = json.dumps(report, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == DEEP_ORACLE_DIGESTS[p, q, levels]
