@@ -138,16 +138,19 @@ def crt(a1: int, m1: int, a2: int, m2: int) -> int:
 
 
 def smallest_primitive_root(q: int) -> int:
-    """Smallest primitive root mod the odd prime power q: the least unit g
-    with g^(phi/r) != 1 for every prime r dividing phi = phi(q), so that phi
-    is factored once, not once per candidate."""
+    """Smallest primitive root mod the odd prime power q = ell^e: the least
+    g, prime to ell, of order ell - 1 mod ell, and for e >= 2 with
+    g^(ell - 1) != 1 mod ell^2, which makes it primitive mod every power of
+    ell (Ireland and Rosen, ch. 4).  Every power is taken mod ell or ell^2,
+    and ell - 1 is factored once, not once per candidate."""
     fac = factorize(q)
     if len(fac) != 1 or 2 in fac:
         raise ValueError(f"{q} is not an odd prime power")
-    phi = euler_phi(q)
-    primes = factorize(phi)
+    ((ell, e),) = fac.items()
+    primes = factorize(ell - 1)
     for g in range(2, q):
-        if math.gcd(g, q) == 1 and all(pow(g, phi // r, q) != 1 for r in primes):
+        if (g % ell and all(pow(g, (ell - 1) // r, ell) != 1 for r in primes)
+                and (e == 1 or pow(g, ell - 1, ell * ell) != 1)):
             return g
     raise InvariantViolationError(f"no primitive root found mod {q}")
 
@@ -192,8 +195,12 @@ def _wild_part(u: int, ell: int, e: int, q: int) -> int:
     (Z/q)^x, q = ell^e with ell odd.  log_ell maps 1 + ell Z_ell isometrically
     onto ell Z_ell (Washington, Cyclotomic Fields, ch. 5), so W is a
     homomorphism onto Z/ell^(e - 1) and W(g) is a unit for every g that
-    generates (Z/ell^2)^x."""
-    return padic_log(pow(u, ell - 1, q), ell, e) // ell
+    generates (Z/ell^2)^x.  A log not divisible by ell raises
+    InvariantViolationError."""
+    log = padic_log(pow(u, ell - 1, q), ell, e)
+    if log % ell:
+        raise InvariantViolationError("log of a principal unit is not divisible by p")
+    return log // ell
 
 
 def _checked_log(x: Optional[int], g: int, q: int, target: int) -> int:
@@ -331,37 +338,38 @@ def unit_group(M: int) -> UnitGroupStructure:
 def unit_dlog(M: int, a: int) -> tuple:
     """unit_group(M).dlog(a), solved once per (M, a) for a reduced mod M:
     every character of conductor M reads the same logs at the same points
-    (the primes of S, the residue modules' generator points), and every
-    residue module of level n for p the same logs of the Teichmueller lifts
-    of those points mod p^(n+1).  Measured on the benchmark's seed-0
-    batches: one job solves at most 15 pairs, a batch of 7-21 jobs at most
-    96 (oracle-grid), and an entry holds about 185 bytes, so the bound of
-    4096 caps a long run's memo near 0.76 MB.  An entry mod 13^196, the
-    deepest oracle level, holds about 320 bytes."""
+    (the primes of S, the residue modules' generator points), and the sigma_0
+    test of every character of p the log of q mod p.  Measured on the
+    benchmark's seed-0 batches: one job solves at most 14 pairs, a batch of
+    7-21 jobs at most 78 (rank-sweep), and an entry holds at most about 165
+    bytes (tracemalloc), so the bound of 4096 caps a long run's memo near 0.7 MB."""
     return unit_group(M).dlog(a)
 
 
 def teichmuller_residue(a: int, p: int, N: int) -> int:
-    """Integer representative of the Teichmueller lift of a mod p^N."""
+    """Integer representative of the Teichmueller lift of a mod p^N, N >= 1:
+    a^(p^(N - 1)), the unique (p - 1)-th root of unity = a mod p, since
+    (Z/p^N)^x is mu_(p-1) x (1 + pZ)/(1 + p^N Z) and the second factor has
+    exponent p^(N - 1).  A result that x -> x^p does not fix raises
+    InvariantViolationError."""
     _check_odd_prime(p)
+    if N < 1:
+        raise ValueError(f"a Teichmueller lift needs N >= 1, not {N}")
     if math.gcd(a, p) != 1:
         raise ValueError(f"{a} is divisible by {p}")
     mod = p ** N
-    x = a % mod
-    for _ in range(2 * N + 4):
-        y = pow(x, p, mod)
-        if y == x:
-            return x
-        x = y
-    raise InvariantViolationError("Teichmuller iteration failed to converge")
+    x = pow(a, p ** (N - 1), mod)
+    if pow(x, p, mod) != x:
+        raise InvariantViolationError(f"the Teichmueller lift of {a} mod {p}^{N} is not fixed by x -> x^p")
+    return x
 
 
 def padic_log(u: int, p: int, N: int) -> int:
     """Logarithm of the principal unit u (u = 1 mod p), as a residue mod p^N.
 
-    Only u mod p^N matters.  u = 1 mod p^N gives 0 at once: a unit group's
-    log takes the (p - 1)-th power of every Teichmueller lift, which is such
-    a u.  Otherwise the alternating series for log(1 + x) is summed over the
+    Only u mod p^N matters.  u = 1 mod p^N gives 0 at once: the (p - 1)-th
+    power that W (`_wild_part`) takes of a Teichmueller lift is such a u.
+    Otherwise the alternating series for log(1 + x) is summed over the
     k with k - L(k) < N, L(k) = floor(log_p k).  As v_p(x) >= 1, the term
     x^k / k has valuation at least k - v_p(k) >= k - L(k), which never falls
     as k grows, so every later term is 0 mod p^N.  Each summed k is below

@@ -70,10 +70,13 @@ EXIT_INVARIANT = 6
 # presentation on it r_n1 d columns, d = dim O_chi, each read mod
 # p^(e_n1 + VALUATION_GUARD_DIGITS).  Its size, columns times digits, bounds
 # the work of the coset tables, the walk and the relations.  The digits also
-# have a bound of their own: a Teichmueller lift mod p^(n1+1) takes about
-# n1 + 1 powers of (n1 + 1)-digit numbers, time near the square of the
-# digits (on a 2-vCPU Xeon, 2.4 ms a lift at p = 13, n1 = 195, where the
-# oracle on p = 13, S = [3] at levels [1, 195] takes 0.035 s in all).  d is
+# have a bound of their own: a deep level's cost is powers whose exponent has
+# about as many digits as their modulus, time near the 2.5th power of the
+# digits: the Teichmueller lift of each local ring mod p^(e_n1 + 4), the
+# forest's q^(-t) and inverses, and the one-power check of q's log mod
+# p^(n1+1).  On a 2-vCPU Xeon, a lift mod 13^200 takes 1.9 ms, and the oracle
+# on p = 13, S = [3] at levels [1, 195] 0.018 s, of whose 23 profiled ms the
+# lifts take 7, the forests 5 and the log checks 4.  d is
 # taken as the dimension for the exponent of (Z/fp)^x, which no character of
 # the field exceeds.  The largest module of a benchmark or test job has
 # 624*4 columns of 7 digits (p = 13, f = 385, q = 677 at n1 = 2), and the

@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import euler_phi, is_prime, mul_order, padic_log, split_prime_part, unit_dlog, v_p
+from .arith import _wild_part, euler_phi, is_prime, mul_order, split_prime_part, unit_dlog, v_p
 from .characters import DirichletCharacter, FieldSpec
 from .errors import InvariantViolationError
 
@@ -85,8 +85,9 @@ def sigma_p_value(chi: DirichletCharacter, q: int) -> int:
     The p-power-order part z_p of chi^{-1}(q) equals chi^{-1} of the p-part
     of the Frobenius class; sigma_p is that p-part raised to u^{-1}, where
     u is the unit x_q / p^{m_q}.  As log omega(q) = 0, x_q equals
-    log(q^{p-1}) / ((p-1) log(1+p)); with z_p of order p^b, u mod p^b needs
-    x_q mod p^{m_q+b+1}, so both logs are taken mod p^{m_q+b+2}.
+    log(q^{p-1}) / log((1+p)^{p-1}) = W(q) W(1+p)^{-1}, with W the unit
+    group's `_wild_part`; with z_p of order p^b, u mod p^b needs x_q mod
+    p^{m_q+b+1}, so both W are taken mod p^{m_q+b+1}.
     """
     p = chi.p
     if not inertia_trivial(chi, q):
@@ -101,15 +102,11 @@ def sigma_p_value(chi: DirichletCharacter, q: int) -> int:
     b = a - split_prime_part(e, p)[0]  # z_p = zeta_pa^e has order p^b
     m = m_index(q, p)
     W = m + b + 2
-    log_q = padic_log(pow(q, p - 1, p ** W), p, W)
-    log_k0 = padic_log(1 + p, p, W)
-    if log_q % p or log_k0 % p:
-        raise InvariantViolationError("log of a principal unit is not divisible by p")
-    den = (p - 1) * (log_k0 // p)
+    mod = p ** W
+    den = _wild_part(1 + p, p, W, mod)
     if den % p == 0:
         raise InvariantViolationError("(p-1) log(1+p) / p is not a unit")
-    mod = p ** (W - 1)
-    x_q = log_q // p * pow(den, -1, mod) % mod
+    x_q = _wild_part(q, p, W, mod) * pow(den, -1, mod // p) % (mod // p)
     pm = p ** m
     if x_q % pm or x_q // pm % p == 0:
         raise InvariantViolationError(f"Gamma-component valuation != m_q = {m}")
@@ -191,10 +188,10 @@ def splitting_count(field: FieldSpec, q: int, n: int) -> SplittingData:
     p = field.p
     m = m_index(q, p)
     tame = tame_data(field, q)
-    pn1 = p ** (n + 1)
-    e_wild = mul_order(q, pn1)
+    # ord(q mod p^{n+1}), by lifting the exponent (`stabilization_level`)
+    e_wild = mul_order(q, p) * p ** max(0, n - m)
     f_n = math.lcm(tame.order, e_wild)
-    group_order = tame.degree * euler_phi(pn1)
+    group_order = tame.degree * (p - 1) * p ** n
     if group_order % f_n:
         raise InvariantViolationError("residue degree does not divide group order")
     r_n = group_order // f_n

@@ -45,7 +45,7 @@ import math
 from operator import mod, mul, sub
 from typing import Optional
 
-from .arith import teichmuller_residue, unit_dlog, unit_group
+from .arith import _checked_log, _log_of_order, unit_group
 from .characters import DirichletCharacter, FieldSpec
 from .errors import InvariantViolationError, OracleInconsistencyError
 from .frobenius import splitting_count, tame_data
@@ -60,7 +60,9 @@ class ResidueModule:
     """Induced module (Z/p^{e_n})^{r_n} with its Galois action tables.
 
     G = (Z/fp)^x / H embeds in the level group as g -> (g, omega(g)), with
-    omega(g) the Teichmueller lift of g mod p^{n+1}.  `gen_actions` holds,
+    omega(g) the Teichmueller lift of g mod p^{n+1}.  The module has
+    `num_cosets` = r_n cosets, numbered as `residue_module` lists them.
+    `gen_actions` holds,
     for each generator g of unit_group(f p) (its point, at which a character
     of G is evaluated), the coset table of its image: entry i is (j, t) with
     g c_i = qbar^t c_j.  `j_action` is the table of the image of -1, complex
@@ -68,24 +70,20 @@ class ResidueModule:
     `chi_quotient_order` per part, built on first use.
     """
 
-    __slots__ = ("field", "q", "level", "residue_degree", "e_exp", "cosets", "gen_actions", "j_action",
+    __slots__ = ("field", "q", "level", "residue_degree", "e_exp", "num_cosets", "gen_actions", "j_action",
                  "forests")
 
     def __init__(self, field: FieldSpec, q: int, level: int, residue_degree: int, e_exp: int,
-                 cosets: list, gen_actions: list, j_action: list):
+                 num_cosets: int, gen_actions: list, j_action: list):
         self.field = field
         self.q = q
         self.level = level
         self.residue_degree = residue_degree
         self.e_exp = e_exp
-        self.cosets = cosets
+        self.num_cosets = num_cosets
         self.gen_actions = gen_actions  # [(chi_point, [(j, t)] per coset)]
         self.j_action = j_action  # [(j, t)] per coset for complex conjugation
         self.forests = {}
-
-    @property
-    def num_cosets(self) -> int:
-        return len(self.cosets)
 
 
 def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
@@ -126,8 +124,10 @@ def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
         return i * w + K % w, t0 + e * (K // w * inv % (nB // w))
 
     def action_table(x: int) -> list:
-        """The coset table of the image (x, omega(x)) of x in G."""
-        k = unit_dlog(pmod, teichmuller_residue(x, p, n + 1))[0]
+        """The coset table of the image (x, omega(x)) of x in G.  omega(x) is
+        g^k with k = p^n L, L the log of x mod p to base g mod p: g^k has
+        order dividing p - 1 and is x mod p, so it is omega(x)."""
+        k = p ** n * _checked_log(_log_of_order(x % p, g % p, p - 1, p), g, p, x % p)
         return [locate(x * heads[j // w], k + j % w) for j in range(r)]
 
     return ResidueModule(
@@ -136,7 +136,7 @@ def residue_module(field: FieldSpec, q: int, n: int) -> ResidueModule:
         level=n,
         residue_degree=data.residue_degree,
         e_exp=data.p_exponent,
-        cosets=[(a, pow(g, k, pmod)) for a in heads for k in range(w)],
+        num_cosets=r,
         gen_actions=[(x, action_table(x)) for x in unit_group(field.f * p).generators],
         j_action=action_table(-1),
     )

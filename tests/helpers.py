@@ -1,7 +1,7 @@
 """Helpers that only the tests use: random prime sets, a per-(field, q)
 Frobenius profile with its ramification test and the tame quotient it
 reads, the element-walk level group (the oracle of the residue modules'
-cosets), the level-to-level
+cosets) and the cosets rebuilt from q's tame record, the level-to-level
 norm-reduction check of the residue modules, the dense chi-quotient
 presentation with the Smith reduction that counts it, the direct per-character Stickelberger buckets, the
 complex-embedding oracle for lcm degrees of annihilator pairs (m, e), the
@@ -13,7 +13,7 @@ reads integer exponents and builds no RootOfUnity on these paths), the
 one-at-a-time construction of a primitive character and of a field's
 characters, the search oracles for the unit behind
 sigma_p and for the stabilization level, the discrete log by trying every
-power, and a read-only loader for the benchmark's modules, the conjugacy
+power, the smallest primitive root by its definition mod q, and a read-only loader for the benchmark's modules, the conjugacy
 classes built through chi.power(t), the Stickelberger residue cells and
 the table built from them, a series' buckets and folded buckets as rows, the
 block-by-block oracle of the fold, the trivial character, the product
@@ -193,6 +193,19 @@ class _LevelGroup:
         return [(a, b) for a in tame for b in wild]
 
 
+def module_cosets(module) -> list:
+    """The cosets of a residue module in its numbering, rebuilt from q's tame
+    record and B = (Z/p^(n+1))^x as `residue_module` reads them: (head_i,
+    g^k) for each orbit head of the tame quotient and k < w = gcd(e kq, nB),
+    with g of order nB generating B, kq the log of q and e the tame order."""
+    tame = frobenius.tame_data(module.field, module.q)
+    pmod = module.field.p ** (module.level + 1)
+    B = unit_group(pmod)
+    g, nB = B.generators[0], B.orders[0]
+    w = math.gcd(tame.order * B.dlog(module.q)[0], nB)
+    return [(a, pow(g, k, pmod)) for a in tame.orbits[1] for k in range(w)]
+
+
 def norm_reduction_surjective(field: FieldSpec, q: int, n: int) -> bool:
     """Whether every level-n coset receives a level-(n+1) coset under the
     reduction map; with surjective finite-field norms this forces the
@@ -202,13 +215,13 @@ def norm_reduction_surjective(field: FieldSpec, q: int, n: int) -> bool:
     glo = _LevelGroup(field, q, n)
     lo_loc = {}
     qbar = glo.element(q, q)
-    for idx, c in enumerate(lo.cosets):
+    for idx, c in enumerate(module_cosets(lo)):
         x = c
         for _ in range(lo.residue_degree):
             lo_loc[x] = idx
             x = glo.mul(x, qbar)
     hit = set()
-    for c in hi.cosets:
+    for c in module_cosets(hi):
         hit.add(lo_loc[glo.element(c[0], c[1])])
     return len(hit) == lo.num_cosets
 
@@ -320,6 +333,16 @@ def rank_estimate(field: FieldSpec, q: int, chi, n0: int, n1: int) -> int:
     if not n1 > n0 >= 0:
         raise ValueError("need levels n1 > n0 >= 0")
     return quotient_growth(residue_module(field, q, n0), residue_module(field, q, n1), chi)[2]
+
+
+def smallest_primitive_root_by_phi(q: int) -> int:
+    """Oracle for `tamerank.arith.smallest_primitive_root`: the least unit g
+    mod the odd prime power q with g^(phi/r) != 1 mod q for every prime r
+    dividing phi = phi(q), the definition read mod q itself."""
+    phi = arith.euler_phi(q)
+    primes = arith.factorize(phi)
+    return next(g for g in range(2, q)
+                if math.gcd(g, q) == 1 and all(pow(g, phi // r, q) != 1 for r in primes))
 
 
 def rational_prime_count(p: int, q: int, n: int) -> int:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tamerank.arith as arith
-from helpers import log_by_search, tame_quotient
+from helpers import log_by_search, smallest_primitive_root_by_phi, tame_quotient
 from tamerank.arith import (
     PRIME_BOUND,
     UnitGroupStructure,
@@ -302,17 +302,85 @@ def test_smallest_primitive_root():
     assert smallest_primitive_root(9) == 2
     assert smallest_primitive_root(5) == 2
     assert smallest_primitive_root(7) == 3
+    # 5 generates F_40487^x, but 5^40486 = 1 mod 40487^2: the least root mod
+    # every higher power of 40487 is 10
+    assert smallest_primitive_root(40487) == 5
+    assert smallest_primitive_root(40487 ** 2) == 10
+    assert smallest_primitive_root(40487 ** 3) == 10
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from([ell for ell in range(3, 400) if is_prime(ell)]), st.integers(1, 4))
+def test_smallest_primitive_root_matches_its_definition(ell, e):
+    # the root is chosen mod ell and ell^2 alone; the oracle tests
+    # g^(phi/r) mod ell^e for every prime r dividing phi = phi(ell^e)
+    assert smallest_primitive_root(ell ** e) == smallest_primitive_root_by_phi(ell ** e)
 
 
 def test_teichmuller_examples():
     assert teichmuller_residue(2, 5, 2) == 7
     assert teichmuller_residue(1, 7, 5) == 1
     assert teichmuller_residue(13, 3, 2) == 1
+    assert teichmuller_residue(-1, 7, 3) == 7 ** 3 - 1
 
 
 def test_teichmuller_rejects_multiples():
     with pytest.raises(ValueError):
         teichmuller_residue(10, 5, 3)
+
+
+def test_teichmuller_needs_a_digit():
+    for N in (0, -1):
+        with pytest.raises(ValueError):
+            teichmuller_residue(2, 5, N)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from([3, 5, 7, 13, 101]), st.integers(1, 200), st.integers(-(10 ** 9), 10 ** 9))
+def test_teichmuller_is_the_root_of_unity_above_a(p, N, a):
+    # the unique (p - 1)-th root of unity mod p^N that is a mod p, for a of
+    # either sign
+    if a % p == 0:
+        a += 1
+    mod = p ** N
+    t = teichmuller_residue(a, p, N)
+    assert 0 <= t < mod and t % p == a % p and pow(t, p - 1, mod) == 1
+
+
+def test_teichmuller_refuses_a_power_that_is_not_fixed(monkeypatch):
+    # a lift x that x -> x^p does not fix raises: here every power is
+    # taken one digit short, so a^(p^(N-1)) is only a's lift mod p^(N-1)
+    real = pow
+
+    def short(base, exp, mod=None):
+        return real(base, exp // 5, mod) if exp == 5 ** 2 else real(base, exp, mod)
+
+    monkeypatch.setattr(arith, "pow", short, raising=False)
+    with pytest.raises(InvariantViolationError):
+        teichmuller_residue(2, 5, 3)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.sampled_from([3, 5, 7, 13, 40487]), st.integers(0, 3), st.data())
+def test_teichmuller_exponent_is_p_to_the_n_times_a_log_mod_p(p, n, data):
+    # in B = (Z/p^(n+1))^x on g, omega(x) = g^(p^n L) with L the log of x
+    # mod p to base g mod p (found here by trying every power of g mod p)
+    x = data.draw(st.integers(1, p - 1))
+    B = unit_group(p ** (n + 1))
+    g = B.generators[0]
+    L = log_by_search(x, g % p, p - 1, p)
+    assert B.dlog(teichmuller_residue(x, p, n + 1))[0] == p ** n * L
+
+
+def test_a_principal_log_prime_to_p_is_an_invariant_violation(monkeypatch):
+    # W(u) divides log(u^(p - 1)) by p; a log that p does not divide is
+    # refused there, so a unit group's log refuses it too
+    B = unit_group(125)
+    monkeypatch.setattr(arith, "padic_log", lambda u, p, N: 1)
+    with pytest.raises(InvariantViolationError):
+        arith._wild_part(2, 5, 3, 125)
+    with pytest.raises(InvariantViolationError):
+        B.dlog(7)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 37])

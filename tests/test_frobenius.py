@@ -227,6 +227,21 @@ def test_splitting_count_examples():
     assert splitting_count(FieldSpec(3, 7), 7, 0) == (1, 2, 1)
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from([3, 5, 7, 13]), st.integers(1, 30), st.sampled_from([2, 3, 5, 7, 11, 13, 19, 31, 181]),
+       st.integers(0, 40))
+def test_residue_degree_is_the_order_of_q_in_the_level_group(p, f, q, n):
+    # f_n from m_q and the order of q mod p equals lcm(tame order, ord(q mod
+    # p^(n+1))), the order walked mod p^(n+1); r_n f_n is the group order
+    if q == p or f % p == 0:
+        return
+    field = FieldSpec(p, f)
+    data = splitting_count(field, q, n)
+    tame = frobenius.tame_data(field, q)
+    assert data.residue_degree == math.lcm(tame.order, arith.mul_order(q, p ** (n + 1)))
+    assert data.prime_count * data.residue_degree == tame.degree * arith.euler_phi(p ** (n + 1))
+
+
 def test_rational_prime_count_remark():
     # p^{m_q} equals the prime count above q at level m_q + 1
     for p, q, expected in [(3, 7, 1), (3, 19, 3), (3, 163, 27), (5, 7, 5)]:

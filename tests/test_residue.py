@@ -16,6 +16,7 @@ from helpers import (
     _snf_exponent,
     dense_chi_quotient_order,
     load_benchmark_module,
+    module_cosets,
     norm_reduction_surjective,
     qmul_reference,
     qpow_reference,
@@ -38,6 +39,7 @@ from tamerank.frobenius import (
     splitting_count,
     stabilization_level,
 )
+import tamerank.arith as arith
 import tamerank.frobenius as frobenius
 import tamerank.localring as localring
 import tamerank.residue as residue
@@ -396,13 +398,14 @@ def _assert_matches_element_walk(m):
     frob, powers = grp.element(m.q, m.q), [grp.element(1, 1)]
     for _ in range(m.residue_degree - 1):
         powers.append(grp.mul(powers[-1], frob))
-    assert all(grp.element(*c) == c for c in m.cosets)
-    walk = {grp.mul(c, x): (j, t) for j, c in enumerate(m.cosets) for t, x in enumerate(powers)}
+    cosets = module_cosets(m)
+    assert all(grp.element(*c) == c for c in cosets)
+    walk = {grp.mul(c, x): (j, t) for j, c in enumerate(cosets) for t, x in enumerate(powers)}
     elements = grp.elements()
     assert len(walk) == m.num_cosets * m.residue_degree == len(elements) and set(walk) == set(elements)
     for x, table in m.gen_actions + [(-1, m.j_action)]:
         image = grp.element(x, teichmuller_residue(x, m.field.p, m.level + 1))
-        assert [walk[grp.mul(image, c)] for c in m.cosets] == table, (m.field, m.q, m.level, x)
+        assert [walk[grp.mul(image, c)] for c in cosets] == table, (m.field, m.q, m.level, x)
 
 
 @st.composite
@@ -773,20 +776,70 @@ def test_growth_up_the_level_ladder_is_the_tame_term(p, f, S):
                 assert growth == (chi.d_chi * tame if admissible else 0), (q, lo.level, chi.label())
 
 
-# SHA-256 of each report as benchmarks/worker.py writes it (indent 2, then a
-# newline), taken while the logs in (Z/p^(n+1))^x were read by Pohlig-Hellman
+# (f, SHA-256 of the report as benchmarks/worker.py writes it: indent 2, then
+# a newline) of each deep oracle job, keyed by (p, q, levels).  The first two
+# were taken while the logs in (Z/p^(n+1))^x were read by Pohlig-Hellman, the
+# third while each Teichmueller point was lifted mod p^(n+1) and logged in
+# that group.
 DEEP_ORACLE_DIGESTS = {
-    (13, 3, (1, 195)): "ddb71c17e8fb15b404fc2850f5dce0379663201721fc066adbde2f1c1e2bc82c",
-    (5, 11, (0, 195)): "b176f70cff5b19c5d18c4f1f6c419ccc13e6781d6d3730c0e90244adb1c85d49",
+    (5, 11, (0, 195)): (1, "b176f70cff5b19c5d18c4f1f6c419ccc13e6781d6d3730c0e90244adb1c85d49"),
+    (13, 3, (1, 195)): (1, "ddb71c17e8fb15b404fc2850f5dce0379663201721fc066adbde2f1c1e2bc82c"),
+    (7, 2, (2, 150)): (4, "baf7fcdcaa81d3da8ec4ad6c9752c1fdd860ce36d9aa157b4fd5520370349068"),
 }
 
 
-@pytest.mark.parametrize("p, q, levels", sorted(DEEP_ORACLE_DIGESTS))
+@pytest.mark.parametrize("p, q, levels", list(DEEP_ORACLE_DIGESTS))
 def test_deep_oracle_level_passes_with_its_pinned_report(p, q, levels):
     # n1 = 195 is the deepest level the digit bound admits; the log of q in
-    # (Z/p^196)^x takes one p-adic log, and that of each Teichmueller lift
-    # the p-adic log of 1
-    report = run(parse_config(json.dumps({"p": p, "S": [q], "oracle_levels": list(levels)})), "oracle")
+    # (Z/p^196)^x takes one p-adic log, and each Teichmueller point's
+    # exponent is p^n times a log mod p
+    f, digest = DEEP_ORACLE_DIGESTS[p, q, levels]
+    report = run(parse_config(json.dumps({"p": p, "f": f, "S": [q], "oracle_levels": list(levels)})), "oracle")
     assert report["all_pass"]
     text = json.dumps(report, indent=2) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == DEEP_ORACLE_DIGESTS[p, q, levels]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("q", [3, 7, 11])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_tables_read_the_lift_where_the_root_mod_p_is_not_one_mod_p_squared(q, n):
+    # the generator point of (Z/40487)^x is 5, and B = (Z/40487^(n+1))^x is
+    # generated by 10 for n >= 1, as 5^40486 = 1 mod 40487^2: each table entry
+    # (j, t) of an image x reads c_j q^t = omega(x) c_i in B, omega(x) lifted
+    # by teichmuller_residue
+    p = 40487
+    m = residue_module(FieldSpec(p, 1), q, n)
+    pmod = p ** (n + 1)
+    cosets = [b for _, b in module_cosets(m)]
+    for x, table in m.gen_actions + [(-1, m.j_action)]:
+        lift = teichmuller_residue(x, p, n + 1)
+        for i, (j, t) in enumerate(table):
+            assert cosets[j] * pow(q, t, pmod) % pmod == lift * cosets[i] % pmod, (q, n, x, i)
+
+
+def test_deep_module_takes_no_lift_and_no_order_mod_its_level(monkeypatch):
+    # every binding of teichmuller_residue and mul_order in the loaded
+    # tamerank modules is wrapped, as the benchmark tracer rebinds names: the
+    # level-195 module for (13, 1, [3]) lifts nothing, and takes orders only
+    # below 13^196 (the order of q mod 13, for its residue degree)
+    calls = []
+
+    def recording(name, fn, modulus):
+        def wrapped(*args):
+            calls.append((name, modulus(*args)))
+            return fn(*args)
+        return wrapped
+
+    wrappers = {
+        arith.teichmuller_residue: recording("lift", arith.teichmuller_residue, lambda a, p, N: p ** N),
+        arith.mul_order: recording("order", arith.mul_order, lambda a, modulus: modulus),
+    }
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "tamerank" or name.startswith("tamerank.")):
+            for key, value in list(vars(module).items()):
+                if any(value is fn for fn in wrappers):
+                    monkeypatch.setattr(module, key, wrappers[value])
+    m = residue_module(FieldSpec(13, 1), 3, 195)
+    assert m.level == 195 and m.num_cosets == 4
+    assert not [c for c in calls if c[0] == "lift"]
+    assert calls and all(modulus < 13 ** 196 for _, modulus in calls)
